@@ -50,14 +50,13 @@ from .errors import (
     ParseError,
     SizeBoundExceeded,
 )
-from .game import Game, Restriction, intersect, new_game, restrict
+from .game import Game, new_game, restrict
 from .gameio import game_from_dict, game_to_dict, parse_game, serialize_game
 from .generator import GeneratorParams, SplitMix64, generator_params, random_game
 from .inherent import InherentQuery, InherentResult, inherent_dominated_set, is_inherently_dominated
 from .mixed import (
     MixedStrategy,
     MixedWitness,
-    compatible_mixed,
     find_dominator,
     mixed_dominated_set,
     mixed_payoff,

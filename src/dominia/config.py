@@ -7,6 +7,8 @@ DOMINIA_MAX_STRATEGIES environment variable overrides the main one.
 
 import os
 
+from .errors import InvalidParams
+
 # Total strategy count allowed for restriction enumeration and bulk-step
 # successor enumeration.
 DEFAULT_MAX_STRATEGIES = 14
@@ -27,7 +29,7 @@ def max_total_strategies() -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ValueError(f"DOMINIA_MAX_STRATEGIES must be an integer, got {raw!r}") from exc
+        raise InvalidParams(f"DOMINIA_MAX_STRATEGIES must be an integer, got {raw!r}") from exc
     if value < 1:
-        raise ValueError("DOMINIA_MAX_STRATEGIES must be positive")
+        raise InvalidParams(f"DOMINIA_MAX_STRATEGIES must be positive, got {raw!r}")
     return value

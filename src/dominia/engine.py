@@ -9,10 +9,18 @@ A RelationSpec picks a dominance relation, an arrow flavor and a step mode:
   strategies across players (bulk elimination);
 * step "single": one transition removes exactly one strategy.
 
-All reachable games are restrictions of the root, so the search memoizes on
-per-player kept-index sets; the state space is capped by the subset lattice.
-Everything exhaustive here raises SizeBoundExceeded past the configured total
-strategy bound.
+All reachable games are restrictions of the root, so a state is the tuple of
+per-player kept root indices; the state space is capped by the subset
+lattice.  Everything exhaustive here raises SizeBoundExceeded past the
+configured total strategy bound.
+
+Every dominance question goes through one _Dominance layer per (root,
+relation): is strategy s of player i dominated by a dominator whose support
+lies in an allowed set A?  The answer depends only on the player, the
+strategy, the allowed support and the opponents' kept sets, never on the
+player's other kept strategies, so it is memoized on exactly that key in root
+indices (pure answers per single dominator t).  Searches on one root and
+relation inside one public call share the layer; no answer outlives the call.
 """
 
 from __future__ import annotations
@@ -21,12 +29,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from . import config
-from .errors import SizeBoundExceeded
 from .game import Game, restrict
 from .inherent import InherentQuery, is_inherently_dominated
 from .mixed import find_dominator
-from .pure import CheckOutcome, dominates
+from .pure import CheckOutcome, _check_bound, dominates
 from .equivalence import canonical_signature, equivalent, partition_by_equivalence
 from .relations import Inherent, Relation
 
@@ -79,170 +85,132 @@ class ConfluenceReport:
     counterexample: Optional[tuple[Game, Game]]
 
 
-class _Search:
-    """Memoized exploration of one (root, spec) reduction system."""
+class _Dominance:
+    """Memoized dominance answers on the restrictions of one root game under
+    one relation; the only place that tells pure, mixed and inherent apart."""
 
-    def __init__(self, root: Game, spec: RelationSpec, bound: Optional[int] = None):
-        limit = bound if bound is not None else config.max_total_strategies()
-        if root.total_strategies > limit:
-            raise SizeBoundExceeded(
-                f"game has {root.total_strategies} strategies, bound is {limit}"
-            )
+    def __init__(self, root: Game, relation: Union[Relation, Inherent]):
         self.root = root
-        self.spec = spec
-        self._games: dict[StateKey, Game] = {}
-        self._succ: dict[StateKey, tuple[StateKey, ...]] = {}
-        self._reach: dict[StateKey, frozenset[StateKey]] = {}
+        self.relation = relation
         self.start: StateKey = tuple(tuple(range(len(s))) for s in root.strategies)
+        self._games: dict[StateKey, Game] = {self.start: root}
+        self._memo: dict = {}
 
     def game(self, state: StateKey) -> Game:
         g = self._games.get(state)
         if g is None:
-            g = self.root if state == self.start else restrict(self.root, state)
+            # the last step of maximal_reduce may empty a player
+            g = restrict(self.root, state, allow_degenerate=True)
             self._games[state] = g
         return g
 
-    # -- per-state dominance data ---------------------------------------
-
-    def _pure_dominators(self, g: Game, rel: Relation, i: int) -> list[frozenset[int]]:
-        k = len(g.strategies[i])
-        return [
-            frozenset(t for t in range(k) if t != s and dominates(g, rel, i, s, t))
-            for s in range(k)
-        ]
-
-    def _strict_ok(self, g: Game, i: int, s: int, removed: frozenset[int], loose_witness) -> bool:
-        """Is s dominated with a dominator/support disjoint from the removed set?"""
-        rel = self.spec.relation
-        k = len(g.strategies[i])
-        survivors = [t for t in range(k) if t not in removed]
-        if not survivors:
-            return False
+    def witness(self, state: StateKey, i: int, s: int, allowed: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        """Support, in root indices, of a dominator of s drawn from
+        ``allowed`` (kept strategies of player i other than s), or None."""
+        if not allowed:
+            return None
+        rel = self.relation
+        others = state[:i] + state[i + 1 :]
+        local = state[i].index
+        if isinstance(rel, Relation) and not rel.mixed:
+            for t in allowed:
+                key = (i, s, t, others)
+                hit = self._memo.get(key)
+                if hit is None:
+                    hit = self._memo[key] = dominates(self.game(state), rel, i, local(s), local(t))
+                if hit:
+                    return (t,)
+            return None
+        key = (i, s, allowed, others)
+        if key in self._memo:
+            return self._memo[key]
+        g = self.game(state)
         if isinstance(rel, Inherent):
-            res = is_inherently_dominated(g, InherentQuery(rel.base, i, s, tuple(survivors)))
-            return res.dominated
-        if rel.mixed:
-            if loose_witness is not None and not (set(loose_witness.dominator.support) & removed):
-                return True
-            return find_dominator(g, rel, i, s, survivors) is not None
-        raise AssertionError("pure relations use dominator masks")
-
-    def _player_choices(self, g: Game, i: int) -> list[frozenset[int]]:
-        """Valid removal sets for player i (non-empty), per the spec's arrow
-        and step mode; [] when the player cannot lose anything."""
-        rel = self.spec.relation
-        k = len(g.strategies[i])
-        loose_witnesses: dict[int, object] = {}
-        if isinstance(rel, Inherent):
-            cands = [
-                s
-                for s in range(k)
-                if is_inherently_dominated(g, InherentQuery(rel.base, i, s, None)).dominated
-            ]
-            masks = None
-        elif rel.mixed:
-            # dominators may not lean on the dominated strategy itself: any
-            # self-weighted dominator shrinks to one without it, and the bare
-            # point mass would let reflexive relations remove everything
-            cands = []
-            for s in range(k):
-                allowed = [t for t in range(k) if t != s]
-                if not allowed:
-                    continue
-                w = find_dominator(g, rel, i, s, allowed)
-                if w is not None:
-                    cands.append(s)
-                    loose_witnesses[s] = w
-            masks = None
+            query = InherentQuery(rel.base, i, local(s), tuple(map(local, allowed)))
+            # the dominator may differ per opponent subset, so the support
+            # reported is the whole allowed set
+            support = allowed if is_inherently_dominated(g, query).dominated else None
         else:
-            masks = self._pure_dominators(g, rel, i)
-            cands = [s for s in range(k) if masks[s]]
-        if not cands:
-            return []
+            w = find_dominator(g, rel, i, local(s), tuple(map(local, allowed)))
+            support = None if w is None else tuple(state[i][t] for t in w.dominator.support)
+        self._memo[key] = support
+        return support
 
+    def loose(self, state: StateKey, i: int) -> dict[int, tuple[int, ...]]:
+        """Player i's dominated strategies, each with the support of one
+        dominator drawn from the player's other kept strategies."""
+        found = {}
+        for s in state[i]:
+            support = self.witness(state, i, s, tuple(t for t in state[i] if t != s))
+            if support is not None:
+                found[s] = support
+        return found
+
+    def survives(
+        self, state: StateKey, i: int, s: int, removed: frozenset[int], support: tuple[int, ...]
+    ) -> bool:
+        """Is s still dominated by strategies outside ``removed``?  Its loose
+        support answers when that survives; otherwise ask with the survivors."""
+        if removed.isdisjoint(support):
+            return True
+        return self.witness(state, i, s, tuple(t for t in state[i] if t not in removed)) is not None
+
+
+class _Search:
+    """Memoized exploration of one (root, spec) reduction system."""
+
+    def __init__(self, layer: _Dominance, spec: RelationSpec):
+        self.layer = layer
+        self.spec = spec
+        self.start = layer.start
+        self.game = layer.game
+        self._succ: dict[StateKey, tuple[StateKey, ...]] = {}
+        self._reach: dict[StateKey, frozenset[StateKey]] = {}
+
+    def _player_choices(self, state: StateKey, i: int) -> list[frozenset[int]]:
+        """Valid removal sets of root indices for player i (non-empty), per
+        the spec's arrow and step mode; [] when the player cannot lose
+        anything."""
+        support = self.layer.loose(state, i)
+        sizes = (1,) if self.spec.step == SINGLE else range(1, len(support) + 1)
         strict = self.spec.arrow == STRICT
-        choices: list[frozenset[int]] = []
-        if self.spec.step == SINGLE:
-            for s in cands:
-                removed = frozenset([s])
-                if strict:
-                    if masks is not None:
-                        ok = bool(masks[s] - removed)
-                    else:
-                        ok = self._strict_ok(g, i, s, removed, loose_witnesses.get(s))
-                else:
-                    ok = k > 1  # never empty a player
-                if ok:
-                    choices.append(removed)
-            return choices
-
-        for size in range(1, len(cands) + 1):
-            for combo in itertools.combinations(cands, size):
-                removed = frozenset(combo)
-                if len(removed) == k:
-                    continue  # strict: no surviving dominator; loose: degenerate
-                if strict:
-                    if masks is not None:
-                        ok = all(masks[s] - removed for s in removed)
-                    else:
-                        ok = all(
-                            self._strict_ok(g, i, s, removed, loose_witnesses.get(s))
-                            for s in removed
-                        )
-                else:
-                    ok = True
-                if ok:
-                    choices.append(removed)
+        choices = []
+        for removed in (frozenset(c) for size in sizes for c in itertools.combinations(support, size)):
+            if len(removed) == len(state[i]):
+                continue  # strict: no surviving dominator; loose: degenerate
+            if not strict or all(self.layer.survives(state, i, s, removed, support[s]) for s in removed):
+                choices.append(removed)
         return choices
 
     def successors(self, state: StateKey) -> tuple[StateKey, ...]:
         cached = self._succ.get(state)
         if cached is not None:
             return cached
-        g = self.game(state)
-        per_player = [self._player_choices(g, i) for i in range(g.n)]
-        out: set[StateKey] = set()
-        if self.spec.step == SINGLE:
-            for i, choices in enumerate(per_player):
-                for removed in choices:
-                    out.add(self._remove(state, {i: removed}))
-        else:
-            options = [[None] + choices for choices in per_player]
-            for combo in itertools.product(*options):
-                if all(c is None for c in combo):
-                    continue
-                removal = {i: c for i, c in enumerate(combo) if c is not None}
-                out.add(self._remove(state, removal))
+        # an empty set keeps the player as it is; a single step changes one player
+        options = [[frozenset()] + self._player_choices(state, i) for i in range(len(state))]
+        single = self.spec.step == SINGLE
+        out = {
+            tuple(tuple(r for r in kept if r not in removed) for kept, removed in zip(state, combo))
+            for combo in itertools.product(*options)
+            if any(combo) and not (single and sum(map(bool, combo)) > 1)
+        }
         result = tuple(sorted(out))
         self._succ[state] = result
         return result
 
-    def _remove(self, state: StateKey, removal: dict[int, frozenset[int]]) -> StateKey:
-        new = []
-        for i, kept in enumerate(state):
-            removed = removal.get(i)
-            if removed:
-                new.append(tuple(r for local, r in enumerate(kept) if local not in removed))
-            else:
-                new.append(kept)
-        return tuple(new)
-
     # -- reachability ----------------------------------------------------
 
-    def states(self) -> list[StateKey]:
-        """All reachable states in BFS order from the root state."""
+    def states(self, *others: _Search) -> list[StateKey]:
+        """All states reachable from the root state under the steps of this
+        search and of ``others`` (searches on the same root), in BFS order."""
         seen = {self.start}
         order = [self.start]
-        frontier = [self.start]
-        while frontier:
-            nxt = []
-            for st in frontier:
-                for succ in self.successors(st):
+        for st in order:
+            for search in (self,) + others:
+                for succ in search.successors(st):
                     if succ not in seen:
                         seen.add(succ)
                         order.append(succ)
-                        nxt.append(succ)
-            frontier = nxt
         return order
 
     def reach(self, state: StateKey) -> frozenset[StateKey]:
@@ -258,10 +226,20 @@ class _Search:
         return result
 
 
+def _searches(game: Game, bound: Optional[int], *specs: RelationSpec) -> list[_Search]:
+    """One search per spec; specs with the same relation share one layer."""
+    _check_bound(game, bound)
+    layers: dict = {}
+    for spec in specs:
+        if spec.relation not in layers:
+            layers[spec.relation] = _Dominance(game, spec.relation)
+    return [_Search(layers[spec.relation], spec) for spec in specs]
+
+
 def successors(game: Game, spec: RelationSpec, bound: Optional[int] = None) -> tuple[Game, ...]:
     """All one-step reducts of the game under the spec, deduplicated and in a
     fixed order."""
-    search = _Search(game, spec, bound)
+    [search] = _searches(game, bound, spec)
     return tuple(search.game(st) for st in search.successors(search.start))
 
 
@@ -276,7 +254,7 @@ def normal_forms(
     ``unique`` means one normal form exactly, or one renaming class when
     ``up_to_renaming`` is set; in the non-unique case the report carries a
     witness pair of one-step reducts that cannot be joined again."""
-    search = _Search(game, spec, bound)
+    [search] = _searches(game, bound, spec)
     states = search.states()
     nf_states = sorted(st for st in states if not search.successors(st))
     nf_games = tuple(search.game(st) for st in nf_states)
@@ -323,7 +301,7 @@ def check_weak_confluence(
 ) -> CheckOutcome:
     """Every pair of one-step reducts of every reachable game must rejoin
     (possibly only up to renaming).  Counterexample: the first unjoinable pair."""
-    search = _Search(game, spec, bound)
+    [search] = _searches(game, bound, spec)
     failure = _weak_confluence_failure(search, up_to_renaming)
     if failure is None:
         return CheckOutcome(True)
@@ -334,7 +312,7 @@ def check_one_step_closed(game: Game, spec: RelationSpec, bound: Optional[int] =
     """For every reachable a there must be a single target a' (equal to a or
     one step below it) that every one-step reduct of a can also reach within
     one step.  Counterexample: the first a without such a target."""
-    search = _Search(game, spec, bound)
+    [search] = _searches(game, bound, spec)
     for state in search.states():
         succ = search.successors(state)
         if not succ:
@@ -359,11 +337,10 @@ def check_one_at_a_time(
 ) -> bool:
     """Do single-strategy eliminations reach exactly the same games as bulk
     eliminations (transitive closures compared as reachable-state sets)?"""
-    bulk = _Search(game, RelationSpec(relation, STRICT, ANY), bound)
-    single = _Search(game, RelationSpec(relation, STRICT, SINGLE), bound)
-    reach_bulk = set(bulk.states()) - {bulk.start}
-    reach_single = set(single.states()) - {single.start}
-    return reach_bulk == reach_single
+    bulk, single = _searches(
+        game, bound, RelationSpec(relation, STRICT, ANY), RelationSpec(relation, STRICT, SINGLE)
+    )
+    return set(bulk.states()) == set(single.states())
 
 
 def check_left_commutes(
@@ -375,23 +352,8 @@ def check_left_commutes(
     """Does a spec1 step followed by a spec2 step always reorder into one
     spec2 step then finitely many spec1 steps?  Quantified over every state
     reachable under the union of both specs from the given game."""
-    s1 = _Search(game, spec1, bound)
-    s2 = _Search(game, spec2, bound)
-
-    seen = {s1.start}
-    frontier = [s1.start]
-    order = [s1.start]
-    while frontier:
-        nxt = []
-        for st in frontier:
-            for succ in s1.successors(st) + s2.successors(st):
-                if succ not in seen:
-                    seen.add(succ)
-                    order.append(succ)
-                    nxt.append(succ)
-        frontier = nxt
-
-    for a in order:
+    s1, s2 = _searches(game, bound, spec1, spec2)
+    for a in s1.states(s2):
         for b in s1.successors(a):
             for c in s2.successors(b):
                 if not any(c in s1.reach(d) for d in s2.successors(a)):
@@ -406,92 +368,38 @@ def maximal_reduce(game: Game, relation: Union[Relation, Inherent], bound: Optio
     Each step records whether it was also valid with surviving dominators and
     whether it emptied some player's strategy set; a degenerate result ends
     the path."""
-    limit = bound if bound is not None else config.max_total_strategies()
-    if game.total_strategies > limit:
-        raise SizeBoundExceeded(f"game has {game.total_strategies} strategies, bound is {limit}")
+    _check_bound(game, bound)
+    layer = _Dominance(game, relation)
     steps: list[ReductionStep] = []
-    current = game
+    state = layer.start
     while True:
-        removal: list[frozenset[int]] = []
-        witnesses: list[dict[int, object]] = []
-        for i in range(current.n):
-            k = len(current.strategies[i])
-            wmap: dict[int, object] = {}
-            if isinstance(relation, Inherent):
-                doomed = {
-                    s
-                    for s in range(k)
-                    if is_inherently_dominated(current, InherentQuery(relation.base, i, s, None)).dominated
-                }
-            elif relation.mixed:
-                doomed = set()
-                for s in range(k):
-                    allowed = [t for t in range(k) if t != s]
-                    if not allowed:
-                        continue
-                    w = find_dominator(current, relation, i, s, allowed)
-                    if w is not None:
-                        doomed.add(s)
-                        wmap[s] = w
-            else:
-                doomed = {
-                    s
-                    for s in range(k)
-                    if any(t != s and dominates(current, relation, i, s, t) for t in range(k))
-                }
-            removal.append(frozenset(doomed))
-            witnesses.append(wmap)
-        if not any(removal):
+        support = [layer.loose(state, i) for i in range(game.n)]
+        if not any(support):
             break
-        strict_valid = True
-        degenerate = False
-        kept: list[tuple[int, ...]] = []
-        for i in range(current.n):
-            k = len(current.strategies[i])
-            survivors = tuple(s for s in range(k) if s not in removal[i])
-            kept.append(survivors)
-            if not survivors:
-                degenerate = True
-        for i in range(current.n):
-            if not strict_valid:
-                break
-            for s in removal[i]:
-                if not kept[i]:
-                    strict_valid = False
-                    break
-                if isinstance(relation, Inherent):
-                    ok = is_inherently_dominated(
-                        current, InherentQuery(relation.base, i, s, kept[i])
-                    ).dominated
-                elif relation.mixed:
-                    w = witnesses[i].get(s)
-                    if w is not None and not (set(w.dominator.support) & removal[i]):
-                        ok = True
-                    else:
-                        ok = find_dominator(current, relation, i, s, kept[i]) is not None
-                else:
-                    ok = any(dominates(current, relation, i, s, t) for t in kept[i])
-                if not ok:
-                    strict_valid = False
-                    break
-        removed_labels = tuple(
-            tuple(current.strategies[i][s] for s in sorted(removal[i])) for i in range(current.n)
+        removal = [frozenset(found) for found in support]
+        kept = tuple(tuple(t for t in state[i] if t not in removal[i]) for i in range(game.n))
+        strict_valid = all(
+            layer.survives(state, i, s, removal[i], sup)
+            for i, found in enumerate(support)
+            for s, sup in found.items()
         )
-        nxt = restrict(current, kept, allow_degenerate=True)
-        steps.append(ReductionStep(removed_labels, nxt, strict_valid, degenerate))
+        degenerate = not all(kept)
+        removed_labels = tuple(tuple(game.strategies[i][s] for s in support[i]) for i in range(game.n))
+        steps.append(ReductionStep(removed_labels, layer.game(kept), strict_valid, degenerate))
         if degenerate:
             break
-        current = nxt
+        state = kept
     return ReductionPath(game, tuple(steps))
 
 
 def single_step_trace(game: Game, spec: RelationSpec, bound: Optional[int] = None) -> ReductionPath:
     """Deterministic single-elimination trace: repeatedly apply the first
     valid single-strategy removal until a normal form is reached."""
-    single = RelationSpec(spec.relation, spec.arrow, SINGLE)
-    search = _Search(game, single, bound)
-    strict_search = (
-        search if spec.arrow == STRICT else _Search(game, RelationSpec(spec.relation, STRICT, SINGLE), bound)
+    search, strict_search = _searches(
+        game,
+        bound,
+        RelationSpec(spec.relation, spec.arrow, SINGLE),
+        RelationSpec(spec.relation, STRICT, SINGLE),
     )
     steps: list[ReductionStep] = []
     state = search.start
@@ -501,7 +409,7 @@ def single_step_trace(game: Game, spec: RelationSpec, bound: Optional[int] = Non
             break
         nxt = succ[0]
         removed = tuple(
-            tuple(search.root.strategies[i][r] for r in sorted(set(state[i]) - set(nxt[i])))
+            tuple(game.strategies[i][r] for r in state[i] if r not in nxt[i])
             for i in range(game.n)
         )
         strict_valid = spec.arrow == STRICT or nxt in strict_search.successors(state)

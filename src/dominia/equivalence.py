@@ -155,10 +155,6 @@ def fully_reduce(game: Game, bound: Optional[int] = None) -> Game:
             return current
 
 
-def games_equivalent(g1: Game, g2: Game) -> bool:
-    return equivalent(g1, g2) is not None
-
-
 def partition_by_equivalence(games) -> list[list[int]]:
     """Indices of the input grouped into equivalence classes (signature
     pre-filter first, full check as the decider)."""

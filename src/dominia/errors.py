@@ -54,4 +54,4 @@ class ParseError(DominiaError):
 
 
 class InvalidParams(DominiaError):
-    """Generator parameters are out of their documented ranges."""
+    """Generator parameters or configuration settings are out of their documented ranges."""

@@ -16,7 +16,6 @@ from .errors import (
     DuplicateLabel,
     EmptyRestriction,
     EmptyStrategySet,
-    IncompatibleParents,
     IndexOutOfRange,
     MissingPayoff,
 )
@@ -199,27 +198,6 @@ def new_game(labels: Sequence[Sequence[str]], payoffs: Mapping, *, allow_degener
     return Game(strats, table, allow_degenerate=allow_degenerate)
 
 
-class Restriction:
-    """A view of a parent game keeping a per-player subset of strategies."""
-
-    __slots__ = ("parent", "kept")
-
-    def __init__(self, parent: Game, kept: Sequence[Iterable[int]]):
-        if len(kept) != parent.n:
-            raise IndexOutOfRange("kept sets must cover every player")
-        cleaned = []
-        for i, ks in enumerate(kept):
-            idx = sorted(set(ks))
-            for s in idx:
-                parent._check_strategy(i, s)
-            cleaned.append(tuple(idx))
-        self.parent = parent
-        self.kept = tuple(cleaned)
-
-    def to_game(self, allow_degenerate: bool = False) -> Game:
-        return restrict(self.parent, self.kept, allow_degenerate=allow_degenerate)
-
-
 def restrict(game: Game, kept: Sequence[Iterable[int]], *, allow_degenerate: bool = False) -> Game:
     """Materialize the restriction of ``game`` to the kept strategy indices.
 
@@ -242,32 +220,3 @@ def restrict(game: Game, kept: Sequence[Iterable[int]], *, allow_degenerate: boo
         parent_profile = tuple(kept_idx[i][local[i]] for i in range(game.n))
         table[local] = game.payoff_vector(parent_profile)
     return Game(labels, table, allow_degenerate=allow_degenerate)
-
-
-def intersect(g1: Game, g2: Game, *, allow_degenerate: bool = False) -> Game:
-    """Intersection of two restrictions of a common parent.
-
-    Keeps, per player, the labels present in both games; payoffs must agree on
-    every shared profile, otherwise the games cannot come from one parent.
-    """
-    if g1.n != g2.n:
-        raise IncompatibleParents("player counts differ")
-    kept_labels: list[tuple[str, ...]] = []
-    for i in range(g1.n):
-        other = set(g2.strategies[i])
-        common = tuple(lab for lab in g1.strategies[i] if lab in other)
-        if not common and not allow_degenerate:
-            raise EmptyRestriction(f"intersection empties player {i}'s strategy set")
-        kept_labels.append(common)
-    pos1 = [{lab: k for k, lab in enumerate(g1.strategies[i])} for i in range(g1.n)]
-    pos2 = [{lab: k for k, lab in enumerate(g2.strategies[i])} for i in range(g2.n)]
-    table: dict[Profile, PayoffVector] = {}
-    for local in itertools.product(*(range(len(k)) for k in kept_labels)):
-        labs = tuple(kept_labels[i][local[i]] for i in range(g1.n))
-        p1 = tuple(pos1[i][labs[i]] for i in range(g1.n))
-        p2 = tuple(pos2[i][labs[i]] for i in range(g1.n))
-        v1 = g1.payoff_vector(p1)
-        if v1 != g2.payoff_vector(p2):
-            raise IncompatibleParents(f"payoffs disagree at shared profile {labs}")
-        table[local] = v1
-    return Game(kept_labels, table, allow_degenerate=allow_degenerate)

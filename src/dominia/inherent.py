@@ -43,7 +43,7 @@ class InherentQuery:
     base: Relation
     player: int
     strategy: int
-    # None: dominators may come from the player's full strategy set (loose
+    # None: dominators may come from the player's other strategies (loose
     # flavor); otherwise they must lie in this surviving subset.
     must_survive: Optional[tuple[int, ...]] = None
 
@@ -60,7 +60,7 @@ class InherentResult:
 
 def _pure_dominator_on(game, tag, i, s, allowed, cols) -> Optional[int]:
     for t in allowed:
-        if t != s and _holds(game, tag, i, s, t, cols):
+        if _holds(game, tag, i, s, t, cols):
             return t
     return None
 
@@ -75,9 +75,7 @@ def _dominated_given(game, base: Relation, i, s, allowed, cols):
                 return t
         return None
     for tag in base.tags:
-        pure_tag = _PURE_OF[tag]
-        scan = [t for t in allowed if t != s] if tag == "PEM" else allowed
-        t = _pure_dominator_on(game, pure_tag, i, s, scan, cols)
+        t = _pure_dominator_on(game, _PURE_OF[tag], i, s, allowed, cols)
         if t is not None:
             return MixedWitness(i, s, point_mass(i, t), tag)
     return find_dominator(game, base, i, s, allowed, columns=cols)
@@ -99,17 +97,16 @@ def is_inherently_dominated(
     base = query.base
     i, s = query.player, query.strategy
     game._check_strategy(i, s)
-    allowed = (
-        tuple(range(len(game.strategies[i])))
-        if query.must_survive is None
-        else tuple(sorted(set(query.must_survive)))
-    )
+    pool = range(len(game.strategies[i])) if query.must_survive is None else sorted(set(query.must_survive))
+    # a dominator never leans on s itself: under VWM the point mass on s
+    # would dominate s
+    allowed = tuple(t for t in pool if t != s)
     cols = game.opponent_profiles(i)
     full = tuple(cols)
 
     # full profile set is one of the quantified subsets: a cheap complete
     # negative test, and decisive for pointwise bases
-    full_witness = _dominated_given(game, base, i, s, allowed, full)
+    full_witness = _dominated_given(game, base, i, s, allowed, full) if allowed else None
     if full_witness is None:
         return InherentResult(False, failing_subset=full)
     pointwise = all(tag in _POINTWISE for tag in base.tags)

@@ -221,14 +221,6 @@ def _compatible_with_mix(game: Game, i: int, s: int, pairs, cols) -> bool:
     return True
 
 
-def compatible_mixed(game: Game, player: int, s: int, m: MixedStrategy) -> bool:
-    """Compatibility of a pure strategy with a mixed one: a tie in the owner's
-    payoff at some opponents' profile forces a tie for every player there."""
-    game._check_strategy(player, s)
-    _check_mixed(game, m, player)
-    return _compatible_with_mix(game, player, s, m.weights, game.opponent_profiles(player))
-
-
 def _weights_from_point(allowed, point) -> dict[int, Fraction]:
     return {t: v for t, v in zip(allowed, point) if v != 0}
 

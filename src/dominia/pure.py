@@ -95,15 +95,6 @@ def dominates(game: Game, relation: Relation, player: int, dominated: int, domin
     return any(_holds(game, tag, player, dominated, dominator, columns) for tag in relation.tags)
 
 
-def dominating_tag(game: Game, relation: Relation, player: int, dominated: int, dominator: int) -> Optional[str]:
-    """First member tag under which ``dominator`` dominates ``dominated``, or None."""
-    columns = game.opponent_profiles(player)
-    for tag in relation.tags:
-        if _holds(game, tag, player, dominated, dominator, columns):
-            return tag
-    return None
-
-
 def compatible(game: Game, player: int, s: int, t: int) -> bool:
     """Whenever s and t tie in player's own payoff at some opponents' profile,
     they tie for every player there."""

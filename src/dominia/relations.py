@@ -16,10 +16,6 @@ from .errors import ParseError
 PURE_TAGS = ("S", "W", "VW", "NW", "PE", "COMPAT")
 MIXED_TAGS = ("SM", "WM", "VWM", "NWM", "PEM")
 
-# Tags that are reflexive as raw relations; elimination always demands a
-# dominator distinct from the dominated strategy.
-REFLEXIVE_TAGS = frozenset({"VW", "PE", "COMPAT", "VWM", "PEM"})
-
 
 @dataclass(frozen=True)
 class Relation:
@@ -37,10 +33,6 @@ class Relation:
         for tag in self.tags:
             if tag not in universe:
                 raise ParseError(f"unknown {'mixed' if self.mixed else 'pure'} relation {tag!r}")
-
-    @property
-    def is_union(self) -> bool:
-        return len(self.tags) > 1
 
     def __str__(self) -> str:
         return "+".join(self.tags)

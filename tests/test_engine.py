@@ -13,6 +13,8 @@ from dominia import (
     SINGLE,
     SM,
     STRICT,
+    VW,
+    VWM,
     W,
     WM,
     Inherent,
@@ -76,6 +78,16 @@ class TestSuccessors:
         g = nonconfluent_weak_2x2()
         with pytest.raises(SizeBoundExceeded):
             successors(g, NW_STRICT_ANY, bound=3)
+
+    def test_pointwise_inherent_matches_base(self, small_games):
+        # for pointwise bases the full opponent profile set decides inherent
+        # dominance, so both relations step alike under either arrow
+        for g in small_games:
+            for rel in (S, VW, PE, SM, VWM, PEM):
+                for arrow in (STRICT, LOOSE):
+                    assert successors(g, RelationSpec(Inherent(rel), arrow, ANY)) == successors(
+                        g, RelationSpec(rel, arrow, ANY)
+                    )
 
 
 class TestSuccessorOracle:
@@ -295,6 +307,14 @@ class TestMaximalReduce:
         for g in small_games[:10]:
             rep = normal_forms(g, RelationSpec(S, STRICT, ANY))
             assert maximal_reduce(g, S).endpoint == rep.normal_forms[0]
+
+    def test_mixed_and_inherent_match_unique_strict_sm_normal_form(self, small_games):
+        for g in small_games:
+            [nf] = normal_forms(g, RelationSpec(SM, STRICT, ANY)).normal_forms
+            for rel in (SM, Inherent(SM)):
+                path = maximal_reduce(g, rel)
+                assert all(step.strict_valid for step in path.steps)
+                assert path.endpoint == nf
 
     def test_all_zero_game_degenerates_under_pe(self):
         g = new_game(

@@ -7,11 +7,8 @@ from dominia import (
     EmptyRestriction,
     EmptyStrategySet,
     Game,
-    IncompatibleParents,
     IndexOutOfRange,
     MissingPayoff,
-    Restriction,
-    intersect,
     new_game,
     restrict,
 )
@@ -79,52 +76,6 @@ def test_restrict_empty_needs_flag():
         restrict(g, [(), (0,)])
     degenerate = restrict(g, [(), (0,)], allow_degenerate=True)
     assert degenerate.degenerate
-
-
-def test_restriction_view_materializes():
-    g = nonconfluent_weak_2x2()
-    view = Restriction(g, [(0,), (0,)])
-    assert view.to_game().shape == (1, 1)
-
-
-def test_intersect_basics():
-    g = nonconfluent_weak_2x2()
-    r1 = restrict(g, [(0,), (0, 1)])
-    r2 = restrict(g, [(0, 1), (0,)])
-    both = intersect(r1, r2)
-    assert both.strategies == (("T",), ("L",))
-    assert both.payoff((0, 0), 0) == 2
-    assert intersect(g, g) == g
-
-
-def test_intersect_disjoint_rows_is_empty():
-    g = nonconfluent_weak_2x2()
-    r1 = restrict(g, [(0,), (0,)])
-    r2 = restrict(g, [(1,), (0,)])
-    with pytest.raises(EmptyRestriction):
-        intersect(r1, r2)
-
-
-def test_intersect_rejects_different_parents():
-    g = nonconfluent_weak_2x2()
-    other = new_game(
-        [["T", "B"], ["L", "R"]],
-        {("T", "L"): (9, 9), ("T", "R"): (2, 1), ("B", "L"): (2, 1), ("B", "R"): (1, 0)},
-    )
-    with pytest.raises(IncompatibleParents):
-        intersect(g, other)
-
-
-def test_intersect_commutes_and_associates(small_games):
-    for g in small_games[:6]:
-        full = tuple(tuple(range(k)) for k in g.shape)
-        r1 = restrict(g, [full[0][: max(1, len(full[0]) - 1)]] + [full[i] for i in range(1, g.n)])
-        r2 = restrict(g, [full[0]] + [full[i][:1] if i == 1 else full[i] for i in range(1, g.n)])
-        r3 = restrict(g, [full[0][:1]] + [full[i] for i in range(1, g.n)])
-        assert intersect(r1, r2) == intersect(r2, r1)
-        left = intersect(intersect(r1, r2), r3)
-        right = intersect(r1, intersect(r2, r3))
-        assert left == right
 
 
 def test_games_hash_consistently():

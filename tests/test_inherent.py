@@ -5,6 +5,7 @@ from dominia import (
     S,
     SM,
     VW,
+    VWM,
     W,
     WM,
     InherentQuery,
@@ -13,6 +14,7 @@ from dominia import (
     inherent_dominated_set,
     is_inherently_dominated,
     mixed_dominated_set,
+    new_game,
 )
 from dominia.errors import SizeBoundExceeded
 from dominia.gallery import (
@@ -75,6 +77,16 @@ def test_mixed_inherent_weak_equals_strict_mixed(small_games):
         inh = inherent_dominated_set(g, WM)
         sm = [[w.dominated for w in per] for per in mixed_dominated_set(g, SM)]
         assert [sorted(x) for x in inh] == [sorted(x) for x in sm]
+
+
+def test_mixed_base_dominator_excludes_the_strategy_itself():
+    # neither row dominates the other, so only the point mass on the row
+    # itself could very weakly dominate it; the columns tie everywhere
+    g = new_game(
+        [["T", "B"], ["L", "R"]],
+        {("T", "L"): (3, 0), ("T", "R"): (0, 0), ("B", "L"): (0, 0), ("B", "R"): (3, 0)},
+    )
+    assert inherent_dominated_set(g, VWM) == [[], [0, 1]]
 
 
 def test_trivial_game_nothing_inherent():

@@ -217,6 +217,13 @@ class TestCli:
         path = self._write_game(tmp_path, G11)
         assert main(["eliminate", "--game", path, "--relation", "S"]) == 3
 
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_malformed_size_bound_exit_code(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("DOMINIA_MAX_STRATEGIES", raw)
+        path = self._write_game(tmp_path, G11)
+        assert main(["eliminate", "--game", path, "--relation", "S"]) == 2
+        assert "DOMINIA_MAX_STRATEGIES" in capsys.readouterr().err
+
     def test_console_script_runs(self, tmp_path):
         path = self._write_game(tmp_path, G11)
         proc = subprocess.run(
