@@ -43,7 +43,6 @@ from .errors import (
     EmptyRestriction,
     EmptyStrategySet,
     EmptySupport,
-    IncompatibleParents,
     IndexOutOfRange,
     InvalidParams,
     MissingPayoff,

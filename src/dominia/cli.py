@@ -16,7 +16,6 @@ from . import suite as suite_mod
 from .engine import (
     ANY,
     LOOSE,
-    SINGLE,
     STRICT,
     RelationSpec,
     check_weak_confluence,

@@ -21,10 +21,6 @@ class EmptyRestriction(DominiaError):
     """A restriction would leave some player with no strategies."""
 
 
-class IncompatibleParents(DominiaError):
-    """Two games are not restrictions of a common parent."""
-
-
 class IndexOutOfRange(DominiaError):
     """A player or strategy index does not exist in the game."""
 

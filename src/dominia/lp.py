@@ -1,8 +1,13 @@
 """Exact rational linear programming by two-phase simplex with Bland's rule.
 
 Every mixed-dominance decision in this package is a boolean claim hinging on
-strict-versus-weak inequalities, so the solver works entirely in
-`fractions.Fraction`; there is no tolerance anywhere.  Callers never encode a
+strict-versus-weak inequalities, so the solver is exact: there is no tolerance
+anywhere.  Problems are stated in `fractions.Fraction`; the simplex runs
+fraction-free on Python integers (integer-preserving pivoting, Edmonds 1967;
+Bareiss 1968).  Each row is scaled by the LCM of its denominators, the tableau
+holds integers over one common positive denominator (the last pivot), every
+update divides exactly, and ratios are compared by cross-multiplying.
+Fractions are built only for the returned point.  Callers never encode a
 strict inequality directly: they maximize a margin variable and test the exact
 optimum against zero.
 
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, PivotLimitExceeded
@@ -29,9 +35,9 @@ LE, EQ, GE = "<=", "==", ">="
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Fraction | int, ...]
     op: str  # one of <=, ==, >=
-    rhs: Fraction
+    rhs: Fraction | int
 
     def satisfied_by(self, point: Sequence[Fraction]) -> bool:
         lhs = sum((c * x for c, x in zip(self.coeffs, point)), ZERO)
@@ -92,80 +98,99 @@ class LpOutcome:
 
 
 class _Tableau:
-    """Dense exact simplex tableau: rows of structural+artificial columns
-    plus rhs, kept in canonical (identity on basis) form."""
+    """Dense fraction-free simplex tableau: integer rows of the tableau's
+    columns plus rhs.  The canonical (identity on basis) tableau is
+    ``rows / d``; ``d`` > 0 is the last pivot, so every update divides
+    exactly (Bareiss 1968)."""
 
-    def __init__(self, rows: list[list[Fraction]], basis: list[int]):
+    def __init__(self, rows: list[list[int]], basis: list[int]):
         self.rows = rows
         self.basis = basis
+        self.d = 1
         self.pivots = 0
 
     def pivot(self, r: int, c: int) -> None:
         self.pivots += 1
         if self.pivots > MAX_PIVOTS:
             raise PivotLimitExceeded(f"more than {MAX_PIVOTS} simplex pivots")
-        row = self.rows[r]
-        piv = row[c]
-        inv = ONE / piv
-        self.rows[r] = [v * inv for v in row]
-        row = self.rows[r]
-        for k, other in enumerate(self.rows):
+        rows = self.rows
+        prow = rows[r]
+        p = prow[c]
+        d = self.d
+        for k, other in enumerate(rows):
             if k == r:
                 continue
-            factor = other[c]
-            if factor:
-                self.rows[k] = [a - factor * b for a, b in zip(other, row)]
+            f = other[c]
+            if f:
+                rows[k] = [(a * p - f * b) // d for a, b in zip(other, prow)]
+            elif p != d:
+                rows[k] = [a * p // d for a in other]
+        if p < 0:
+            # only when an artificial is driven out on a negative entry;
+            # negating the tableau keeps the common denominator positive
+            for k, row in enumerate(rows):
+                rows[k] = [-v for v in row]
+            p = -p
+        self.d = p
         self.basis[r] = c
 
-    def minimize(self, cost: list[Fraction]) -> list[Fraction]:
-        """Run Bland simplex on the given cost vector (min).  ``cost`` has one
-        entry per tableau column except rhs, plus a trailing objective cell.
-        Returns the reduced cost row at optimality; raises _Unbounded with the
-        entering column otherwise."""
-        if not self.rows:
+    def minimize(self, cost: list[int]) -> list[int]:
+        """Run Bland simplex on the given integer cost vector (min).  ``cost``
+        has one entry per tableau column except rhs, plus a trailing objective
+        cell.  Returns the reduced cost row, times ``d``, at optimality;
+        raises _Unbounded with the entering column otherwise."""
+        rows = self.rows
+        if not rows:
             for j in range(len(cost) - 1):
-                if cost[j] < ZERO:
+                if cost[j] < 0:
                     raise _Unbounded(j)
             return cost[:]
+        ncols = len(rows[0]) - 1
+        m = len(rows)
         # canonicalize: zero out the basic columns of the cost row
-        ncols = len(self.rows[0]) - 1
-        red = cost[:]
+        red = [self.d * v for v in cost]
         for r, b in enumerate(self.basis):
-            factor = red[b]
-            if factor:
-                row = self.rows[r]
-                for k in range(ncols + 1):
-                    red[k] -= factor * row[k]
-        while True:
-            enter = -1
-            for j in range(ncols):
-                if red[j] < ZERO:
-                    enter = j
-                    break
-            if enter < 0:
-                return red
-            leave = -1
-            best: Optional[Fraction] = None
-            for r, row in enumerate(self.rows):
-                a = row[enter]
-                if a > ZERO:
-                    ratio = row[-1] / a
-                    if best is None or ratio < best or (ratio == best and self.basis[r] < self.basis[leave]):
-                        best = ratio
-                        leave = r
-            if leave < 0:
-                raise _Unbounded(enter)
-            self.pivot(leave, enter)
-            factor = red[enter]
-            if factor:
-                row = self.rows[leave]
-                for k in range(ncols + 1):
-                    red[k] -= factor * row[k]
+            f = cost[b]
+            if f:
+                red = [x - f * y for x, y in zip(red, rows[r])]
+        # the reduced cost row is pivoted as one more tableau row
+        rows.append(red)
+        try:
+            while True:
+                red = rows[m]
+                enter = next((j for j in range(ncols) if red[j] < 0), -1)
+                if enter < 0:
+                    return red
+                leave = -1
+                for r in range(m):
+                    row = rows[r]
+                    a = row[enter]
+                    if a > 0:
+                        # rhs/a against best_rhs/best_a, both a positive
+                        rhs = row[-1]
+                        if (
+                            leave < 0
+                            or rhs * best_a < best_rhs * a
+                            or (rhs * best_a == best_rhs * a and self.basis[r] < self.basis[leave])
+                        ):
+                            leave, best_rhs, best_a = r, rhs, a
+                if leave < 0:
+                    raise _Unbounded(enter)
+                self.pivot(leave, enter)
+        finally:
+            rows.pop()
 
 
 class _Unbounded(Exception):
     def __init__(self, column: int):
         self.column = column
+
+
+def _scaled(values) -> tuple[int, list[int]]:
+    """The LCM of the values' denominators, and the values times it: integers
+    with the same signs."""
+    scale = lcm(*{v.denominator for v in values})
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def solve(prob: LpProblem) -> LpOutcome:
@@ -191,24 +216,32 @@ def solve(prob: LpProblem) -> LpOutcome:
         if q is not None:
             std_cost[q] -= obj[j]
 
-    rows: list[list[Fraction]] = []
+    # Each row is scaled to integers by the LCM of its denominators, and its
+    # slack and artificial get coefficient 1.  That rescales those variables
+    # by the positive row scale, so phase 1 weights artificial r by 1/scale_r
+    # to minimize the unscaled sum; positive rescalings keep every sign and
+    # ratio comparison, so the pivots are those of the unscaled tableau.
+    rows: list[list[int]] = []
+    scales: list[int] = []
     n_slack = sum(1 for con in prob.constraints if con.op != EQ)
     total = ncols + n_slack
     slack_at = ncols
     for con in prob.constraints:
-        row = [ZERO] * total
+        scale, (*coeffs, rhs) = _scaled((*con.coeffs, con.rhs))
+        scales.append(scale)
+        row = [0] * total
         for j, (p, q) in enumerate(col_of):
-            row[p] += con.coeffs[j]
+            row[p] = coeffs[j]
             if q is not None:
-                row[q] -= con.coeffs[j]
+                row[q] = -coeffs[j]
         if con.op == LE:
-            row[slack_at] = ONE
+            row[slack_at] = 1
             slack_at += 1
         elif con.op == GE:
-            row[slack_at] = -ONE
+            row[slack_at] = -1
             slack_at += 1
-        row.append(con.rhs)
-        if row[-1] < ZERO:
+        row.append(rhs)
+        if rhs < 0:
             row = [-v for v in row]
         rows.append(row)
 
@@ -217,23 +250,24 @@ def solve(prob: LpProblem) -> LpOutcome:
     art_base = total
     for r, row in enumerate(rows):
         rhs = row.pop()
-        row.extend(ONE if k == r else ZERO for k in range(m))
+        row.extend(1 if k == r else 0 for k in range(m))
         row.append(rhs)
     basis = [art_base + r for r in range(m)]
     tab = _Tableau(rows, basis)
-    phase1_cost = [ZERO] * art_base + [ONE] * m + [ZERO]
+    weight = lcm(*scales)
+    phase1_cost = [0] * art_base + [weight // s for s in scales] + [0]
     try:
         red = tab.minimize(phase1_cost)
     except _Unbounded:  # pragma: no cover - phase 1 objective is bounded below by 0
         raise AssertionError("phase 1 cannot be unbounded")
-    if -red[-1] != ZERO:  # objective cell holds -value
+    if red[-1] != 0:  # objective cell holds -value
         return LpOutcome("infeasible")
 
     # drive artificials out of the basis, dropping redundant rows
     keep: list[int] = []
     for r in range(len(tab.rows)):
         if tab.basis[r] >= art_base:
-            piv = next((j for j in range(art_base) if tab.rows[r][j] != ZERO), None)
+            piv = next((j for j in range(art_base) if tab.rows[r][j] != 0), None)
             if piv is None:
                 continue  # redundant constraint row
             tab.pivot(r, piv)
@@ -244,21 +278,21 @@ def solve(prob: LpProblem) -> LpOutcome:
     for r in range(len(tab.rows)):
         tab.rows[r] = tab.rows[r][:art_base] + [tab.rows[r][-1]]
 
-    phase2_cost = std_cost + [ZERO] * n_slack + [ZERO]
+    phase2_cost = _scaled(std_cost)[1] + [0] * n_slack + [0]
     try:
         tab.minimize(phase2_cost)
     except _Unbounded:
         return LpOutcome("unbounded")
 
-    std_point = [ZERO] * art_base
+    std_num = [0] * art_base
     for r, b in enumerate(tab.basis):
-        std_point[b] = tab.rows[r][-1]
+        std_num[b] = tab.rows[r][-1]
     point = []
     for p, q in col_of:
-        v = std_point[p]
+        v = std_num[p]
         if q is not None:
-            v -= std_point[q]
-        point.append(v)
+            v -= std_num[q]
+        point.append(Fraction(v, tab.d))
     value = sum((c * x for c, x in zip(prob.objective, point)), ZERO)
     for con in prob.constraints:
         if not con.satisfied_by(point):  # pragma: no cover - internal consistency guard

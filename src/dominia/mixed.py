@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import config, lp
@@ -30,7 +31,7 @@ from .errors import (
     SizeBoundExceeded,
 )
 from .game import Game, restrict
-from .lp import GE, EQ, ZERO, ONE, constraint
+from .lp import EQ, GE, ONE, ZERO, LinearConstraint
 from .pure import CheckOutcome, restrictions
 from .relations import Relation
 
@@ -225,66 +226,70 @@ def _weights_from_point(allowed, point) -> dict[int, Fraction]:
     return {t: v for t, v in zip(allowed, point) if v != 0}
 
 
-def _decide_sm(game, i, s, allowed, cols):
+def _scaled_payoffs(game: Game, i: int, cols, j: int) -> list[list[int]]:
+    """Player j's payoffs as ints: one row per column of ``cols``, one entry
+    per strategy of player i, all times the positive LCM of their
+    denominators.  One positive scale per player keeps every dominance
+    inequality and payoff equality between those entries."""
+    table = game._table
+    strategies = range(len(game.strategies[i]))
+    cells = [[table[col[:i] + (t,) + col[i + 1 :]][j] for t in strategies] for col in cols]
+    scale = lcm(*{v.denominator for row in cells for v in row})
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in cells]
+
+
+def _margin_problem(k: int, cons) -> lp.LpProblem:
+    """Maximize a free margin variable after k nonnegative weights."""
+    return lp.problem(k + 1, cons, [0] * k + [1], "max", [True] * k + [False])
+
+
+def _decide_sm(pay, i, s, allowed):
     k = len(allowed)
-    cons = []
-    for col in cols:
-        coeffs = [game.payoff(Game.fill(col, i, t), i) for t in allowed] + [-ONE]
-        cons.append(constraint(coeffs, GE, game.payoff(Game.fill(col, i, s), i)))
-    cons.append(constraint([ONE] * k + [ZERO], EQ, ONE))
-    prob = lp.problem(k + 1, cons, [ZERO] * k + [ONE], "max", [True] * k + [False])
-    out = lp.solve(prob)
+    cons = [LinearConstraint((*(row[t] for t in allowed), -1), GE, row[s]) for row in pay[i]]
+    cons.append(LinearConstraint((1,) * k + (0,), EQ, 1))
+    out = lp.solve(_margin_problem(k, cons))
     if out.optimal and out.value > 0:
         return _weights_from_point(allowed, out.point[:k])
     return None
 
 
-def _wm_constraints(game, i, s, allowed, cols):
-    cons = []
-    for col in cols:
-        coeffs = [game.payoff(Game.fill(col, i, t), i) for t in allowed]
-        cons.append(constraint(coeffs, GE, game.payoff(Game.fill(col, i, s), i)))
-    cons.append(constraint([ONE] * len(allowed), EQ, ONE))
+def _wm_constraints(pay, i, s, allowed):
+    cons = [LinearConstraint(tuple(row[t] for t in allowed), GE, row[s]) for row in pay[i]]
+    cons.append(LinearConstraint((1,) * len(allowed), EQ, 1))
     return cons
 
 
-def _decide_wm(game, i, s, allowed, cols):
+def _decide_wm(pay, i, s, allowed):
     k = len(allowed)
-    cons = _wm_constraints(game, i, s, allowed, cols)
+    cons = _wm_constraints(pay, i, s, allowed)
     # maximize total slack over all columns; strictly positive iff some
     # inequality can be made strict
-    obj = [sum((game.payoff(Game.fill(col, i, t), i) for col in cols), ZERO) for t in allowed]
-    base = sum((game.payoff(Game.fill(col, i, s), i) for col in cols), ZERO)
+    obj = [sum(row[t] for row in pay[i]) for t in allowed]
+    base = sum(row[s] for row in pay[i])
     out = lp.solve(lp.problem(k, cons, obj, "max"))
     if out.optimal and out.value > base:
         return _weights_from_point(allowed, out.point)
     return None
 
 
-def _decide_vwm(game, i, s, allowed, cols):
-    cons = _wm_constraints(game, i, s, allowed, cols)
-    out = lp.feasible_point(cons, len(allowed))
+def _decide_vwm(pay, i, s, allowed):
+    out = lp.feasible_point(_wm_constraints(pay, i, s, allowed), len(allowed))
     if out.optimal:
         return _weights_from_point(allowed, out.point)
     return None
 
 
-def _decide_pem(game, i, s, allowed, cols):
+def _decide_pem(pay, i, s, allowed):
     k = len(allowed)
-    cons = []
-    for col in cols:
-        prof_s = Game.fill(col, i, s)
-        for j in range(game.n):
-            coeffs = [game.payoff(Game.fill(col, i, t), j) for t in allowed]
-            cons.append(constraint(coeffs, EQ, game.payoff(prof_s, j)))
-    cons.append(constraint([ONE] * k, EQ, ONE))
+    cons = [LinearConstraint(tuple(row[t] for t in allowed), EQ, row[s]) for rows in zip(*pay) for row in rows]
+    cons.append(LinearConstraint((1,) * k, EQ, 1))
     out = lp.feasible_point(cons, k)
     if out.optimal:
         return _weights_from_point(allowed, out.point)
     return None
 
 
-def _decide_nwm(game, i, s, allowed, cols):
+def _decide_nwm(pay, i, s, allowed):
     """Nice weak mixed dominance via equality-set enumeration.
 
     Columns where strictness is impossible are forced ties; columns where a
@@ -292,52 +297,55 @@ def _decide_nwm(game, i, s, allowed, cols):
     enumerated (smallest sets first).  One margin-maximizing LP decides each
     candidate equality set exactly.
     """
-    if _decide_wm(game, i, s, allowed, cols) is None:
+    if _decide_wm(pay, i, s, allowed) is None:
         return None
+    mine = pay[i]
     forced_tie = []
     ambiguous = []
-    for col in cols:
-        mine = game.payoff(Game.fill(col, i, s), i)
-        vals = [game.payoff(Game.fill(col, i, t), i) for t in allowed]
+    for c, row in enumerate(mine):
+        vals = [row[t] for t in allowed]
         hi, lo = max(vals), min(vals)
-        if hi < mine:
+        if hi < row[s]:
             return None
-        if hi == mine:
-            forced_tie.append(col)
-        elif lo <= mine:
-            ambiguous.append(col)
-    if len(forced_tie) == len(cols):
+        if hi == row[s]:
+            forced_tie.append(c)
+        elif lo <= row[s]:
+            ambiguous.append(c)
+    if len(forced_tie) == len(mine):
         return None  # no strict column possible
     if 2 ** len(ambiguous) > config.EQUALITY_SET_BOUND:
         raise SizeBoundExceeded(
             f"{len(ambiguous)} ambiguous columns exceed the equality-set bound"
         )
     k = len(allowed)
-    n = game.n
+    by_column = list(zip(*pay))
     for size in range(len(ambiguous) + 1):
         for extra in itertools.combinations(ambiguous, size):
             ties = forced_tie + list(extra)
-            if len(ties) == len(cols):
+            if len(ties) == len(mine):
                 continue
             tie_set = set(ties)
-            cons = []
-            for col in ties:
-                prof_s = Game.fill(col, i, s)
-                for j in range(n):
-                    coeffs = [game.payoff(Game.fill(col, i, t), j) for t in allowed] + [ZERO]
-                    cons.append(constraint(coeffs, EQ, game.payoff(prof_s, j)))
-            for col in cols:
-                if col in tie_set:
-                    continue
-                coeffs = [game.payoff(Game.fill(col, i, t), i) for t in allowed] + [-ONE]
-                cons.append(constraint(coeffs, GE, game.payoff(Game.fill(col, i, s), i)))
-            cons.append(constraint([ONE] * k + [ZERO], EQ, ONE))
-            out = lp.solve(lp.problem(k + 1, cons, [ZERO] * k + [ONE], "max", [True] * k + [False]))
+            cons = [
+                LinearConstraint((*(row[t] for t in allowed), 0), EQ, row[s])
+                for c in ties
+                for row in by_column[c]
+            ]
+            cons.extend(
+                LinearConstraint((*(row[t] for t in allowed), -1), GE, row[s])
+                for c, row in enumerate(mine)
+                if c not in tie_set
+            )
+            cons.append(LinearConstraint((1,) * k + (0,), EQ, 1))
+            out = lp.solve(_margin_problem(k, cons))
             if out.optimal and out.value > 0:
                 return _weights_from_point(allowed, out.point[:k])
     return None
 
 
+# Each decider gets ``pay[j]``, player j's ``_scaled_payoffs`` over the
+# quantified columns (None for players its tag never reads), the player, the
+# dominated strategy and the allowed support; it returns dominator weights or
+# None.
 _DECIDERS = {
     "SM": _decide_sm,
     "WM": _decide_wm,
@@ -370,14 +378,25 @@ def find_dominator(
         raise EmptySupport(f"empty allowed support for player {player}")
     for t in allowed:
         game._check_strategy(player, t)
-    cols = list(columns) if columns is not None else game.opponent_profiles(player)
+    if columns is None:
+        cols = game.opponent_profiles(player)
+    else:
+        cols = list(columns)
+        for col in cols:
+            game._check_profile(Game.fill(col, player, strategy))
+    # PEM and NWM constrain every player's payoffs; the others only player's
+    everyone = any(tag in ("PEM", "NWM") for tag in relation.tags)
+    pay = [
+        _scaled_payoffs(game, player, cols, j) if everyone or j == player else None
+        for j in range(game.n)
+    ]
     for tag in relation.tags:
         member_allowed = allowed
         if tag == "PEM":
             member_allowed = tuple(t for t in allowed if t != strategy)
             if not member_allowed:
                 continue
-        weights = _DECIDERS[tag](game, player, strategy, member_allowed, cols)
+        weights = _DECIDERS[tag](pay, player, strategy, member_allowed)
         if weights is not None:
             m = mixed_strategy(player, weights)
             verify_witness(game, tag, player, strategy, m, cols)

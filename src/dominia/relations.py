@@ -82,7 +82,10 @@ def parse_relation(text: str):
     if not text:
         raise ParseError("empty relation")
     if text.lower().startswith("inh-"):
-        return Inherent(parse_relation(text[4:]))
+        base = parse_relation(text[4:])
+        if isinstance(base, Inherent):
+            raise ParseError(f"inherent relations do not nest: {text!r}")
+        return Inherent(base)
     tags = [t.strip().upper() for t in text.split("+")]
     mixed_members = [t in MIXED_TAGS for t in tags]
     for t, is_mixed in zip(tags, mixed_members):

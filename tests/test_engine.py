@@ -35,7 +35,6 @@ from dominia import (
 from dominia.errors import SizeBoundExceeded
 from dominia.gallery import (
     nonconfluent_weak_2x2,
-    redundant_middle_3x2,
     trivial_1x1,
 )
 

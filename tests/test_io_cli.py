@@ -6,7 +6,6 @@ from fractions import Fraction as F
 import pytest
 
 from dominia import (
-    GeneratorParams,
     SplitMix64,
     game_to_dict,
     generator_params,
@@ -17,6 +16,7 @@ from dominia import (
 from dominia.cli import main
 from dominia.errors import InvalidParams, ParseError
 from dominia.gallery import nonconfluent_weak_2x2
+from dominia.relations import Inherent, W, parse_relation
 
 G11 = nonconfluent_weak_2x2()
 
@@ -115,6 +115,16 @@ class TestGenerator:
         assert len(set(flat)) == len(flat)
 
 
+class TestRelationParsing:
+    def test_inherent_of_a_base(self):
+        assert parse_relation("inh-W") == Inherent(W)
+
+    @pytest.mark.parametrize("text", ["inh-inh-W", "INH-inh-SM"])
+    def test_nested_inherent_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_relation(text)
+
+
 class TestCli:
     def _write_game(self, tmp_path, game, name="game.json"):
         path = tmp_path / name
@@ -211,6 +221,10 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         assert main(["eliminate", "--game", str(bad), "--relation", "S"]) == 2
+
+    def test_nested_inherent_relation_exit_code(self, tmp_path, capsys):
+        path = self._write_game(tmp_path, G11)
+        assert main(["eliminate", "--game", path, "--relation", "inh-inh-W"]) == 2
 
     def test_size_bound_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DOMINIA_MAX_STRATEGIES", "2")

@@ -67,6 +67,48 @@ def test_degenerate_redundant_rows():
     assert out.optimal and out.value == 1
 
 
+def test_row_with_unlike_denominators():
+    # one row scaled by lcm(3, 2, 6, 4) = 12; the best ratio is x's, 3 * 7/4
+    cons = [lp.constraint([Fraction(1, 3), Fraction(1, 2), Fraction(5, 6)], "<=", Fraction(7, 4))]
+    out = lp.solve(lp.problem(3, cons, [1, 1, 1], "max"))
+    assert out.value == Fraction(21, 4)
+    assert out.point == (Fraction(21, 4), Fraction(0), Fraction(0))
+
+
+def test_redundant_equality_pair_negative_drive_out(monkeypatch):
+    # phase 1 leaves an artificial basic at zero over a negative entry;
+    # driving it out pivots on that entry
+    pivots = []
+    pivot = lp._Tableau.pivot
+
+    def recording(tab, r, c):
+        pivots.append(tab.rows[r][c])
+        pivot(tab, r, c)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", recording)
+    cons = [
+        lp.constraint([-1, -2], "==", -2),
+        lp.constraint([-2, -4], "==", -4),  # redundant copy
+        lp.constraint([1, -2], ">=", 2),
+    ]
+    out = lp.solve(lp.problem(2, cons, [-2, -2], "max"))
+    assert any(p < 0 for p in pivots)
+    assert out.optimal and out.value == -4
+    assert out.point == (Fraction(2), Fraction(0))
+
+
+def test_beale_cycling_example_terminates():
+    # Beale 1955: cycles under the textbook largest-coefficient rule
+    cons = [
+        lp.constraint([Fraction(1, 4), -60, Fraction(-1, 25), 9], "<=", 0),
+        lp.constraint([Fraction(1, 2), -90, Fraction(-1, 50), 3], "<=", 0),
+        lp.constraint([0, 0, 1, 0], "<=", 1),
+    ]
+    out = lp.solve(lp.problem(4, cons, [Fraction(-3, 4), 150, Fraction(-1, 50), 6], "min"))
+    assert out.optimal and out.value == Fraction(-1, 20)
+    assert out.point == (Fraction(1, 25), Fraction(0), Fraction(1), Fraction(0))
+
+
 small_rationals = st.integers(min_value=-4, max_value=4).map(Fraction)
 
 
@@ -89,6 +131,46 @@ def test_duality_spot_check(rows, rhs, objective):
         lp.constraint([rows[k][j] for k in range(m)], ">=", objective[j]) for j in range(2)
     ]
     dual = lp.solve(lp.problem(m, dual_cons, rhs, "min"))
+    if primal.optimal and dual.optimal:
+        assert primal.value == dual.value
+    elif primal.status == "unbounded":
+        assert dual.status == "infeasible"
+    elif dual.status == "unbounded":
+        assert primal.status == "infeasible"
+
+
+rationals = st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.tuples(st.lists(rationals, min_size=n, max_size=n), st.sampled_from(["<=", "==", ">="]), rationals),
+                min_size=1,
+                max_size=4,
+            ),
+            st.lists(rationals, min_size=n, max_size=n),
+            st.lists(st.booleans(), min_size=n, max_size=n),
+        )
+    )
+)
+def test_duality_with_equalities_and_free_variables(case):
+    """Primal max c.x over <=, == and >= rows with some free variables, against
+    its dual.  The dual sees each >= row negated into a <= row; <= rows get
+    nonnegative multipliers and == rows free ones; a nonnegative x_j gives a
+    dual row >= c_j and a free x_j a dual row == c_j."""
+    rows, objective, nonneg = case
+    n = len(objective)
+    primal = lp.solve(lp.problem(n, [lp.constraint(c, op, b) for c, op, b in rows], objective, "max", nonneg))
+    as_le = [([-a for a in c], "<=", -b) if op == ">=" else (c, op, b) for c, op, b in rows]
+    dual_cons = [
+        lp.constraint([c[j] for c, _, _ in as_le], ">=" if nonneg[j] else "==", objective[j]) for j in range(n)
+    ]
+    dual = lp.solve(
+        lp.problem(len(as_le), dual_cons, [b for _, _, b in as_le], "min", [op == "<=" for _, op, _ in as_le])
+    )
     if primal.optimal and dual.optimal:
         assert primal.value == dual.value
     elif primal.status == "unbounded":

@@ -157,6 +157,11 @@ class TestFindDominator:
         with pytest.raises(EmptySupport):
             find_dominator(G11, PEM, 0, 0, [])
 
+    @pytest.mark.parametrize("columns", [[(-1, 2)], [(-1, -1)], [(-1,)]])
+    def test_out_of_range_columns_rejected(self, columns):
+        with pytest.raises(IndexOutOfRange):
+            find_dominator(G11, SM, 0, 0, [1], columns=columns)
+
     def test_duplicate_row_is_randomized_redundant(self):
         g = new_game(
             [["T", "M"], ["L"]],
