@@ -24,7 +24,7 @@ from .engine import (
     single_step_trace,
 )
 from .equivalence import equivalent
-from .errors import DominiaError, InvalidParams, ParseError, SizeBoundExceeded
+from .errors import DominiaError, ParseError, SizeBoundExceeded
 from .gameio import (
     confluence_report_to_dict,
     game_to_dict,
@@ -98,6 +98,9 @@ def _cmd_check(args) -> int:
         return EXIT_USAGE
     if relation is not None and isinstance(relation, Inherent):
         print("error: structural properties apply to binary relations", file=sys.stderr)
+        return EXIT_USAGE
+    if args.property in ("hereditary", "iiia", "spo") and relation.mixed:
+        print(f"error: {args.property} applies to pure relations, not {relation}", file=sys.stderr)
         return EXIT_USAGE
     result = _PROPS[args.property](game, relation)
     if isinstance(result, bool):
@@ -210,9 +213,6 @@ def main(argv=None) -> int:
     except SizeBoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except (ParseError, InvalidParams) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DominiaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,11 +16,12 @@ configured total strategy bound.
 
 Every dominance question goes through one _Dominance layer per (root,
 relation): is strategy s of player i dominated by a dominator whose support
-lies in an allowed set A?  The answer depends only on the player, the
-strategy, the allowed support and the opponents' kept sets, never on the
-player's other kept strategies, so it is memoized on exactly that key in root
-indices (pure answers per single dominator t).  Searches on one root and
-relation inside one public call share the layer; no answer outlives the call.
+lies in an allowed set A?  A reduct keeps the root's payoffs, so the question
+is asked of the root itself, in root indices, over the opponents' kept
+profiles.  The answer depends only on the player, the strategy, A and the
+opponents' kept sets, so it is memoized on exactly that key (pure answers per
+single dominator t).  Searches on one root and relation inside one public
+call share the layer; no answer outlives the call.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .game import Game, restrict
 from .inherent import InherentQuery, is_inherently_dominated
 from .mixed import find_dominator
 from .pure import CheckOutcome, _check_bound, dominates
-from .equivalence import canonical_signature, equivalent, partition_by_equivalence
-from .relations import Inherent, Relation
+from .equivalence import partition_by_equivalence
+from .relations import Inherent, Relation, union
 
 STRICT, LOOSE = "strict", "loose"
 ANY, SINGLE = "any", "single"
@@ -94,6 +95,7 @@ class _Dominance:
         self.relation = relation
         self.start: StateKey = tuple(tuple(range(len(s))) for s in root.strategies)
         self._games: dict[StateKey, Game] = {self.start: root}
+        self._columns: dict = {}
         self._memo: dict = {}
 
     def game(self, state: StateKey) -> Game:
@@ -105,34 +107,34 @@ class _Dominance:
         return g
 
     def witness(self, state: StateKey, i: int, s: int, allowed: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        """Support, in root indices, of a dominator of s drawn from
-        ``allowed`` (kept strategies of player i other than s), or None."""
+        """Support of a dominator of s drawn from ``allowed`` (kept strategies
+        of player i other than s), or None; inherent relations report the
+        whole allowed set, as the dominator may differ per profile subset."""
         if not allowed:
             return None
         rel = self.relation
         others = state[:i] + state[i + 1 :]
-        local = state[i].index
+        cols = self._columns.get((i, others))
+        if cols is None:
+            cols = self._columns[i, others] = list(itertools.product(*state[:i], (-1,), *state[i + 1 :]))
         if isinstance(rel, Relation) and not rel.mixed:
             for t in allowed:
                 key = (i, s, t, others)
                 hit = self._memo.get(key)
                 if hit is None:
-                    hit = self._memo[key] = dominates(self.game(state), rel, i, local(s), local(t))
+                    hit = self._memo[key] = dominates(self.root, rel, i, s, t, columns=cols)
                 if hit:
                     return (t,)
             return None
         key = (i, s, allowed, others)
         if key in self._memo:
             return self._memo[key]
-        g = self.game(state)
         if isinstance(rel, Inherent):
-            query = InherentQuery(rel.base, i, local(s), tuple(map(local, allowed)))
-            # the dominator may differ per opponent subset, so the support
-            # reported is the whole allowed set
-            support = allowed if is_inherently_dominated(g, query).dominated else None
+            query = InherentQuery(rel.base, i, s, allowed)
+            support = allowed if is_inherently_dominated(self.root, query, columns=cols).dominated else None
         else:
-            w = find_dominator(g, rel, i, local(s), tuple(map(local, allowed)))
-            support = None if w is None else tuple(state[i][t] for t in w.dominator.support)
+            w = find_dominator(self.root, rel, i, s, allowed, columns=cols)
+            support = None if w is None else w.dominator.support
         self._memo[key] = support
         return support
 
@@ -268,27 +270,20 @@ def normal_forms(
     return ConfluenceReport(nf_games, classes, len(states), unique, counterexample)
 
 
-def _joinable(search: _Search, b: StateKey, c: StateKey, up_to_renaming: bool) -> bool:
-    rb, rc = search.reach(b), search.reach(c)
-    if rb & rc:
-        return True
-    if not up_to_renaming:
-        return False
-    by_sig: dict = {}
-    for st in rb:
-        by_sig.setdefault(canonical_signature(search.game(st)), []).append(st)
-    for st in rc:
-        for cand in by_sig.get(canonical_signature(search.game(st)), ()):
-            if equivalent(search.game(cand), search.game(st)) is not None:
-                return True
-    return False
-
-
 def _weak_confluence_failure(search: _Search, up_to_renaming: bool):
-    for state in search.states():
-        succ = search.successors(state)
-        for b, c in itertools.combinations(succ, 2):
-            if not _joinable(search, b, c, up_to_renaming):
+    """The first (a, b, c), b and c one-step reducts of a reachable a, whose
+    reach sets share no state, or no renaming class when ``up_to_renaming``
+    is set; None when every such pair joins."""
+    states = search.states()
+    reached = search.reach
+    if up_to_renaming:
+        label = {}
+        for k, cls in enumerate(partition_by_equivalence(search.game(st) for st in states)):
+            label.update((states[idx], k) for idx in cls)
+        reached = {st: frozenset(label[x] for x in search.reach(st)) for st in states}.__getitem__
+    for state in states:
+        for b, c in itertools.combinations(search.successors(state), 2):
+            if reached(b).isdisjoint(reached(c)):
                 return (state, b, c)
     return None
 
@@ -435,8 +430,6 @@ def structured_elimination_scenario(
     """Enumerate every base-relation normal form, push each one down the
     equivalence-style relation to its own normal form, and report whether all
     endpoints are pairwise renaming-equivalent and closed under the union."""
-    from .relations import union
-
     report = normal_forms(game, RelationSpec(base, STRICT, ANY), bound=bound)
     endpoints = []
     for g in report.normal_forms:

@@ -28,15 +28,6 @@ class Renaming:
     def apply_kept(self, kept):
         return tuple(tuple(sorted(self.maps[i][s] for s in kept_i)) for i, kept_i in enumerate(kept))
 
-    def inverse(self) -> "Renaming":
-        out = []
-        for m in self.maps:
-            inv = [0] * len(m)
-            for s, t in enumerate(m):
-                inv[t] = s
-            out.append(tuple(inv))
-        return Renaming(tuple(out))
-
     def compose(self, then: "Renaming") -> "Renaming":
         """Renaming equal to applying self first, then ``then``."""
         return Renaming(tuple(tuple(then.maps[i][t] for t in m) for i, m in enumerate(self.maps)))

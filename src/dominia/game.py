@@ -127,9 +127,6 @@ class Game:
     def fill(column: Profile, player: int, strategy: int) -> Profile:
         return column[:player] + (strategy,) + column[player + 1 :]
 
-    def label_profile(self, profile: Profile) -> tuple[str, ...]:
-        return tuple(self.strategies[i][profile[i]] for i in range(self.n))
-
     def _check_player(self, player: int) -> None:
         if not 0 <= player < self.n:
             raise IndexOutOfRange(f"player {player} out of range for {self.n} players")

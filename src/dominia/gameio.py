@@ -21,7 +21,7 @@ from typing import Any
 
 from .engine import ConfluenceReport, ReductionPath
 from .equivalence import Renaming
-from .errors import DominiaError, ParseError
+from .errors import ParseError
 from .game import Game, new_game
 
 
@@ -76,10 +76,7 @@ def game_from_dict(doc: dict) -> Game:
             walk(child, prefix + (k,))
 
     walk(payoffs, ())
-    try:
-        return new_game(labels, table)
-    except DominiaError:
-        raise
+    return new_game(labels, table)
 
 
 def game_to_dict(game: Game) -> dict:

@@ -87,12 +87,15 @@ def is_inherently_dominated(
     *,
     want_table: bool = False,
     subset_bound: Optional[int] = None,
+    columns=None,
 ) -> InherentResult:
     """Decide inherent dominance; optionally record one dominator per subset.
 
     The bound caps how many profile subsets are actually enumerated; queries
     resolved by the full-set check or the strict shortcut never hit it.
     ``want_table=True`` disables the positive shortcut so the table is total.
+    ``columns`` restricts the opponents' joint profiles, and so the subsets,
+    quantified over; by default all of them.
     """
     base = query.base
     i, s = query.player, query.strategy
@@ -101,8 +104,7 @@ def is_inherently_dominated(
     # a dominator never leans on s itself: under VWM the point mass on s
     # would dominate s
     allowed = tuple(t for t in pool if t != s)
-    cols = game.opponent_profiles(i)
-    full = tuple(cols)
+    full = tuple(game.opponent_profiles(i) if columns is None else columns)
 
     # full profile set is one of the quantified subsets: a cheap complete
     # negative test, and decisive for pointwise bases

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .game import Game, restrict
 from .lp import EQ, GE, ONE, ZERO, LinearConstraint
-from .pure import CheckOutcome, restrictions
+from .pure import CheckOutcome, _check_bound, restrictions
 from .relations import Relation
 
 # Count of witnesses that passed direct re-verification since import; the
@@ -77,9 +77,6 @@ class MixedStrategy:
             if s == strategy:
                 return w
         return ZERO
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.weights)
 
 
 def mixed_strategy(player: int, weights) -> MixedStrategy:
@@ -435,8 +432,6 @@ def check_mixed_hereditary(game: Game, relation: Relation, bound=None) -> CheckO
 
     This tests the fixed witnesses the decision procedures produce; a reported
     counterexample is always genuine."""
-    from .pure import _check_bound
-
     _check_bound(game, bound)
     witnesses: list[MixedWitness] = []
     for i in range(game.n):
@@ -463,8 +458,6 @@ def check_mixed_hereditary(game: Game, relation: Relation, bound=None) -> CheckO
 def check_mixed_iiia(game: Game, relation: Relation, bound=None) -> CheckOutcome:
     """Existence of a dominator with support inside a subset of the player's
     strategies is unaffected by dropping that player's other strategies."""
-    from .pure import _check_bound
-
     _check_bound(game, bound)
     for i in range(game.n):
         k = len(game.strategies[i])

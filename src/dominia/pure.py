@@ -86,12 +86,16 @@ def _compatible_over(game: Game, i: int, s: int, t: int, columns) -> bool:
     return True
 
 
-def dominates(game: Game, relation: Relation, player: int, dominated: int, dominator: int) -> bool:
+def dominates(
+    game: Game, relation: Relation, player: int, dominated: int, dominator: int, columns=None
+) -> bool:
     """Exact evaluation of the quantified payoff conditions; unions hold when
-    any member does."""
+    any member does.  ``columns`` restricts the opponents' joint profiles
+    quantified over; by default all of them."""
     game._check_strategy(player, dominated)
     game._check_strategy(player, dominator)
-    columns = game.opponent_profiles(player)
+    if columns is None:
+        columns = game.opponent_profiles(player)
     return any(_holds(game, tag, player, dominated, dominator, columns) for tag in relation.tags)
 
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -223,6 +224,36 @@ class TestNormalForms:
             assert rep.explored_states <= lattice
 
 
+def _brute_force_renaming_failure(game, spec):
+    """First pair of one-step reducts, in BFS order over the reachable
+    games, whose reach sets hold no two renaming-equivalent games."""
+    succ = {}
+
+    def step(g):
+        if g not in succ:
+            succ[g] = successors(g, spec)
+        return succ[g]
+
+    order, seen = [game], {game}
+    for g in order:
+        for h in step(g):
+            if h not in seen:
+                seen.add(h)
+                order.append(h)
+    reach = {}
+
+    def reach_of(g):
+        if g not in reach:
+            reach[g] = {g}.union(*(reach_of(h) for h in step(g)))
+        return reach[g]
+
+    for g in order:
+        for b, c in itertools.combinations(step(g), 2):
+            if all(equivalent(x, y) is None for x in reach_of(b) for y in reach_of(c)):
+                return (b, c)
+    return None
+
+
 class TestWeakConfluence:
     def test_reference_counterexample_pair(self):
         out = check_weak_confluence(G11, NW_STRICT_SINGLE)
@@ -236,6 +267,22 @@ class TestWeakConfluence:
     def test_pe_single_step_confluent_up_to_renaming(self, small_games):
         for g in small_games[:10]:
             assert check_weak_confluence(g, RelationSpec(PE, STRICT, SINGLE), up_to_renaming=True).ok
+
+    def test_reference_fails_up_to_renaming(self):
+        out = check_weak_confluence(G11, NW_STRICT_SINGLE, up_to_renaming=True)
+        assert not out.ok
+        assert sorted(g.shape for g in out.counterexample) == [(1, 2), (2, 1)]
+
+    @pytest.mark.parametrize("relation", [PE, union(NW, PE), NW, W], ids=str)
+    @pytest.mark.parametrize("step", [ANY, SINGLE])
+    def test_up_to_renaming_matches_brute_force(self, small_games, relation, step):
+        spec = RelationSpec(relation, STRICT, step)
+        for g in [G11, *small_games]:
+            out = check_weak_confluence(g, spec, up_to_renaming=True)
+            expected = _brute_force_renaming_failure(g, spec)
+            assert out.ok == (expected is None)
+            if expected is not None:
+                assert out.counterexample == expected
 
 
 class TestOneStepClosed:

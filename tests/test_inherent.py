@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 
 from dominia import (
+    NW,
+    NWM,
     PE,
     S,
     SM,
@@ -15,6 +19,7 @@ from dominia import (
     is_inherently_dominated,
     mixed_dominated_set,
     new_game,
+    restrict,
 )
 from dominia.errors import SizeBoundExceeded
 from dominia.gallery import (
@@ -22,6 +27,7 @@ from dominia.gallery import (
     trivial_1x1,
     weakly_but_not_inherently_dominated_2x2,
 )
+from dominia.pure import restrictions
 
 G_INH = inherently_dominated_middle_3x2()
 G_NOT = weakly_but_not_inherently_dominated_2x2()
@@ -107,3 +113,28 @@ def test_subset_bound_enforced_on_enumeration():
         is_inherently_dominated(
             G_INH, InherentQuery(W, 0, 1, None), want_table=True, subset_bound=2
         )
+
+
+def _inherent_answer(game, query, columns=None):
+    try:
+        return is_inherently_dominated(game, query, columns=columns).dominated
+    except SizeBoundExceeded:
+        return SizeBoundExceeded
+
+
+def test_columns_on_root_match_restriction(small_games):
+    # asked of the root over the kept profiles, in root indices, inherent
+    # dominance answers as it does on the restriction in local indices
+    seen = set()
+    for g in small_games[:10]:
+        for kept in restrictions(g):
+            sub = restrict(g, kept)
+            for i in range(g.n):
+                cols = list(itertools.product(*kept[:i], (-1,), *kept[i + 1 :]))
+                for ls, s in enumerate(kept[i]):
+                    for base in (W, NW, WM, NWM):
+                        on_root = _inherent_answer(g, InherentQuery(base, i, s, kept[i]), cols)
+                        local = InherentQuery(base, i, ls, tuple(range(len(kept[i]))))
+                        assert on_root == _inherent_answer(sub, local)
+                        seen.add(on_root)
+    assert seen == {True, False}

@@ -205,6 +205,12 @@ class TestCli:
         code = main(["check", "--game", path, "--property", "hereditary", "--relation", "W"])
         assert code == 1
 
+    @pytest.mark.parametrize("prop", ["hereditary", "iiia", "spo"])
+    def test_pure_property_rejects_mixed_relation(self, tmp_path, capsys, prop):
+        path = self._write_game(tmp_path, G11)
+        assert main(["check", "--game", path, "--property", prop, "--relation", "SM"]) == 2
+        assert "pure relations" in capsys.readouterr().err
+
     def test_random_round_trip(self, tmp_path, capsys):
         out = tmp_path / "rand.json"
         code = main(

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from dominia.gallery import (
     nonconfluent_weak_2x2,
     trivial_1x1,
 )
+from dominia.pure import restrictions
 
 G11 = nonconfluent_weak_2x2()
 
@@ -247,3 +249,20 @@ class TestStructuralProperties:
         assert is_hereditary(t, W).ok
         assert is_strict_partial_order(t, S)
         assert not is_strict_partial_order(t, PE)  # the lone strategy relates to itself
+
+
+def test_columns_on_root_match_restriction(small_games):
+    # asked of the root over the kept profiles, in root indices, dominance
+    # answers as it does on the materialized restriction in local indices
+    seen = set()
+    for g in small_games[:10]:
+        for kept in restrictions(g):
+            sub = restrict(g, kept)
+            for i in range(g.n):
+                cols = list(itertools.product(*kept[:i], (-1,), *kept[i + 1 :]))
+                for (ls, s), (lt, t) in itertools.product(enumerate(kept[i]), repeat=2):
+                    for rel in (W, NW):
+                        on_root = dominates(g, rel, i, s, t, columns=cols)
+                        assert on_root == dominates(sub, rel, i, ls, lt)
+                        seen.add(on_root)
+    assert seen == {True, False}
