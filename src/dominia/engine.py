@@ -9,23 +9,26 @@ A RelationSpec picks a dominance relation, an arrow flavor and a step mode:
   strategies across players (bulk elimination);
 * step "single": one transition removes exactly one strategy.
 
-All reachable games are restrictions of the root, so a state is the tuple of
-per-player kept root indices; the state space is capped by the subset
-lattice.  Everything exhaustive here raises SizeBoundExceeded past the
-configured total strategy bound.
+A state is one int bitmask over the root's strategies (player i's strategy s
+is bit ``off[i] + s``), since every reachable game is a restriction of the
+root; a successor is ``state & ~removed``.  Kept index tuples are built only
+for games, the columns of mixed and inherent queries, trace labels and the
+sort key that fixes the order of successors.  Everything exhaustive here
+raises SizeBoundExceeded past the configured total strategy bound.
 
-Every dominance question goes through one _Dominance layer per (root,
-relation): is strategy s of player i dominated by a dominator whose support
-lies in an allowed set A?  A reduct keeps the root's payoffs, so the question
-is asked of the root itself, in root indices, over the opponents' kept
-profiles.  The answer depends only on the player, the strategy, A and the
-opponents' kept sets, so it is memoized on exactly that key (pure answers per
-single dominator t).  Searches on one root and relation inside one public
-call share the layer; no answer outlives the call.
+One _Dominance layer per (root, relation) answers every dominance question,
+of the root itself over the opponents' kept profiles.  Pure answers are
+column bitsets: once per (player, s, t), pure._masks gives fail and need
+masks over the root's opponent profiles, and t dominates s in a state iff
+the state's kept profiles meet no fail bit and some need bit.  Mixed and
+inherent answers are memoized on (player, s, allowed set, opponents' kept
+bits).  Searches on one root inside one public call share the layer.  Reach
+sets are int bitsets, built bottom-up: every step removes strategies.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -33,7 +36,7 @@ from typing import Optional, Union
 from .game import Game, restrict
 from .inherent import InherentQuery, is_inherently_dominated
 from .mixed import find_dominator
-from .pure import CheckOutcome, _check_bound, dominates
+from .pure import CheckOutcome, _check_bound, _masks, _met
 from .equivalence import partition_by_equivalence
 from .relations import Inherent, Relation, union
 
@@ -86,76 +89,106 @@ class ConfluenceReport:
     counterexample: Optional[tuple[Game, Game]]
 
 
+@functools.lru_cache(maxsize=1 << 14)  # every mask of one player at the default bound
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of ``mask``, ascending."""
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
 class _Dominance:
-    """Memoized dominance answers on the restrictions of one root game under
-    one relation; the only place that tells pure, mixed and inherent apart."""
+    """Dominance answers on the restrictions of one root game under one
+    relation; the only place that tells pure, mixed and inherent apart."""
 
     def __init__(self, root: Game, relation: Union[Relation, Inherent]):
         self.root = root
         self.relation = relation
-        self.start: StateKey = tuple(tuple(range(len(s))) for s in root.strategies)
-        self._games: dict[StateKey, Game] = {self.start: root}
+        self.pure = isinstance(relation, Relation) and not relation.mixed
+        self.off = list(itertools.accumulate((len(s) for s in root.strategies), initial=0))
+        self.full = [(1 << len(s)) - 1 for s in root.strategies]
+        self.start = (1 << self.off[-1]) - 1
+        self._profiles = [root.opponent_profiles(i) for i in range(root.n)]
+        # per opponent profile, the mask of the opponents' strategies it uses
+        self._needs = [
+            [sum(1 << self.off[j] + r for j, r in enumerate(col) if j != i) for col in cols]
+            for i, cols in enumerate(self._profiles)
+        ]
+        self._keys: dict[int, StateKey] = {}
+        self._games: dict[int, Game] = {self.start: root}
         self._columns: dict = {}
+        self._pairs: dict = {}
         self._memo: dict = {}
 
-    def game(self, state: StateKey) -> Game:
-        g = self._games.get(state)
-        if g is None:
-            # the last step of maximal_reduce may empty a player
-            g = restrict(self.root, state, allow_degenerate=True)
-            self._games[state] = g
-        return g
+    def kept(self, state: int, i: int) -> int:
+        """Player i's kept strategies, bit s for strategy s."""
+        return state >> self.off[i] & self.full[i]
 
-    def witness(self, state: StateKey, i: int, s: int, allowed: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    def key(self, state: int) -> StateKey:
+        """Per-player kept root indices of a state."""
+        k = self._keys.get(state)
+        if k is None:
+            k = self._keys[state] = tuple(_bits(self.kept(state, i)) for i in range(self.root.n))
+        return k
+
+    def game(self, state: int) -> Game:
+        if state not in self._games:
+            # the last step of maximal_reduce may empty a player
+            self._games[state] = restrict(self.root, self.key(state), allow_degenerate=True)
+        return self._games[state]
+
+    def witness(self, state: int, i: int, s: int, allowed: int) -> Optional[int]:
         """Support of a dominator of s drawn from ``allowed`` (kept strategies
-        of player i other than s), or None; inherent relations report the
-        whole allowed set, as the dominator may differ per profile subset."""
+        of player i other than s, bit t for strategy t) as such a mask, or
+        None.  Pure relations report every dominator in ``allowed``, inherent
+        ones the whole allowed set, as the dominator may differ per profile
+        subset."""
         if not allowed:
             return None
+        others = state & ~(self.full[i] << self.off[i])
+        hit = self._columns.get((i, others))
+        if hit is None:
+            kept = [k for k, need in enumerate(self._needs[i]) if state & need == need]
+            hit = self._columns[i, others] = (sum(1 << k for k in kept), [self._profiles[i][k] for k in kept])
+        bits, cols = hit
         rel = self.relation
-        others = state[:i] + state[i + 1 :]
-        cols = self._columns.get((i, others))
-        if cols is None:
-            cols = self._columns[i, others] = list(itertools.product(*state[:i], (-1,), *state[i + 1 :]))
-        if isinstance(rel, Relation) and not rel.mixed:
-            for t in allowed:
-                key = (i, s, t, others)
-                hit = self._memo.get(key)
-                if hit is None:
-                    hit = self._memo[key] = dominates(self.root, rel, i, s, t, columns=cols)
-                if hit:
-                    return (t,)
-            return None
+        if self.pure:
+            found = 0
+            for t in _bits(allowed):
+                masks = self._pairs.get((i, s, t))
+                if masks is None:
+                    masks = self._pairs[i, s, t] = _masks(self.root, rel.tags, i, s, t, self._profiles[i])
+                if _met(masks, bits):
+                    found |= 1 << t
+            return found or None
         key = (i, s, allowed, others)
         if key in self._memo:
             return self._memo[key]
         if isinstance(rel, Inherent):
-            query = InherentQuery(rel.base, i, s, allowed)
+            query = InherentQuery(rel.base, i, s, _bits(allowed))
             support = allowed if is_inherently_dominated(self.root, query, columns=cols).dominated else None
         else:
-            w = find_dominator(self.root, rel, i, s, allowed, columns=cols)
-            support = None if w is None else w.dominator.support
+            w = find_dominator(self.root, rel, i, s, _bits(allowed), columns=cols)
+            support = None if w is None else sum(1 << t for t in w.dominator.support)
         self._memo[key] = support
         return support
 
-    def loose(self, state: StateKey, i: int) -> dict[int, tuple[int, ...]]:
-        """Player i's dominated strategies, each with the support of one
-        dominator drawn from the player's other kept strategies."""
+    def loose(self, state: int, i: int) -> dict[int, int]:
+        """Player i's dominated strategies, each with its :meth:`witness`
+        support drawn from the player's other kept strategies."""
+        kept = self.kept(state, i)
         found = {}
-        for s in state[i]:
-            support = self.witness(state, i, s, tuple(t for t in state[i] if t != s))
+        for s in _bits(kept):
+            support = self.witness(state, i, s, kept & ~(1 << s))
             if support is not None:
                 found[s] = support
         return found
 
-    def survives(
-        self, state: StateKey, i: int, s: int, removed: frozenset[int], support: tuple[int, ...]
-    ) -> bool:
+    def survives(self, state: int, i: int, s: int, removed: int, support: int) -> bool:
         """Is s still dominated by strategies outside ``removed``?  Its loose
-        support answers when that survives; otherwise ask with the survivors."""
-        if removed.isdisjoint(support):
-            return True
-        return self.witness(state, i, s, tuple(t for t in state[i] if t not in removed)) is not None
+        support answers when that survives (or, for a pure relation, when any
+        dominator does); otherwise ask with the survivors."""
+        if self.pure:
+            return bool(support & ~removed)
+        return not removed & support or self.witness(state, i, s, self.kept(state, i) & ~removed) is not None
 
 
 class _Search:
@@ -166,43 +199,45 @@ class _Search:
         self.spec = spec
         self.start = layer.start
         self.game = layer.game
-        self._succ: dict[StateKey, tuple[StateKey, ...]] = {}
-        self._reach: dict[StateKey, frozenset[StateKey]] = {}
+        self.key = layer.key
+        self._succ: dict[int, tuple[int, ...]] = {}
 
-    def _player_choices(self, state: StateKey, i: int) -> list[frozenset[int]]:
-        """Valid removal sets of root indices for player i (non-empty), per
-        the spec's arrow and step mode; [] when the player cannot lose
-        anything."""
-        support = self.layer.loose(state, i)
+    def _player_choices(self, state: int, i: int) -> list[int]:
+        """Valid removal masks for player i (non-empty), per the spec's arrow
+        and step mode; [] when the player cannot lose anything."""
+        layer = self.layer
+        support = layer.loose(state, i)
+        kept = layer.kept(state, i)
         sizes = (1,) if self.spec.step == SINGLE else range(1, len(support) + 1)
         strict = self.spec.arrow == STRICT
         choices = []
-        for removed in (frozenset(c) for size in sizes for c in itertools.combinations(support, size)):
-            if len(removed) == len(state[i]):
+        for removed in (sum(1 << s for s in c) for size in sizes for c in itertools.combinations(support, size)):
+            if removed == kept:
                 continue  # strict: no surviving dominator; loose: degenerate
-            if not strict or all(self.layer.survives(state, i, s, removed, support[s]) for s in removed):
-                choices.append(removed)
+            if not strict or all(layer.survives(state, i, s, removed, support[s]) for s in _bits(removed)):
+                choices.append(removed << layer.off[i])
         return choices
 
-    def successors(self, state: StateKey) -> tuple[StateKey, ...]:
+    def successors(self, state: int) -> tuple[int, ...]:
         cached = self._succ.get(state)
         if cached is not None:
             return cached
-        # an empty set keeps the player as it is; a single step changes one player
-        options = [[frozenset()] + self._player_choices(state, i) for i in range(len(state))]
-        single = self.spec.step == SINGLE
-        out = {
-            tuple(tuple(r for r in kept if r not in removed) for kept, removed in zip(state, combo))
-            for combo in itertools.product(*options)
-            if any(combo) and not (single and sum(map(bool, combo)) > 1)
-        }
-        result = tuple(sorted(out))
+        options = [self._player_choices(state, i) for i in range(self.layer.root.n)]
+        if self.spec.step == SINGLE:
+            removals = [r for opts in options for r in opts]
+        else:
+            # every combination of at most one choice per player, none first
+            removals = [0]
+            for opts in options:
+                removals += [r | o for r in removals for o in opts]
+            del removals[0]
+        result = tuple(sorted((state ^ r for r in removals), key=self.key))
         self._succ[state] = result
         return result
 
     # -- reachability ----------------------------------------------------
 
-    def states(self, *others: _Search) -> list[StateKey]:
+    def states(self, *others: _Search) -> list[int]:
         """All states reachable from the root state under the steps of this
         search and of ``others`` (searches on the same root), in BFS order."""
         seen = {self.start}
@@ -215,17 +250,18 @@ class _Search:
                         order.append(succ)
         return order
 
-    def reach(self, state: StateKey) -> frozenset[StateKey]:
-        """Reflexive-transitive successor set of one state."""
-        cached = self._reach.get(state)
-        if cached is not None:
-            return cached
-        acc: set[StateKey] = {state}
-        for succ in self.successors(state):
-            acc |= self.reach(succ)
-        result = frozenset(acc)
-        self._reach[state] = result
-        return result
+    def reach(self, label: dict[int, int]) -> dict[int, int]:
+        """Reflexive-transitive successor set of every labelled state (the
+        labelled states must be closed under this search's steps), as a
+        bitset with bit ``label[x]`` for each state x reached."""
+        out: dict[int, int] = {}
+        # a step removes strategies, so successors come first
+        for st in sorted(label, key=int.bit_count):
+            acc = 1 << label[st]
+            for succ in self.successors(st):
+                acc |= out[succ]
+            out[st] = acc
+        return out
 
 
 def _searches(game: Game, bound: Optional[int], *specs: RelationSpec) -> list[_Search]:
@@ -258,7 +294,7 @@ def normal_forms(
     witness pair of one-step reducts that cannot be joined again."""
     [search] = _searches(game, bound, spec)
     states = search.states()
-    nf_states = sorted(st for st in states if not search.successors(st))
+    nf_states = sorted((st for st in states if not search.successors(st)), key=search.key)
     nf_games = tuple(search.game(st) for st in nf_states)
     classes = tuple(tuple(c) for c in partition_by_equivalence(nf_games))
     unique = (len(classes) == 1) if up_to_renaming else (len(nf_games) == 1)
@@ -275,15 +311,14 @@ def _weak_confluence_failure(search: _Search, up_to_renaming: bool):
     reach sets share no state, or no renaming class when ``up_to_renaming``
     is set; None when every such pair joins."""
     states = search.states()
-    reached = search.reach
+    label = {st: k for k, st in enumerate(states)}
     if up_to_renaming:
-        label = {}
         for k, cls in enumerate(partition_by_equivalence(search.game(st) for st in states)):
             label.update((states[idx], k) for idx in cls)
-        reached = {st: frozenset(label[x] for x in search.reach(st)) for st in states}.__getitem__
+    reached = search.reach(label)
     for state in states:
         for b, c in itertools.combinations(search.successors(state), 2):
-            if reached(b).isdisjoint(reached(c)):
+            if not reached[b] & reached[c]:
                 return (state, b, c)
     return None
 
@@ -310,17 +345,9 @@ def check_one_step_closed(game: Game, spec: RelationSpec, bound: Optional[int] =
     [search] = _searches(game, bound, spec)
     for state in search.states():
         succ = search.successors(state)
-        if not succ:
-            continue
-        found = False
-        for target in (state,) + succ:
-            if all(
-                b == target or target in search.successors(b)
-                for b in succ
-            ):
-                found = True
-                break
-        if not found:
+        if succ and not any(
+            all(b == target or target in search.successors(b) for b in succ) for target in (state,) + succ
+        ):
             return CheckOutcome(False, search.game(state))
     return CheckOutcome(True)
 
@@ -348,10 +375,16 @@ def check_left_commutes(
     spec2 step then finitely many spec1 steps?  Quantified over every state
     reachable under the union of both specs from the given game."""
     s1, s2 = _searches(game, bound, spec1, spec2)
-    for a in s1.states(s2):
+    states = s1.states(s2)
+    label = {st: k for k, st in enumerate(states)}
+    reached = s1.reach(label)
+    for a in states:
+        joined = 0
+        for d in s2.successors(a):
+            joined |= reached[d]
         for b in s1.successors(a):
             for c in s2.successors(b):
-                if not any(c in s1.reach(d) for d in s2.successors(a)):
+                if not joined >> label[c] & 1:
                     return CheckOutcome(False, (s1.game(a), s1.game(b), s1.game(c)))
     return CheckOutcome(True)
 
@@ -371,14 +404,14 @@ def maximal_reduce(game: Game, relation: Union[Relation, Inherent], bound: Optio
         support = [layer.loose(state, i) for i in range(game.n)]
         if not any(support):
             break
-        removal = [frozenset(found) for found in support]
-        kept = tuple(tuple(t for t in state[i] if t not in removal[i]) for i in range(game.n))
+        removal = [sum(1 << s for s in found) for found in support]
+        kept = state & ~sum(r << layer.off[i] for i, r in enumerate(removal))
         strict_valid = all(
             layer.survives(state, i, s, removal[i], sup)
             for i, found in enumerate(support)
             for s, sup in found.items()
         )
-        degenerate = not all(kept)
+        degenerate = not all(layer.key(kept))
         removed_labels = tuple(tuple(game.strategies[i][s] for s in support[i]) for i in range(game.n))
         steps.append(ReductionStep(removed_labels, layer.game(kept), strict_valid, degenerate))
         if degenerate:
@@ -403,8 +436,9 @@ def single_step_trace(game: Game, spec: RelationSpec, bound: Optional[int] = Non
         if not succ:
             break
         nxt = succ[0]
+        before, after = search.key(state), search.key(nxt)
         removed = tuple(
-            tuple(game.strategies[i][r] for r in state[i] if r not in nxt[i])
+            tuple(game.strategies[i][r] for r in before[i] if r not in after[i])
             for i in range(game.n)
         )
         strict_valid = spec.arrow == STRICT or nxt in strict_search.successors(state)

@@ -33,27 +33,35 @@ class Renaming:
         return Renaming(tuple(tuple(then.maps[i][t] for t in m) for i, m in enumerate(self.maps)))
 
 
-def _fingerprints(game: Game, player: int) -> list[tuple]:
-    """Per-strategy invariant: sorted multiset of full payoff vectors across
-    the opponents' joint profiles.  Stable under renaming any player."""
-    cols = game.opponent_profiles(player)
+def _fingerprints(game: Game) -> list[list[tuple]]:
+    """Per player and strategy, an invariant: the sorted multiset of full
+    payoff vectors across the opponents' joint profiles.  Stable under
+    renaming any player."""
+    table = game._table
     out = []
-    for s in range(len(game.strategies[player])):
-        rows = sorted(game.payoff_vector(Game.fill(col, player, s)) for col in cols)
-        out.append(tuple(rows))
+    for i in range(game.n):
+        cols = game.opponent_profiles(i)
+        out.append([
+            tuple(sorted(table[col[:i] + (s,) + col[i + 1 :]] for col in cols))
+            for s in range(len(game.strategies[i]))
+        ])
     return out
+
+
+def _signature(fingerprints) -> tuple:
+    return tuple(tuple(sorted(fp)) for fp in fingerprints)
 
 
 def canonical_signature(game: Game):
     """Hashable pre-filter: equal for equivalent games, possibly equal for
     some non-equivalent ones.  Never used as a decider."""
-    return tuple(tuple(sorted(_fingerprints(game, i))) for i in range(game.n))
+    return _signature(_fingerprints(game))
 
 
 def _verify_renaming(g1: Game, g2: Game, maps) -> bool:
-    for profile in g1.profiles():
-        image = tuple(maps[i][profile[i]] for i in range(g1.n))
-        if g1.payoff_vector(profile) != g2.payoff_vector(image):
+    table = g2._table
+    for profile, payoffs in g1._table.items():
+        if payoffs != table[tuple(maps[i][s] for i, s in enumerate(profile))]:
             return False
     return True
 
@@ -62,8 +70,11 @@ def equivalent(g1: Game, g2: Game) -> Optional[Renaming]:
     """A payoff-preserving per-player renaming from g1 onto g2, or None."""
     if g1.n != g2.n or g1.shape != g2.shape:
         return None
-    fp1 = [_fingerprints(g1, i) for i in range(g1.n)]
-    fp2 = [_fingerprints(g2, i) for i in range(g2.n)]
+    return _renaming(g1, g2, _fingerprints(g1), _fingerprints(g2))
+
+
+def _renaming(g1: Game, g2: Game, fp1, fp2) -> Optional[Renaming]:
+    """:func:`equivalent` on games of one shape, given their fingerprints."""
     candidates: list[list[list[int]]] = []
     for i in range(g1.n):
         per_strategy = []
@@ -151,12 +162,14 @@ def partition_by_equivalence(games) -> list[list[int]]:
     pre-filter first, full check as the decider)."""
     games = list(games)
     classes: list[list[int]] = []
-    sigs = [canonical_signature(g) for g in games]
+    fps = [_fingerprints(g) for g in games]
+    sigs = [_signature(fp) for fp in fps]
     reps: list[int] = []
     for idx, g in enumerate(games):
         placed = False
         for c, rep in enumerate(reps):
-            if sigs[idx] == sigs[rep] and equivalent(g, games[rep]) is not None:
+            # equal signatures mean equal shapes
+            if sigs[idx] == sigs[rep] and _renaming(g, games[rep], fps[idx], fps[rep]) is not None:
                 classes[c].append(idx)
                 placed = True
                 break

@@ -215,5 +215,5 @@ def restrict(game: Game, kept: Sequence[Iterable[int]], *, allow_degenerate: boo
     table: dict[Profile, PayoffVector] = {}
     for local in itertools.product(*(range(len(k)) for k in kept_idx)):
         parent_profile = tuple(kept_idx[i][local[i]] for i in range(game.n))
-        table[local] = game.payoff_vector(parent_profile)
+        table[local] = game._table[parent_profile]  # indices checked above
     return Game(labels, table, allow_degenerate=allow_degenerate)

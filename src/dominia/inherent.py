@@ -105,6 +105,9 @@ def is_inherently_dominated(
     # would dominate s
     allowed = tuple(t for t in pool if t != s)
     full = tuple(game.opponent_profiles(i) if columns is None else columns)
+    if columns is not None:
+        for col in full:
+            game._check_profile(Game.fill(col, i, s))
 
     # full profile set is one of the quantified subsets: a cheap complete
     # negative test, and decisive for pointwise bases

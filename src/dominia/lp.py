@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import DimensionMismatch, PivotLimitExceeded
 
@@ -38,14 +38,6 @@ class LinearConstraint:
     coeffs: tuple[Fraction | int, ...]
     op: str  # one of <=, ==, >=
     rhs: Fraction | int
-
-    def satisfied_by(self, point: Sequence[Fraction]) -> bool:
-        lhs = sum((c * x for c, x in zip(self.coeffs, point)), ZERO)
-        if self.op == LE:
-            return lhs <= self.rhs
-        if self.op == GE:
-            return lhs >= self.rhs
-        return lhs == self.rhs
 
 
 def constraint(coeffs, op: str, rhs) -> LinearConstraint:
@@ -223,12 +215,15 @@ def solve(prob: LpProblem) -> LpOutcome:
     # ratio comparison, so the pivots are those of the unscaled tableau.
     rows: list[list[int]] = []
     scales: list[int] = []
+    scaled_rows: list[list[int]] = []
     n_slack = sum(1 for con in prob.constraints if con.op != EQ)
     total = ncols + n_slack
     slack_at = ncols
     for con in prob.constraints:
-        scale, (*coeffs, rhs) = _scaled((*con.coeffs, con.rhs))
+        scale, scaled = _scaled((*con.coeffs, con.rhs))
+        *coeffs, rhs = scaled
         scales.append(scale)
+        scaled_rows.append(scaled)
         row = [0] * total
         for j, (p, q) in enumerate(col_of):
             row[p] = coeffs[j]
@@ -287,20 +282,24 @@ def solve(prob: LpProblem) -> LpOutcome:
     std_num = [0] * art_base
     for r, b in enumerate(tab.basis):
         std_num[b] = tab.rows[r][-1]
-    point = []
-    for p, q in col_of:
-        v = std_num[p]
-        if q is not None:
-            v -= std_num[q]
-        point.append(Fraction(v, tab.d))
+    nums = [std_num[p] - (0 if q is None else std_num[q]) for p, q in col_of]
+    _check_point(prob, scaled_rows, nums, tab.d)
+    point = [Fraction(v, tab.d) for v in nums]
     value = sum((c * x for c, x in zip(prob.objective, point)), ZERO)
-    for con in prob.constraints:
-        if not con.satisfied_by(point):  # pragma: no cover - internal consistency guard
-            raise AssertionError(f"simplex returned a point violating {con}")
-    for j, flag in enumerate(prob.nonneg):
-        if flag and point[j] < ZERO:  # pragma: no cover
-            raise AssertionError("simplex returned a negative value for a nonnegative variable")
     return LpOutcome("optimal", value, tuple(point))
+
+
+def _check_point(prob: LpProblem, scaled_rows, nums: list[int], d: int) -> None:
+    """Re-check the point ``nums / d`` (d > 0) exactly against every
+    constraint, on its integer row (coefficients then rhs, times the row's
+    positive scale), and every sign; an internal consistency guard."""
+    for con, (*coeffs, rhs) in zip(prob.constraints, scaled_rows):
+        lhs = sum(c * v for c, v in zip(coeffs, nums))
+        rhs *= d
+        if not (lhs <= rhs if con.op == LE else lhs >= rhs if con.op == GE else lhs == rhs):
+            raise AssertionError(f"simplex returned a point violating {con}")
+    if any(flag and v < 0 for flag, v in zip(prob.nonneg, nums)):
+        raise AssertionError("simplex returned a negative value for a nonnegative variable")
 
 
 def feasible_point(constraints, num_vars: int, nonneg=None) -> LpOutcome:

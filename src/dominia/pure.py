@@ -41,54 +41,44 @@ class CheckOutcome:
         return self.ok
 
 
+def _masks(game: Game, tags, i: int, s: int, t: int, columns) -> tuple[tuple[int, int], ...]:
+    """Per tag, the (fail, need) bitsets over ``columns`` (bit k for
+    ``columns[k]``) that decide whether t TAG-dominates s for player i: over
+    a subset C of the columns it does iff C meets no fail bit and some need
+    bit (need -1: nothing needed).  Every pure tag is defined here alone."""
+    table = game._table
+    better = worse = split = 0  # u_i(t) > u_i(s); u_i(t) < u_i(s); tie in u_i only
+    for k, col in enumerate(columns):
+        a = table[col[:i] + (s,) + col[i + 1 :]]
+        b = table[col[:i] + (t,) + col[i + 1 :]]
+        if a[i] < b[i]:
+            better |= 1 << k
+        elif a[i] > b[i]:
+            worse |= 1 << k
+        elif a != b:
+            split |= 1 << k
+    by_tag = {"S": (~better, -1), "W": (worse, better), "VW": (worse, -1), "NW": (worse | split, better),
+              "PE": (better | worse | split, -1), "COMPAT": (split, -1)}
+    try:
+        return tuple(by_tag[tag] for tag in tags)
+    except KeyError as err:
+        raise ValueError(f"unknown pure tag {err.args[0]!r}") from None
+
+
+def _met(masks, cols: int) -> bool:
+    """Does some tag's (fail, need) pair hold over the column bitset ``cols``?"""
+    for fail, need in masks:
+        if not fail & cols and (need & cols or need < 0):
+            return True
+    return False
+
+
 def _holds(game: Game, tag: str, i: int, dominated: int, dominator: int, columns) -> bool:
     """Does ``dominator`` TAG-dominate ``dominated`` for player i over ``columns``?"""
-    all_strict = True
-    strict = False
-    if tag in ("S", "W", "VW", "NW"):
-        for col in columns:
-            a = game.payoff(Game.fill(col, i, dominated), i)
-            b = game.payoff(Game.fill(col, i, dominator), i)
-            if a > b:
-                return False
-            if a < b:
-                strict = True
-            else:
-                all_strict = False
-        if tag == "S":
-            return all_strict
-        if tag == "VW":
-            return True
-        if not strict:
-            return False
-        if tag == "W":
-            return True
-        return _compatible_over(game, i, dominated, dominator, columns)
-    if tag == "PE":
-        for col in columns:
-            pa = game.payoff_vector(Game.fill(col, i, dominated))
-            pb = game.payoff_vector(Game.fill(col, i, dominator))
-            if pa != pb:
-                return False
-        return True
-    if tag == "COMPAT":
-        return _compatible_over(game, i, dominated, dominator, columns)
-    raise ValueError(f"unknown pure tag {tag!r}")
+    return _met(_masks(game, (tag,), i, dominated, dominator, columns), (1 << len(columns)) - 1)
 
 
-def _compatible_over(game: Game, i: int, s: int, t: int, columns) -> bool:
-    for col in columns:
-        a = Game.fill(col, i, s)
-        b = Game.fill(col, i, t)
-        if game.payoff(a, i) == game.payoff(b, i):
-            if game.payoff_vector(a) != game.payoff_vector(b):
-                return False
-    return True
-
-
-def dominates(
-    game: Game, relation: Relation, player: int, dominated: int, dominator: int, columns=None
-) -> bool:
+def dominates(game: Game, relation: Relation, player: int, dominated: int, dominator: int, columns=None) -> bool:
     """Exact evaluation of the quantified payoff conditions; unions hold when
     any member does.  ``columns`` restricts the opponents' joint profiles
     quantified over; by default all of them."""
@@ -96,7 +86,12 @@ def dominates(
     game._check_strategy(player, dominator)
     if columns is None:
         columns = game.opponent_profiles(player)
-    return any(_holds(game, tag, player, dominated, dominator, columns) for tag in relation.tags)
+    else:
+        columns = list(columns)
+        for col in columns:
+            game._check_profile(Game.fill(col, player, dominated))
+    masks = _masks(game, relation.tags, player, dominated, dominator, columns)
+    return _met(masks, (1 << len(columns)) - 1)
 
 
 def compatible(game: Game, player: int, s: int, t: int) -> bool:
@@ -104,7 +99,7 @@ def compatible(game: Game, player: int, s: int, t: int) -> bool:
     they tie for every player there."""
     game._check_strategy(player, s)
     game._check_strategy(player, t)
-    return _compatible_over(game, player, s, t, game.opponent_profiles(player))
+    return _holds(game, "COMPAT", player, s, t, game.opponent_profiles(player))
 
 
 def dominated_set(game: Game, relation: Relation) -> list[list[DominanceWitness]]:
@@ -118,10 +113,7 @@ def dominated_set(game: Game, relation: Relation) -> list[list[DominanceWitness]
             for t in range(len(game.strategies[i])):
                 if t == s:
                     continue
-                tag = next(
-                    (tg for tg in relation.tags if _holds(game, tg, i, s, t, columns)),
-                    None,
-                )
+                tag = next((tg for tg in relation.tags if _holds(game, tg, i, s, t, columns)), None)
                 if tag is not None:
                     found.append(DominanceWitness(i, s, t, tag))
                     break
@@ -163,16 +155,27 @@ def _check_bound(game: Game, bound: Optional[int]) -> None:
 def restrictions(game: Game) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All non-degenerate restrictions as per-player kept index tuples, each
     player's subsets in (size, lex) order.  Includes the full game."""
-    per_player = []
-    for i in range(game.n):
-        k = len(game.strategies[i])
-        subsets = [
-            combo
-            for size in range(1, k + 1)
-            for combo in itertools.combinations(range(k), size)
-        ]
-        per_player.append(subsets)
-    return itertools.product(*per_player)
+    return itertools.product(*(
+        [combo for size in range(1, len(labels) + 1) for combo in itertools.combinations(range(len(labels)), size)]
+        for labels in game.strategies
+    ))
+
+
+def _first_in_restrictions(game: Game, bound: Optional[int], tag: str, holds, fails) -> CheckOutcome:
+    """Over every restriction and ordered pair r != t of one player's
+    strategies, the first (kept-sets, witness) where r is TAG-dominated by t
+    under each tag of ``holds`` and under no tag of ``fails``."""
+    _check_bound(game, bound)
+    for kept in restrictions(game):
+        sub = restrict(game, kept)
+        for i in range(sub.n):
+            cols = sub.opponent_profiles(i)
+            for r, t in itertools.permutations(range(len(sub.strategies[i])), 2):
+                if all(_holds(sub, tg, i, r, t, cols) for tg in holds) and not any(
+                    _holds(sub, tg, i, r, t, cols) for tg in fails
+                ):
+                    return CheckOutcome(False, (kept, DominanceWitness(i, r, t, tag)))
+    return CheckOutcome(True)
 
 
 def check_tdi_plus(game: Game, bound: Optional[int] = None) -> CheckOutcome:
@@ -181,39 +184,13 @@ def check_tdi_plus(game: Game, bound: Optional[int] = None) -> CheckOutcome:
     A counterexample is (kept-sets, witness) for the first restriction where
     some weakly dominating pair is incompatible.
     """
-    _check_bound(game, bound)
-    for kept in restrictions(game):
-        sub = restrict(game, kept)
-        for i in range(sub.n):
-            cols = sub.opponent_profiles(i)
-            for r in range(len(sub.strategies[i])):
-                for t in range(len(sub.strategies[i])):
-                    if r == t:
-                        continue
-                    if _holds(sub, "W", i, r, t, cols) and not _compatible_over(sub, i, r, t, cols):
-                        return CheckOutcome(False, (kept, DominanceWitness(i, r, t, "W")))
-    return CheckOutcome(True)
+    return _first_in_restrictions(game, bound, "W", ("W",), ("COMPAT",))
 
 
 def check_tdi_plus_plus(game: Game, bound: Optional[int] = None) -> CheckOutcome:
     """TDI++ : in every restriction, very weak dominance is weak dominance or
     payoff equivalence."""
-    _check_bound(game, bound)
-    for kept in restrictions(game):
-        sub = restrict(game, kept)
-        for i in range(sub.n):
-            cols = sub.opponent_profiles(i)
-            for r in range(len(sub.strategies[i])):
-                for t in range(len(sub.strategies[i])):
-                    if r == t:
-                        continue
-                    if (
-                        _holds(sub, "VW", i, r, t, cols)
-                        and not _holds(sub, "W", i, r, t, cols)
-                        and not _holds(sub, "PE", i, r, t, cols)
-                    ):
-                        return CheckOutcome(False, (kept, DominanceWitness(i, r, t, "VW")))
-    return CheckOutcome(True)
+    return _first_in_restrictions(game, bound, "VW", ("VW",), ("W", "PE"))
 
 
 # -- structural properties ---------------------------------------------------
@@ -224,20 +201,11 @@ def is_strict_partial_order(game: Game, relation: Relation) -> bool:
     for i in range(game.n):
         k = len(game.strategies[i])
         cols = game.opponent_profiles(i)
-        edge = [
-            [any(_holds(game, tg, i, s, t, cols) for tg in relation.tags) for t in range(k)]
-            for s in range(k)
-        ]
-        for s in range(k):
-            if edge[s][s]:
-                return False
-        for s in range(k):
-            for t in range(k):
-                if not edge[s][t]:
-                    continue
-                for u in range(k):
-                    if edge[t][u] and not edge[s][u]:
-                        return False
+        edge = [[dominates(game, relation, i, s, t, cols) for t in range(k)] for s in range(k)]
+        if any(edge[s][s] for s in range(k)) or any(
+            edge[s][t] and edge[t][u] and not edge[s][u] for s, t, u in itertools.product(range(k), repeat=3)
+        ):
+            return False
     return True
 
 
@@ -252,14 +220,10 @@ def is_hereditary(game: Game, relation: Relation, bound: Optional[int] = None) -
     pairs: list[tuple[int, int, int, str]] = []
     for i in range(game.n):
         cols = game.opponent_profiles(i)
-        for s in range(len(game.strategies[i])):
-            for t in range(len(game.strategies[i])):
-                if s == t:
-                    continue
-                for tag in relation.tags:
-                    if _holds(game, tag, i, s, t, cols):
-                        pairs.append((i, s, t, tag))
-                        break
+        for s, t in itertools.permutations(range(len(game.strategies[i])), 2):
+            tag = next((tg for tg in relation.tags if _holds(game, tg, i, s, t, cols)), None)
+            if tag is not None:
+                pairs.append((i, s, t, tag))
     for kept in restrictions(game):
         sub = None
         for (i, s, t, tag) in pairs:

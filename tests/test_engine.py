@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dominia import (
     ANY,
@@ -19,20 +20,26 @@ from dominia import (
     W,
     WM,
     Inherent,
+    InherentQuery,
     RelationSpec,
     check_left_commutes,
     check_one_at_a_time,
     check_one_step_closed,
     check_weak_confluence,
+    dominates,
     equivalent,
+    find_dominator,
+    is_inherently_dominated,
     maximal_reduce,
     new_game,
     normal_forms,
+    restrict,
     single_step_trace,
     structured_elimination_scenario,
     successors,
     union,
 )
+from dominia.engine import _searches
 from dominia.errors import SizeBoundExceeded
 from dominia.gallery import (
     nonconfluent_weak_2x2,
@@ -422,3 +429,86 @@ class TestBisimilarity:
                 image = restrict(twin, image_kept)
                 assert image in succ_twin
                 assert equivalent(child, image) is not None
+
+
+@st.composite
+def _small_games(draw):
+    shape = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2)]))
+    profiles = list(itertools.product(*(range(k) for k in shape)))
+    values = draw(st.lists(st.integers(-1, 1), min_size=len(profiles) * len(shape), max_size=len(profiles) * len(shape)))
+    labels = [[f"{chr(ord('a') + i)}{k}" for k in range(n)] for i, n in enumerate(shape)]
+    table = {p: values[j * len(shape) : (j + 1) * len(shape)] for j, p in enumerate(profiles)}
+    for i in range(len(shape)):
+        if draw(st.booleans()):  # make the last strategy of player i a clone of the first
+            for p in profiles:
+                if p[i] == shape[i] - 1:
+                    table[p] = table[p[:i] + (0,) + p[i + 1 :]]
+    return new_game(labels, table)
+
+
+def _brute_successors(root, spec, kept):
+    """One-step reducts of the restriction ``kept`` of ``root``, as sorted
+    kept tuples, read straight off the step definition on the restricted
+    game: a removal set R of player i is valid when it is non-empty, leaves
+    the player a strategy, and every s in R is dominated from kept - {s}
+    (loose) or from kept - R (strict)."""
+    sub = restrict(root, kept)
+    rel = spec.relation
+
+    def dominated(i, s, allowed):
+        if not allowed:
+            return False
+        if isinstance(rel, Inherent):
+            return is_inherently_dominated(sub, InherentQuery(rel.base, i, s, allowed)).dominated
+        if rel.mixed:
+            return find_dominator(sub, rel, i, s, allowed) is not None
+        return any(dominates(sub, rel, i, s, t) for t in allowed)
+
+    options = []
+    for i, k in enumerate(sub.shape):
+        valid = [()]
+        for size in range(1, k):
+            for removed in itertools.combinations(range(k), size):
+                if all(
+                    dominated(i, s, tuple(t for t in range(k) if t not in (removed if spec.arrow == STRICT else (s,))))
+                    for s in removed
+                ):
+                    valid.append(removed)
+        options.append(valid)
+    out = []
+    for combo in itertools.product(*options):
+        count = sum(map(len, combo))
+        if count and not (spec.step == SINGLE and count > 1):
+            out.append(tuple(tuple(r for ls, r in enumerate(kept[i]) if ls not in combo[i]) for i in range(root.n)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("relation", [S, union(NW, PE), PE, SM, Inherent(WM)], ids=str)
+@settings(max_examples=40, deadline=None)
+@given(game=_small_games())
+def test_bitmask_engine_matches_kept_tuple_bfs(relation, game):
+    # successors in order, BFS order, reach sets and normal forms of the
+    # bitmask engine against a BFS over kept tuples written here
+    for arrow, step in itertools.product((STRICT, LOOSE), (ANY, SINGLE)):
+        spec = RelationSpec(relation, arrow, step)
+        start = tuple(tuple(range(k)) for k in game.shape)
+        succ, order = {}, [start]
+        for kept in order:
+            succ[kept] = _brute_successors(game, spec, kept)
+            order += [x for x in succ[kept] if x not in order]
+        reach = {}
+        for kept in sorted(order, key=lambda x: sum(map(len, x))):
+            reach[kept] = {kept}.union(*(reach[x] for x in succ[kept]))
+
+        [search] = _searches(game, None, spec)
+        states = search.states()
+        assert [search.key(st) for st in states] == order
+        for st in states:
+            assert [search.key(x) for x in search.successors(st)] == succ[search.key(st)]
+        reached = search.reach({st: k for k, st in enumerate(states)})
+        for st in states:
+            assert {search.key(x) for k, x in enumerate(states) if reached[st] >> k & 1} == reach[search.key(st)]
+
+        report = normal_forms(game, spec)
+        assert report.normal_forms == tuple(restrict(game, x) for x in sorted(x for x in order if not succ[x]))
+        assert report.explored_states == len(order)

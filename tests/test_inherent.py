@@ -21,7 +21,7 @@ from dominia import (
     new_game,
     restrict,
 )
-from dominia.errors import SizeBoundExceeded
+from dominia.errors import IndexOutOfRange, SizeBoundExceeded
 from dominia.gallery import (
     inherently_dominated_middle_3x2,
     trivial_1x1,
@@ -113,6 +113,13 @@ def test_subset_bound_enforced_on_enumeration():
         is_inherently_dominated(
             G_INH, InherentQuery(W, 0, 1, None), want_table=True, subset_bound=2
         )
+
+
+@pytest.mark.parametrize("base", [W, WM])
+@pytest.mark.parametrize("columns", [[(-1, 2)], [(-1, -1)], [(-1,)]])
+def test_out_of_range_columns_rejected(base, columns):
+    with pytest.raises(IndexOutOfRange):
+        is_inherently_dominated(G_INH, InherentQuery(base, 0, 1, None), columns=columns)
 
 
 def _inherent_answer(game, query, columns=None):

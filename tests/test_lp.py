@@ -189,3 +189,26 @@ def test_pivot_counter_stays_reasonable():
     cons.append(lp.constraint([1] * n, "==", Fraction(3)))
     out = lp.solve(lp.problem(n, cons, [1] * n, "max"))
     assert out.optimal and out.value == 3
+
+
+def test_post_solve_check_rejects_a_point_off_by_one_over_d():
+    # the re-check runs on the scaled integer rows against the point's
+    # numerators over d; moving one coordinate by 1/d breaks exactly one row
+    le = lp.constraint([1, Fraction(1, 2), 0], "<=", 2)
+    eq = lp.constraint([1, -1, 0], "==", Fraction(1, 3))
+    ge = lp.constraint([0, 0, 1], ">=", Fraction(-3, 2))
+    prob = lp.problem(3, [le, eq, ge], [1, 1, -1], "max", [True, True, False])
+    out = lp.solve(prob)
+    assert out.point == (Fraction(13, 9), Fraction(10, 9), Fraction(-3, 2))
+    rows = [lp._scaled((*con.coeffs, con.rhs))[1] for con in prob.constraints]
+    d = 18
+    nums = [int(v * d) for v in out.point]
+    lp._check_point(prob, rows, nums, d)
+    for shift, broken in (((1, 1, 0), le), ((-1, 0, 0), eq), ((0, 0, -1), ge)):
+        off = [v + k for v, k in zip(nums, shift)]
+        with pytest.raises(AssertionError, match="violating") as err:
+            lp._check_point(prob, rows, off, d)
+        assert str(broken) in str(err.value)
+    sign = lp.problem(1, [], [0], "min")
+    with pytest.raises(AssertionError, match="negative value"):
+        lp._check_point(sign, [], [-1], d)

@@ -27,7 +27,7 @@ from dominia import (
     restrict,
     union,
 )
-from dominia.errors import SizeBoundExceeded
+from dominia.errors import IndexOutOfRange, SizeBoundExceeded
 from dominia.gallery import (
     inherently_dominated_middle_3x2,
     nonconfluent_weak_2x2,
@@ -74,6 +74,11 @@ class TestDominates:
                 for b in range(2):
                     expected = dominates(G11, S, i, a, b) or dominates(G11, PE, i, a, b)
                     assert dominates(G11, rel, i, a, b) == expected
+
+    @pytest.mark.parametrize("columns", [[(-1, 2)], [(-1, -1)], [(-1,)]])
+    def test_out_of_range_columns_rejected(self, columns):
+        with pytest.raises(IndexOutOfRange):
+            dominates(G11, W, 0, 1, 0, columns=columns)
 
     @settings(max_examples=40, deadline=None)
     @given(games_strategy)
@@ -261,7 +266,7 @@ def test_columns_on_root_match_restriction(small_games):
             for i in range(g.n):
                 cols = list(itertools.product(*kept[:i], (-1,), *kept[i + 1 :]))
                 for (ls, s), (lt, t) in itertools.product(enumerate(kept[i]), repeat=2):
-                    for rel in (W, NW):
+                    for rel in (W, NW, S, VW, PE, COMPAT, union(NW, PE)):
                         on_root = dominates(g, rel, i, s, t, columns=cols)
                         assert on_root == dominates(sub, rel, i, ls, lt)
                         seen.add(on_root)
