@@ -35,7 +35,7 @@ from typing import Optional, Union
 
 from .game import Game, restrict
 from .inherent import InherentQuery, is_inherently_dominated
-from .mixed import find_dominator
+from .mixed import _checked_columns, find_dominator
 from .pure import CheckOutcome, _check_bound, _masks, _met
 from .equivalence import partition_by_equivalence
 from .relations import Inherent, Relation, union
@@ -147,7 +147,10 @@ class _Dominance:
         hit = self._columns.get((i, others))
         if hit is None:
             kept = [k for k, need in enumerate(self._needs[i]) if state & need == need]
-            hit = self._columns[i, others] = (sum(1 << k for k in kept), [self._profiles[i][k] for k in kept])
+            cols = [self._profiles[i][k] for k in kept]
+            if not self.pure:  # checked once here, not on every query
+                cols = _checked_columns(self.root, i, cols)
+            hit = self._columns[i, others] = (sum(1 << k for k in kept), cols)
         bits, cols = hit
         rel = self.relation
         if self.pure:

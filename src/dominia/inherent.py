@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from . import config
 from .errors import SizeBoundExceeded
 from .game import Game
-from .mixed import MixedWitness, find_dominator, point_mass
+from .mixed import MixedWitness, _checked_columns, find_dominator, point_mass
 from .pure import _holds
 from .relations import SM, Relation
 
@@ -104,10 +104,7 @@ def is_inherently_dominated(
     # a dominator never leans on s itself: under VWM the point mass on s
     # would dominate s
     allowed = tuple(t for t in pool if t != s)
-    full = tuple(game.opponent_profiles(i) if columns is None else columns)
-    if columns is not None:
-        for col in full:
-            game._check_profile(Game.fill(col, i, s))
+    full = _checked_columns(game, i, columns)
 
     # full profile set is one of the quantified subsets: a cheap complete
     # negative test, and decisive for pointwise bases

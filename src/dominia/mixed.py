@@ -1,13 +1,32 @@
-"""Mixed-strategy machinery and LP-backed mixed-dominance decisions.
+"""Mixed-strategy machinery and mixed-dominance decisions.
 
 Supported relations: SM (strict), WM (weak), VWM (very weak), NWM (nice weak:
 weak plus compatibility of the pair), PEM (payoff equivalence; with the
 dominated strategy outside the support this is randomized redundance).
 
-Strictness is always decided by maximizing an exact margin and testing it
-against zero, never by tolerance.  Every witness a decision procedure returns
-is re-verified against the defining quantified conditions by direct
-evaluation before it leaves this module.
+Each query is first put to a cheap test on the scaled integer payoff rows,
+and only a query the test leaves open goes to the exact LP.  A mix's payoff
+in one column lies between the payoffs of the strategies it mixes (the
+one-column case of Pearce 1984, Lemma 3), so with A the allowed support and
+A' = A minus the dominated strategy s:
+
+- "no" by one column: SM when u(s) >= max over A' there; WM, NWM and VWM
+  when u(s) > max over A' there; WM and NWM also when s is never worse than
+  max over A' in any column; PEM when some player's payoff at s lies outside
+  [min, max] over A' there;
+- "yes" by a pure dominator, for SM, VWM and PEM only: these tags are defined
+  column by column, so the point mass is a witness in every restriction, as
+  any other witness is.  WM and NWM witnesses are the LP's, which callers
+  such as :func:`check_mixed_hereditary` re-check in restrictions.
+
+VWM with s inside A (the point mass on s dominates) goes to the LP, which
+picks the witness.  Strictness is always decided by maximizing an exact
+margin and testing it against zero, never by tolerance.  Every witness,
+point mass or LP point, is re-verified against the defining quantified
+conditions by direct evaluation before it leaves this module, and every
+cheap "no" carries a certificate (the column, and for PEM the player) that
+is checked on the game's Fraction payoffs (:func:`certificate_holds`) before
+``None`` leaves it.
 
 The ``allowed_support`` argument makes the loose/strict elimination
 distinction (dominators from the pre-step sets versus dominators that must
@@ -41,7 +60,8 @@ verified_witness_count = 0
 
 
 class WitnessVerificationError(DominiaError):
-    """An LP-produced witness failed direct re-evaluation (solver bug)."""
+    """A witness or a "no" certificate failed direct re-evaluation (a bug in
+    the LP or in the cheap test)."""
 
 
 @dataclass(frozen=True)
@@ -200,13 +220,54 @@ def witness_holds(game: Game, tag: str, player: int, dominated: int, m: MixedStr
 
 
 def verify_witness(game: Game, tag: str, player: int, dominated: int, m: MixedStrategy, columns=None) -> None:
-    """Re-verify an LP-produced witness; raises if the solver lied."""
+    """Re-verify a witness; raises if the LP or the cheap test lied."""
     global verified_witness_count
     if not witness_holds(game, tag, player, dominated, m, columns):
         raise WitnessVerificationError(
             f"{tag} witness for player {player}, strategy {dominated} failed re-verification"
         )
     verified_witness_count += 1
+
+
+def certificate_holds(game: Game, tag: str, player: int, dominated: int, allowed, certificate, columns=None) -> bool:
+    """Direct evaluation of a cheap "no" certificate ``(column, j)``: an index
+    into the quantified columns (None: all of them) and a player.  ``allowed``
+    is the support the tag's decider saw (without s for PEM); with A' =
+    ``allowed`` minus s, and u_j(x) player j's payoff at x and the column:
+
+    - SM: u_i(s) >= u_i(t) for every t in A';
+    - WM, NWM: u_i(s) > u_i(t) for every t in A', or, at every column (None),
+      u_i(s) >= u_i(t);
+    - VWM: s is not allowed and u_i(s) > u_i(t) for every t in A';
+    - PEM: s is not allowed and u_j(s) lies above, or below, every u_j(t).
+    """
+    column, j = certificate
+    cols = _checked_columns(game, player, columns)
+    rest = [t for t in allowed if t != dominated]
+    if (tag != "PEM" and j != player) or (tag in ("VWM", "PEM") and len(rest) < len(allowed)):
+        return False
+    table = game._table
+
+    def at(col, t):
+        return table[Game.fill(col, player, t)][j]
+
+    if column is None:
+        return tag in ("WM", "NWM") and all(at(col, dominated) >= at(col, t) for col in cols for t in rest)
+    col = cols[column]
+    mine = at(col, dominated)
+    theirs = [at(col, t) for t in rest]
+    if tag == "SM":
+        return all(mine >= v for v in theirs)
+    if tag == "PEM" and all(mine < v for v in theirs):
+        return True
+    return all(mine > v for v in theirs)
+
+
+def _verify_certificate(game: Game, tag: str, player: int, dominated: int, allowed, certificate, cols) -> None:
+    if not certificate_holds(game, tag, player, dominated, allowed, certificate, cols):
+        raise WitnessVerificationError(
+            f"{tag} certificate {certificate} for player {player}, strategy {dominated} failed re-verification"
+        )
 
 
 def _compatible_with_mix(game: Game, i: int, s: int, pairs, cols) -> bool:
@@ -223,6 +284,26 @@ def _weights_from_point(allowed, point) -> dict[int, Fraction]:
     return {t: v for t, v in zip(allowed, point) if v != 0}
 
 
+class _Columns(tuple):
+    """Opponent profiles of one player of one game (``game``, ``player``),
+    range-checked once when built, so that a caller that asks many questions
+    over the same columns pays for the check once."""
+
+
+def _checked_columns(game: Game, player: int, columns=None) -> _Columns:
+    """``columns`` (default: every opponent profile) as :class:`_Columns` of
+    ``game`` and ``player``; checked unless they already are.  The caller has
+    checked that ``player`` has a strategy."""
+    if isinstance(columns, _Columns) and columns.game is game and columns.player == player:
+        return columns
+    cols = _Columns(game.opponent_profiles(player) if columns is None else columns)
+    if columns is not None:
+        for col in cols:
+            game._check_profile(Game.fill(col, player, 0))
+    cols.game, cols.player = game, player
+    return cols
+
+
 def _scaled_payoffs(game: Game, i: int, cols, j: int) -> list[list[int]]:
     """Player j's payoffs as ints: one row per column of ``cols``, one entry
     per strategy of player i, all times the positive LCM of their
@@ -233,6 +314,68 @@ def _scaled_payoffs(game: Game, i: int, cols, j: int) -> list[list[int]]:
     cells = [[table[col[:i] + (t,) + col[i + 1 :]][j] for t in strategies] for col in cols]
     scale = lcm(*{v.denominator for row in cells for v in row})
     return [[v.numerator * (scale // v.denominator) for v in row] for row in cells]
+
+
+class _Rows:
+    """Every player's :func:`_scaled_payoffs` for one query, ``rows[j]``, each
+    built on first use: most queries are settled by player i's rows alone."""
+
+    def __init__(self, game: Game, i: int, cols):
+        self.game, self.i, self.cols = game, i, cols
+        self._rows: list = [None] * game.n
+
+    def __getitem__(self, j: int) -> list[list[int]]:
+        rows = self._rows[j]
+        if rows is None:
+            rows = self._rows[j] = _scaled_payoffs(self.game, self.i, self.cols, j)
+        return rows
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.game.n))
+
+
+def _settle(pay, tag, i, s, allowed):
+    """The cheap test in front of each decider (see the module docstring).
+
+    Returns ``(weights, None)`` for a pure dominator, ``(None, certificate)``
+    for a refutation in :func:`certificate_holds`' form, and ``(None, None)``
+    when only the LP can tell."""
+    rest = [t for t in allowed if t != s]
+    mine = pay[i]
+    if not mine or (tag == "VWM" and len(rest) < len(allowed)):
+        return None, None
+    if not rest:
+        return None, (0, i)  # s alone cannot beat s, nor PEM-mix from nothing
+    if tag == "PEM":
+        for j in [i] + [j for j in range(pay.game.n) if j != i]:
+            for c, row in enumerate(pay[j]):
+                v = row[s]
+                vals = [row[t] for t in rest]
+                if not min(vals) <= v <= max(vals):
+                    return None, (c, j)
+        for t in rest:
+            if all(row[t] == row[s] for rows in pay for row in rows):
+                return {t: ONE}, None
+        return None, None
+    ties_refute = tag == "SM"
+    worse = False
+    for c, row in enumerate(mine):
+        v = row[s]
+        hi = max([row[t] for t in rest])
+        if v > hi or (ties_refute and v == hi):
+            return None, (c, i)
+        worse = worse or v < hi
+    if not worse and tag in ("WM", "NWM"):
+        return None, (None, i)
+    if tag == "SM":
+        for t in rest:
+            if all(row[t] > row[s] for row in mine):
+                return {t: ONE}, None
+    elif tag == "VWM":
+        for t in rest:
+            if all(row[t] >= row[s] for row in mine):
+                return {t: ONE}, None
+    return None, None
 
 
 def _margin_problem(k: int, cons) -> lp.LpProblem:
@@ -289,8 +432,11 @@ def _decide_pem(pay, i, s, allowed):
 def _decide_nwm(pay, i, s, allowed):
     """Nice weak mixed dominance via equality-set enumeration.
 
-    Columns where strictness is impossible are forced ties; columns where a
-    tie is impossible are forced strict; the remaining ambiguous columns are
+    Past the WM pre-check (which also refutes a column where s beats every
+    allowed t, and a query where every column is a forced tie, though the
+    cheap test in :func:`find_dominator` settles those first), columns where
+    strictness is impossible are forced ties; columns where a tie is
+    impossible are forced strict; the remaining ambiguous columns are
     enumerated (smallest sets first).  One margin-maximizing LP decides each
     candidate equality set exactly.
     """
@@ -302,14 +448,10 @@ def _decide_nwm(pay, i, s, allowed):
     for c, row in enumerate(mine):
         vals = [row[t] for t in allowed]
         hi, lo = max(vals), min(vals)
-        if hi < row[s]:
-            return None
         if hi == row[s]:
             forced_tie.append(c)
         elif lo <= row[s]:
             ambiguous.append(c)
-    if len(forced_tie) == len(mine):
-        return None  # no strict column possible
     if 2 ** len(ambiguous) > config.EQUALITY_SET_BOUND:
         raise SizeBoundExceeded(
             f"{len(ambiguous)} ambiguous columns exceed the equality-set bound"
@@ -340,9 +482,8 @@ def _decide_nwm(pay, i, s, allowed):
 
 
 # Each decider gets ``pay[j]``, player j's ``_scaled_payoffs`` over the
-# quantified columns (None for players its tag never reads), the player, the
-# dominated strategy and the allowed support; it returns dominator weights or
-# None.
+# quantified columns (a :class:`_Rows`), the player, the dominated strategy
+# and the allowed support; it returns dominator weights or None.
 _DECIDERS = {
     "SM": _decide_sm,
     "WM": _decide_wm,
@@ -365,40 +506,72 @@ def find_dominator(
 
     ``columns`` restricts the opponents' joint profiles quantified over; by
     default all of them.  The first member relation of a union that yields a
-    witness wins, and the witness is re-verified by direct evaluation.
+    witness wins.  Each member is put to the cheap test first and to its LP
+    decider only when that test settles nothing (module docstring): a "no"
+    from the cheap test carries a one-column certificate, checked by direct
+    evaluation, and SM, VWM and PEM witnesses may be point masses.  Every
+    witness is re-verified by direct evaluation.
     """
     if not relation.mixed:
         raise ValueError("find_dominator needs a mixed relation")
+    allowed, cols, pay = _query(game, player, strategy, allowed_support, columns)
+    for tag in relation.tags:
+        member_allowed = _member_support(tag, allowed, strategy)
+        if not member_allowed:
+            continue
+        weights, certificate = _settle(pay, tag, player, strategy, member_allowed)
+        if certificate is not None:
+            _verify_certificate(game, tag, player, strategy, member_allowed, certificate, cols)
+            continue
+        if weights is None:
+            weights = _DECIDERS[tag](pay, player, strategy, member_allowed)
+        if weights is not None:
+            m = mixed_strategy(player, weights)
+            verify_witness(game, tag, player, strategy, m, cols)
+            return MixedWitness(player, strategy, m, tag)
+    return None
+
+
+def _query(game: Game, player: int, strategy: int, allowed_support, columns):
+    """The checked allowed support, columns and :class:`_Rows` of a query."""
     game._check_strategy(player, strategy)
     allowed = tuple(sorted(set(allowed_support)))
     if not allowed:
         raise EmptySupport(f"empty allowed support for player {player}")
     for t in allowed:
         game._check_strategy(player, t)
-    if columns is None:
-        cols = game.opponent_profiles(player)
-    else:
-        cols = list(columns)
-        for col in cols:
-            game._check_profile(Game.fill(col, player, strategy))
-    # PEM and NWM constrain every player's payoffs; the others only player's
-    everyone = any(tag in ("PEM", "NWM") for tag in relation.tags)
-    pay = [
-        _scaled_payoffs(game, player, cols, j) if everyone or j == player else None
-        for j in range(game.n)
-    ]
-    for tag in relation.tags:
-        member_allowed = allowed
-        if tag == "PEM":
-            member_allowed = tuple(t for t in allowed if t != strategy)
-            if not member_allowed:
-                continue
-        weights = _DECIDERS[tag](pay, player, strategy, member_allowed)
-        if weights is not None:
-            m = mixed_strategy(player, weights)
-            verify_witness(game, tag, player, strategy, m, cols)
-            return MixedWitness(player, strategy, m, tag)
-    return None
+    cols = _checked_columns(game, player, columns)
+    return allowed, cols, _Rows(game, player, cols)
+
+
+def _member_support(tag: str, allowed, strategy: int):
+    """The support a member relation's decider sees: PEM excludes s itself."""
+    return tuple(t for t in allowed if t != strategy) if tag == "PEM" else allowed
+
+
+def lp_dominator(game: Game, tag: str, player: int, strategy: int, allowed_support, columns=None):
+    """The LP decider's own answer for one tag, with no cheap test in front:
+    dominator weights ``{t: w}``, or None.  The reference the acceptance suite
+    and the tests hold :func:`find_dominator`'s cheap tests against."""
+    allowed, _, pay = _query(game, player, strategy, allowed_support, columns)
+    allowed = _member_support(tag, allowed, strategy)
+    return _DECIDERS[tag](pay, player, strategy, allowed) if allowed else None
+
+
+def cheap_verdict(game: Game, tag: str, player: int, strategy: int, allowed_support, columns=None) -> Optional[bool]:
+    """The cheap test's verdict for one tag: True for a pure dominator, False
+    for a refuting column, None when only the LP can tell.  Witness and
+    certificate are checked by direct evaluation, as in find_dominator."""
+    allowed, cols, pay = _query(game, player, strategy, allowed_support, columns)
+    allowed = _member_support(tag, allowed, strategy)
+    weights, certificate = _settle(pay, tag, player, strategy, allowed)
+    if certificate is not None:
+        _verify_certificate(game, tag, player, strategy, allowed, certificate, cols)
+        return False
+    if weights is None:
+        return None
+    verify_witness(game, tag, player, strategy, mixed_strategy(player, weights), cols)
+    return True
 
 
 def mixed_dominated_set(

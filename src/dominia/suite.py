@@ -34,7 +34,16 @@ from .equivalence import equivalent, fully_reduce, purely_reduce
 from .game import Game
 from .generator import SplitMix64, generator_params, random_game
 from .inherent import InherentQuery, inherent_dominated_set, is_inherently_dominated
-from .mixed import find_dominator, mixed_dominated_set, mixed_strategy, substitute, shrink_self_weight, witness_holds
+from .mixed import (
+    cheap_verdict,
+    find_dominator,
+    lp_dominator,
+    mixed_dominated_set,
+    mixed_strategy,
+    shrink_self_weight,
+    substitute,
+    witness_holds,
+)
 from .oracles import pem_dominated_oracle, sm_dominated_oracle
 from .pure import check_tdi, dominates
 from .relations import NW, PE, PEM, S, SM, W, WM, NWM, union
@@ -190,7 +199,7 @@ def criterion_5(games: list[Game]) -> CriterionResult:
         verified = mixed.verified_witness_count - verified_before
         return True, (
             f"{len(games)} games: strict-mixed UN + one step closed; inherent-WM == SM everywhere; "
-            f"{verified} LP witnesses re-verified, 0 failures"
+            f"{verified} witnesses re-verified, 0 failures"
         )
 
     ok, detail, dt = _timed(run)
@@ -357,9 +366,14 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
+    """Every decision is made three ways and held against the oracle:
+    ``find_dominator`` (cheap test, then LP), the LP decider alone, and the
+    cheap test alone when it settles the query."""
+
     def run():
         rng = SplitMix64(seed ^ 0x51AF8B2D)
         decisions = 0
+        settled = 0
         disagreements = 0
         while decisions < 1000:
             players = 2 + rng.below(2)
@@ -371,22 +385,25 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
                 k = len(g.strategies[i])
                 for s in range(k):
                     full = range(k)
-                    lp_sm = find_dominator(g, SM, i, s, full) is not None
-                    if lp_sm != sm_dominated_oracle(g, i, s, full):
-                        disagreements += 1
-                    lp_pem = find_dominator(g, PEM, i, s, full) is not None
-                    if lp_pem != pem_dominated_oracle(g, i, s, full):
-                        disagreements += 1
-                    decisions += 2
+                    queries = [(SM, full, sm_dominated_oracle), (PEM, full, pem_dominated_oracle)]
                     if k > 2:
                         part = [t for t in range(k) if t != (s + 1) % k]
-                        lp_sm2 = find_dominator(g, SM, i, s, part) is not None
-                        if lp_sm2 != sm_dominated_oracle(g, i, s, part):
-                            disagreements += 1
+                        queries.append((SM, part, sm_dominated_oracle))
+                    for rel, allowed, oracle in queries:
+                        (tag,) = rel.tags
+                        expected = oracle(g, i, s, allowed)
+                        cheap = cheap_verdict(g, tag, i, s, allowed)
+                        disagreements += (find_dominator(g, rel, i, s, allowed) is not None) != expected
+                        disagreements += (lp_dominator(g, tag, i, s, allowed) is not None) != expected
+                        disagreements += cheap not in (None, expected)
+                        settled += cheap is not None
                         decisions += 1
         if disagreements:
             return False, f"{disagreements} disagreements in {decisions} decisions"
-        return True, f"{decisions} LP decisions match the support-enumeration oracles exactly"
+        return True, (
+            f"{decisions} decisions ({settled} settled by the cheap tests): find_dominator and "
+            f"the LP deciders alone match the support-enumeration oracles exactly"
+        )
 
     ok, detail, dt = _timed(run)
     return CriterionResult(10, "LP oracle cross-check", ok, detail, dt)

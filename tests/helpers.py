@@ -7,7 +7,9 @@ helpers, so they share no code path with what they check.
 from fractions import Fraction
 import itertools
 
-from dominia import Game
+from hypothesis import strategies as st
+
+from dominia import Game, new_game
 
 
 def profiles_fixing(game: Game, player: int, strategy: int):
@@ -81,3 +83,20 @@ def mix_payoff(game, i, weights, rest, j):
     return sum(
         Fraction(w) * game.payoff(with_choice(rest, i, s), j) for s, w in weights.items()
     )
+
+
+@st.composite
+def small_games(draw):
+    """Games of shapes 2x2 to 3x3 and 2x2x2 with payoffs -1..1, each player's
+    last strategy optionally an exact clone of its first."""
+    shape = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2)]))
+    profiles = list(itertools.product(*(range(k) for k in shape)))
+    values = draw(st.lists(st.integers(-1, 1), min_size=len(profiles) * len(shape), max_size=len(profiles) * len(shape)))
+    labels = [[f"{chr(ord('a') + i)}{k}" for k in range(n)] for i, n in enumerate(shape)]
+    table = {p: values[j * len(shape) : (j + 1) * len(shape)] for j, p in enumerate(profiles)}
+    for i in range(len(shape)):
+        if draw(st.booleans()):  # make the last strategy of player i a clone of the first
+            for p in profiles:
+                if p[i] == shape[i] - 1:
+                    table[p] = table[p[:i] + (0,) + p[i + 1 :]]
+    return new_game(labels, table)

@@ -2,8 +2,9 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
+import helpers
 from dominia import (
     ANY,
     LOOSE,
@@ -105,8 +106,6 @@ class TestSuccessorOracle:
     @staticmethod
     def _brute(g, naive, arrow):
         import itertools
-
-        import helpers
 
         per_player = []
         for i in range(g.n):
@@ -431,21 +430,6 @@ class TestBisimilarity:
                 assert equivalent(child, image) is not None
 
 
-@st.composite
-def _small_games(draw):
-    shape = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2)]))
-    profiles = list(itertools.product(*(range(k) for k in shape)))
-    values = draw(st.lists(st.integers(-1, 1), min_size=len(profiles) * len(shape), max_size=len(profiles) * len(shape)))
-    labels = [[f"{chr(ord('a') + i)}{k}" for k in range(n)] for i, n in enumerate(shape)]
-    table = {p: values[j * len(shape) : (j + 1) * len(shape)] for j, p in enumerate(profiles)}
-    for i in range(len(shape)):
-        if draw(st.booleans()):  # make the last strategy of player i a clone of the first
-            for p in profiles:
-                if p[i] == shape[i] - 1:
-                    table[p] = table[p[:i] + (0,) + p[i + 1 :]]
-    return new_game(labels, table)
-
-
 def _brute_successors(root, spec, kept):
     """One-step reducts of the restriction ``kept`` of ``root``, as sorted
     kept tuples, read straight off the step definition on the restricted
@@ -485,7 +469,7 @@ def _brute_successors(root, spec, kept):
 
 @pytest.mark.parametrize("relation", [S, union(NW, PE), PE, SM, Inherent(WM)], ids=str)
 @settings(max_examples=40, deadline=None)
-@given(game=_small_games())
+@given(game=helpers.small_games())
 def test_bitmask_engine_matches_kept_tuple_bfs(relation, game):
     # successors in order, BFS order, reach sets and normal forms of the
     # bitmask engine against a BFS over kept tuples written here

@@ -12,11 +12,13 @@ from dominia import (
     WM,
     check_tdi,
     find_dominator,
+    generator_params,
     mixed_dominated_set,
     mixed_payoff,
     mixed_strategy,
     new_game,
     point_mass,
+    random_game,
     shrink_self_weight,
     substitute,
     witness_holds,
@@ -28,7 +30,15 @@ from dominia.gallery import (
     redundant_middle_3x2,
     trivial_1x1,
 )
-from dominia.mixed import check_mixed_hereditary, check_mixed_iiia
+from dominia import mixed
+from dominia.mixed import (
+    WitnessVerificationError,
+    certificate_holds,
+    cheap_verdict,
+    check_mixed_hereditary,
+    check_mixed_iiia,
+    lp_dominator,
+)
 
 G11 = nonconfluent_weak_2x2()
 
@@ -210,6 +220,90 @@ class TestFindDominator:
         w = find_dominator(g, NWM, 0, 1, [0, 2])
         assert w is not None
         assert dict(w.dominator.weights) == {0: F(3, 4), 2: F(1, 4)}
+
+
+class TestCheapTests:
+    @settings(max_examples=150, deadline=None)
+    @given(helpers.small_games(), st.data())
+    def test_cheap_tests_agree_with_the_lp_deciders(self, g, data):
+        i = data.draw(st.integers(0, g.n - 1))
+        k = len(g.strategies[i])
+        s = data.draw(st.integers(0, k - 1))
+        allowed = data.draw(st.sets(st.integers(0, k - 1), min_size=1))
+        every = g.opponent_profiles(i)
+        keep = data.draw(st.none() | st.lists(st.booleans(), min_size=len(every), max_size=len(every)))
+        cols = None if keep is None else [c for c, kept in zip(every, keep) if kept]
+        for rel in (SM, WM, VWM, NWM, PEM):
+            (tag,) = rel.tags
+            w = find_dominator(g, rel, i, s, allowed, columns=cols)
+            reference = lp_dominator(g, tag, i, s, allowed, columns=cols)
+            assert (w is None) == (reference is None)
+            assert cheap_verdict(g, tag, i, s, allowed, columns=cols) in (None, w is not None)
+            if w is not None:
+                assert witness_holds(g, tag, i, s, w.dominator, cols)
+                if tag in ("WM", "NWM"):
+                    assert dict(w.dominator.weights) == reference
+
+    # player 0's payoffs by row (s) and column (L, R), then player 1's
+    CERTIFICATE_GAME = new_game(
+        [["r0", "r1", "r2"], ["L", "R"]],
+        {
+            ("r0", "L"): (2, 5), ("r0", "R"): (0, 5),
+            ("r1", "L"): (2, 4), ("r1", "R"): (1, 6),
+            ("r2", "L"): (1, 6), ("r2", "R"): (3, 4),
+        },
+    )
+
+    @pytest.mark.parametrize(
+        "tag, s, allowed, certificate",
+        [
+            ("SM", 0, (1, 2), (0, 0)),  # r0 ties the best at L
+            ("WM", 1, (0,), (1, 0)),  # r1 beats r0 at R
+            ("NWM", 1, (0,), (1, 0)),
+            ("WM", 1, (0,), (None, 0)),  # r1 is never worse than r0
+            ("NWM", 1, (0,), (None, 0)),
+            ("VWM", 1, (0,), (1, 0)),
+            ("PEM", 0, (1, 2), (1, 0)),  # player 0 at R: 0 below [1, 3]
+            ("PEM", 1, (0, 2), (0, 1)),  # player 1 at L: 4 below [5, 6]
+        ],
+    )
+    def test_certificates_hold(self, tag, s, allowed, certificate):
+        g = self.CERTIFICATE_GAME
+        assert certificate_holds(g, tag, 0, s, allowed, certificate)
+        rel = {"SM": SM, "WM": WM, "VWM": VWM, "NWM": NWM, "PEM": PEM}[tag]
+        assert find_dominator(g, rel, 0, s, allowed) is None
+        assert cheap_verdict(g, tag, 0, s, allowed) is False
+
+    @pytest.mark.parametrize(
+        "tag, s, allowed, certificate",
+        [
+            ("SM", 0, (1, 2), (1, 0)),  # SM column moved to R
+            ("SM", 0, (1, 2), (0, 1)),  # SM column read for the other player
+            ("WM", 0, (1, 2), (0, 0)),  # a tie where a strict beat is needed
+            ("WM", 1, (0,), (0, 0)),  # strict-beat column moved to L
+            ("NWM", 1, (0,), (0, 0)),
+            ("WM", 0, (1,), (None, 0)),  # never-worse, but r0 is worse at R
+            ("NWM", 1, (0,), (None, 1)),  # never-worse for the other player
+            ("SM", 1, (0,), (None, 0)),  # never-worse refutes no SM query
+            ("VWM", 1, (0,), (0, 0)),  # VWM column moved to L
+            ("VWM", 1, (0, 1), (1, 0)),  # s allowed: its point mass dominates
+            ("PEM", 0, (1, 2), (1, 1)),  # PEM player changed
+            ("PEM", 0, (1, 2), (0, 0)),  # PEM column changed
+            ("PEM", 1, (0, 1, 2), (0, 1)),  # s allowed
+        ],
+    )
+    def test_corrupted_certificates_rejected(self, tag, s, allowed, certificate):
+        assert not certificate_holds(self.CERTIFICATE_GAME, tag, 0, s, allowed, certificate)
+
+    def test_find_dominator_checks_the_certificate(self, monkeypatch):
+        monkeypatch.setattr(mixed, "_settle", lambda *query: (None, (1, 0)))
+        with pytest.raises(WitnessVerificationError):
+            find_dominator(self.CERTIFICATE_GAME, SM, 0, 0, [1, 2])
+
+    def test_weak_witnesses_stay_hereditary(self):
+        # point-mass WM witnesses (r1 over r0 for player 1) would fail here
+        g = random_game(generator_params(2, (2, 3), -2, 2, F(1, 3), 5025))
+        assert check_mixed_hereditary(g, WM).ok
 
 
 class TestMixedDominatedSet:
