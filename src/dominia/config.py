@@ -17,10 +17,6 @@ DEFAULT_MAX_STRATEGIES = 14
 # may enumerate (2**12).
 INHERENT_SUBSET_BOUND = 4096
 
-# Cap on the number of candidate equality sets the nice-weak-mixed decision
-# may enumerate after pruning forced columns (2**12).
-EQUALITY_SET_BOUND = 4096
-
 
 def max_total_strategies() -> int:
     raw = os.environ.get("DOMINIA_MAX_STRATEGIES")

@@ -31,9 +31,10 @@ from .mixed import MixedWitness, _checked_columns, find_dominator, point_mass
 from .pure import _holds
 from .relations import SM, Relation
 
-# strict counterpart used by the positive shortcut, and the pure analog used
-# for cheap point-mass scans
-_STRICT_OF = {"W": "S", "NW": "S", "VW": "S", "WM": "SM", "NWM": "SM", "VWM": "SM"}
+# strict counterpart used by the positive shortcut (a relation is all pure or
+# all mixed, so it is S or SM), and the pure analog used for cheap point-mass
+# scans
+_STRICT_OF = {"S": "S", "W": "S", "NW": "S", "VW": "S", "SM": "SM", "WM": "SM", "NWM": "SM", "VWM": "SM"}
 _PURE_OF = {"SM": "S", "WM": "W", "VWM": "VW", "NWM": "NW", "PEM": "PE"}
 _POINTWISE = {"S", "VW", "PE", "SM", "VWM", "PEM"}
 
@@ -115,16 +116,13 @@ def is_inherently_dominated(
     if pointwise and not want_table:
         return InherentResult(True, witness_table={full: full_witness})
 
-    if not want_table:
-        strict_tags = {t for tag in base.tags for t in ([_STRICT_OF.get(tag)] if tag in _STRICT_OF else [tag])}
-        strict_tags.discard(None)
-        strict_rel_tags = tuple(t for t in ("S", "SM") if t in strict_tags)
-        for tag in strict_rel_tags:
-            if tag == "S":
-                if _pure_dominator_on(game, "S", i, s, allowed, full) is not None:
-                    return InherentResult(True, witness_table={full: full_witness})
-            elif find_dominator(game, SM, i, s, allowed, columns=full) is not None:
-                return InherentResult(True, witness_table={full: full_witness})
+    if not want_table and any(tag in _STRICT_OF for tag in base.tags):
+        if base.mixed:
+            strict = find_dominator(game, SM, i, s, allowed, columns=full)
+        else:
+            strict = _pure_dominator_on(game, "S", i, s, allowed, full)
+        if strict is not None:
+            return InherentResult(True, witness_table={full: full_witness})
 
     bound = subset_bound if subset_bound is not None else config.INHERENT_SUBSET_BOUND
     table: dict = {}

@@ -41,13 +41,12 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from . import config, lp
+from . import lp
 from .errors import (
     DegenerateSubstitution,
     DominiaError,
     EmptySupport,
     IndexOutOfRange,
-    SizeBoundExceeded,
 )
 from .game import Game, restrict
 from .lp import EQ, GE, ONE, ZERO, LinearConstraint
@@ -378,18 +377,29 @@ def _settle(pay, tag, i, s, allowed):
     return None, None
 
 
-def _margin_problem(k: int, cons) -> lp.LpProblem:
-    """Maximize a free margin variable after k nonnegative weights."""
-    return lp.problem(k + 1, cons, [0] * k + [1], "max", [True] * k + [False])
+def _margin_lp(pay, i, s, allowed, ties, margin) -> lp.LpOutcome:
+    """Maximize a free margin z over the weights on ``allowed`` (summing to
+    1): every player's payoff equals s's on the columns ``ties`` (in that
+    order), and player i's payoff is at least s's on every other column,
+    less z on the columns in ``margin``."""
+    k = len(allowed)
+    tied = set(ties)
+    cons = [LinearConstraint((*(rows[c][t] for t in allowed), 0), EQ, rows[c][s]) for c in ties for rows in pay]
+    cons.extend(
+        LinearConstraint((*(row[t] for t in allowed), -1 if c in margin else 0), GE, row[s])
+        for c, row in enumerate(pay[i])
+        if c not in tied
+    )
+    cons.append(LinearConstraint((1,) * k + (0,), EQ, 1))
+    return lp.solve(lp.problem(k + 1, cons, [0] * k + [1], "max", [True] * k + [False]))
 
 
 def _decide_sm(pay, i, s, allowed):
-    k = len(allowed)
-    cons = [LinearConstraint((*(row[t] for t in allowed), -1), GE, row[s]) for row in pay[i]]
-    cons.append(LinearConstraint((1,) * k + (0,), EQ, 1))
-    out = lp.solve(_margin_problem(k, cons))
-    if out.optimal and out.value > 0:
-        return _weights_from_point(allowed, out.point[:k])
+    out = _margin_lp(pay, i, s, allowed, (), range(len(pay[i])))
+    if out.status == "unbounded":  # no columns: every mix dominates vacuously
+        return {allowed[0]: ONE}
+    if out.value > 0:
+        return _weights_from_point(allowed, out.point[:-1])
     return None
 
 
@@ -430,54 +440,35 @@ def _decide_pem(pay, i, s, allowed):
 
 
 def _decide_nwm(pay, i, s, allowed):
-    """Nice weak mixed dominance via equality-set enumeration.
+    """Nice weak mixed dominance by implicit equalities (Schrijver 1986,
+    §8.2), after the WM pre-check.
 
-    Past the WM pre-check (which also refutes a column where s beats every
-    allowed t, and a query where every column is a forced tie, though the
-    cheap test in :func:`find_dominator` settles those first), columns where
-    strictness is impossible are forced ties; columns where a tie is
-    impossible are forced strict; the remaining ambiguous columns are
-    enumerated (smallest sets first).  One margin-maximizing LP decides each
-    candidate equality set exactly.
+    P_T is the set of mixes that give every player s's payoff on the columns
+    T and give player i at least s's payoff elsewhere.  Every witness lies
+    in P_T for T the forced ties (no allowed t beats s there) grown by
+    P_T's implicit equalities (columns where all of P_T ties), since a
+    witness that ties somewhere matches every player there.  Each round's
+    margin LP over the columns outside T decides: above 0, its point ties
+    exactly on T and is a witness; infeasible or below 0, P_T is empty; at
+    0, some column is an implicit equality (else the mean of points strict
+    on each would be strict on all), and each column whose own margin LP
+    has optimum 0 joins T.  The added columns follow the forced ties in
+    ascending order, so the witness does not depend on when a column joined.
     """
     if _decide_wm(pay, i, s, allowed) is None:
         return None
     mine = pay[i]
-    forced_tie = []
-    ambiguous = []
-    for c, row in enumerate(mine):
-        vals = [row[t] for t in allowed]
-        hi, lo = max(vals), min(vals)
-        if hi == row[s]:
-            forced_tie.append(c)
-        elif lo <= row[s]:
-            ambiguous.append(c)
-    if 2 ** len(ambiguous) > config.EQUALITY_SET_BOUND:
-        raise SizeBoundExceeded(
-            f"{len(ambiguous)} ambiguous columns exceed the equality-set bound"
-        )
-    k = len(allowed)
-    by_column = list(zip(*pay))
-    for size in range(len(ambiguous) + 1):
-        for extra in itertools.combinations(ambiguous, size):
-            ties = forced_tie + list(extra)
-            if len(ties) == len(mine):
-                continue
-            tie_set = set(ties)
-            cons = [
-                LinearConstraint((*(row[t] for t in allowed), 0), EQ, row[s])
-                for c in ties
-                for row in by_column[c]
-            ]
-            cons.extend(
-                LinearConstraint((*(row[t] for t in allowed), -1), GE, row[s])
-                for c, row in enumerate(mine)
-                if c not in tie_set
-            )
-            cons.append(LinearConstraint((1,) * k + (0,), EQ, 1))
-            out = lp.solve(_margin_problem(k, cons))
-            if out.optimal and out.value > 0:
-                return _weights_from_point(allowed, out.point[:k])
+    every = range(len(mine))
+    ties = [c for c in every if max([mine[c][t] for t in allowed]) == mine[c][s]]
+    forced = len(ties)
+    while len(ties) < len(mine):
+        out = _margin_lp(pay, i, s, allowed, ties, every)
+        if not out.optimal or out.value < 0:
+            return None
+        if out.value > 0:
+            return _weights_from_point(allowed, out.point[:-1])
+        implicit = [c for c in every if c not in ties and _margin_lp(pay, i, s, allowed, ties, (c,)).value == 0]
+        ties[forced:] = sorted(ties[forced:] + implicit)
     return None
 
 
@@ -581,7 +572,7 @@ def mixed_dominated_set(
 ) -> list[list[MixedWitness]]:
     """One witness per strategy dominated by a mix supported on the given
     survivor sets (defaults: all strategies).  Deterministic: the LP pivot
-    rule and the equality-set enumeration order are fixed."""
+    rule and the order of every LP's constraints are fixed."""
     out: list[list[MixedWitness]] = []
     for i in range(game.n):
         allowed = (

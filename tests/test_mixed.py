@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -30,7 +31,7 @@ from dominia.gallery import (
     redundant_middle_3x2,
     trivial_1x1,
 )
-from dominia import mixed
+from dominia import lp, mixed
 from dominia.mixed import (
     WitnessVerificationError,
     certificate_holds,
@@ -41,6 +42,55 @@ from dominia.mixed import (
 )
 
 G11 = nonconfluent_weak_2x2()
+
+
+def _draw_query(g, data):
+    """A player, a strategy s, an allowed support with or without s, and
+    the columns: every opponent profile (None) or a random subset."""
+    i = data.draw(st.integers(0, g.n - 1))
+    k = len(g.strategies[i])
+    s = data.draw(st.integers(0, k - 1))
+    allowed = data.draw(st.sets(st.integers(0, k - 1), min_size=1))
+    every = g.opponent_profiles(i)
+    keep = data.draw(st.none() | st.lists(st.booleans(), min_size=len(every), max_size=len(every)))
+    cols = None if keep is None else [c for c, kept in zip(every, keep) if kept]
+    return i, s, allowed, cols
+
+
+def _nwm_by_enumeration(pay, i, s, allowed):
+    """Nice weak mixed dominance by enumerating tie sets, the reference for
+    the package's implicit-equality decider.  Columns where no allowed t
+    beats s always tie; the other columns where some allowed t is no better
+    than s are tried as extra ties, smallest sets first.  One LP per set
+    maximizes a margin over the untied columns while every player's payoff
+    matches s's on the tied ones; the first positive margin gives the
+    witness.  ``pay[j]`` holds player j's payoff rows, one per column."""
+    mine = pay[i]
+    forced_tie, ambiguous = [], []
+    for c, row in enumerate(mine):
+        vals = [row[t] for t in allowed]
+        if max(vals) == row[s]:
+            forced_tie.append(c)
+        elif min(vals) <= row[s]:
+            ambiguous.append(c)
+    k = len(allowed)
+    by_column = list(zip(*pay))
+    for size in range(len(ambiguous) + 1):
+        for extra in itertools.combinations(ambiguous, size):
+            ties = forced_tie + list(extra)
+            if len(ties) == len(mine):
+                continue
+            cons = [lp.constraint((*(row[t] for t in allowed), 0), lp.EQ, row[s]) for c in ties for row in by_column[c]]
+            cons.extend(
+                lp.constraint((*(row[t] for t in allowed), -1), lp.GE, row[s])
+                for c, row in enumerate(mine)
+                if c not in ties
+            )
+            cons.append(lp.constraint((1,) * k + (0,), lp.EQ, 1))
+            out = lp.solve(lp.problem(k + 1, cons, [0] * k + [1], "max", [True] * k + [False]))
+            if out.optimal and out.value > 0:
+                return {t: v for t, v in zip(allowed, out.point) if v != 0}
+    return None
 
 
 class TestMixedStrategy:
@@ -221,18 +271,48 @@ class TestFindDominator:
         assert w is not None
         assert dict(w.dominator.weights) == {0: F(3, 4), 2: F(1, 4)}
 
+    @pytest.mark.parametrize("rel, dominated", [(SM, True), (VWM, True), (PEM, True), (WM, False), (NWM, False)])
+    def test_over_no_columns(self, rel, dominated):
+        # every mix dominates vacuously under SM, VWM and PEM; WM and NWM
+        # need a column where the mix is strictly better
+        (tag,) = rel.tags
+        w = find_dominator(G11, rel, 0, 0, [1], columns=[])
+        assert (w is not None) == dominated
+        assert (lp_dominator(G11, tag, 0, 0, [1], columns=[]) is not None) == dominated
+
+    def test_nwm_with_many_ambiguous_columns(self):
+        # 14 of player 2's 16 columns could tie or be strict, too many to
+        # enumerate tie sets; vertex enumeration (perfbench/known.py) also
+        # finds no NWM dominator
+        g = random_game(generator_params(3, (4, 4, 4), -1, 1, F(1, 4), 7034))
+        assert find_dominator(g, NWM, 2, 0, (0, 1, 2, 3)) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(helpers.small_games(), helpers.small_games(0, 1)), st.data())
+    def test_nwm_matches_tie_set_enumeration(self, g, data):
+        i, s, allowed, cols = _draw_query(g, data)
+        allowed, _, pay = mixed._query(g, i, s, allowed, cols)
+        assert lp_dominator(g, "NWM", i, s, allowed, columns=cols) == _nwm_by_enumeration(pay, i, s, allowed)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 4), (2, 2, 3)])
+    def test_nwm_matches_tie_set_enumeration_on_seeded_games(self, shape):
+        # payoffs 0..1 with duplicated cells tie often enough that dozens of
+        # these queries add implicit equalities in a second round, which
+        # the hypothesis games above almost never need
+        for seed in range(40):
+            g = random_game(generator_params(len(shape), shape, 0, 1, F(1, 4), seed))
+            for i, k in enumerate(shape):
+                for s in range(k):
+                    for allowed in (tuple(t for t in range(k) if t != s), tuple(range(k))):
+                        _, _, pay = mixed._query(g, i, s, allowed, None)
+                        assert lp_dominator(g, "NWM", i, s, allowed) == _nwm_by_enumeration(pay, i, s, allowed)
+
 
 class TestCheapTests:
     @settings(max_examples=150, deadline=None)
     @given(helpers.small_games(), st.data())
     def test_cheap_tests_agree_with_the_lp_deciders(self, g, data):
-        i = data.draw(st.integers(0, g.n - 1))
-        k = len(g.strategies[i])
-        s = data.draw(st.integers(0, k - 1))
-        allowed = data.draw(st.sets(st.integers(0, k - 1), min_size=1))
-        every = g.opponent_profiles(i)
-        keep = data.draw(st.none() | st.lists(st.booleans(), min_size=len(every), max_size=len(every)))
-        cols = None if keep is None else [c for c, kept in zip(every, keep) if kept]
+        i, s, allowed, cols = _draw_query(g, data)
         for rel in (SM, WM, VWM, NWM, PEM):
             (tag,) = rel.tags
             w = find_dominator(g, rel, i, s, allowed, columns=cols)
