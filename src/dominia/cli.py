@@ -27,6 +27,7 @@ from .equivalence import equivalent
 from .errors import DominiaError, ParseError, SizeBoundExceeded
 from .gameio import (
     confluence_report_to_dict,
+    counterexample_to_dict,
     game_to_dict,
     parse_game,
     path_to_dict,
@@ -108,7 +109,7 @@ def _cmd_check(args) -> int:
         return EXIT_OK if result else EXIT_COUNTEREXAMPLE
     doc = {"property": args.property, "ok": result.ok}
     if not result.ok:
-        doc["counterexample"] = repr(result.counterexample)
+        doc["counterexample"] = counterexample_to_dict(game, args.property, result.counterexample)
     _emit(doc)
     return EXIT_OK if result.ok else EXIT_COUNTEREXAMPLE
 

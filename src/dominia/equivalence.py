@@ -15,7 +15,7 @@ from typing import Optional
 
 from .game import Game, restrict
 from .mixed import find_dominator
-from .pure import _check_bound
+from .pure import _check_bound, _kept_columns
 from .relations import PEM
 
 
@@ -136,25 +136,15 @@ def fully_reduce(game: Game, bound: Optional[int] = None) -> Game:
     (payoff equivalent, for every player, to a mix of surviving strategies)
     until none remains; the least-index redundant strategy goes first."""
     _check_bound(game, bound)
-    current = game
+    kept = [list(range(k)) for k in game.shape]
     while True:
-        removed = False
-        for i in range(current.n):
-            k = len(current.strategies[i])
-            if k < 2:
-                continue
-            for s in range(k):
-                others = [t for t in range(k) if t != s]
-                if find_dominator(current, PEM, i, s, others) is not None:
-                    keep = [tuple(range(len(current.strategies[j]))) for j in range(current.n)]
-                    keep[i] = tuple(others)
-                    current = restrict(current, keep)
-                    removed = True
-                    break
-            if removed:
+        for i, s in ((i, s) for i in range(game.n) if len(kept[i]) > 1 for s in kept[i]):
+            others = [t for t in kept[i] if t != s]
+            if find_dominator(game, PEM, i, s, others, columns=_kept_columns(kept, i)) is not None:
+                kept[i] = others
                 break
-        if not removed:
-            return current
+        else:
+            return game if tuple(map(len, kept)) == game.shape else restrict(game, kept)
 
 
 def partition_by_equivalence(games) -> list[list[int]]:

@@ -10,7 +10,8 @@ Game documents look like::
 ``payoffs`` nests one array level per player, indexed by strategy position;
 the innermost entry lists one rational string per player.  Parsing accepts
 integers and non-reduced fractions ("6/4" becomes "3/2") and rejects anything
-inexact; serialization is canonical, so parse-then-serialize is idempotent.
+inexact, and exponent notation; serialization is canonical, so
+parse-then-serialize is idempotent.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ def _parse_rational(value: Any, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction reads exponents, and "1e10000000" alone takes seconds
+        if "e" in value.lower():
+            raise ParseError(f"{where}: exponent notation is not accepted, got {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -47,7 +51,7 @@ def game_from_dict(doc: dict) -> Game:
         payoffs = doc["payoffs"]
     except KeyError as exc:
         raise ParseError(f"missing field {exc.args[0]!r}") from None
-    if not isinstance(players, int) or players < 1:
+    if isinstance(players, bool) or not isinstance(players, int) or players < 1:
         raise ParseError(f"players must be a positive integer, got {players!r}")
     if not isinstance(strategies, list) or len(strategies) != players:
         raise ParseError("strategies must list one label array per player")
@@ -143,4 +147,25 @@ def confluence_report_to_dict(report: ConfluenceReport) -> dict:
     }
     if report.counterexample is not None:
         doc["counterexample"] = [game_to_dict(g) for g in report.counterexample]
+    return doc
+
+
+def counterexample_to_dict(game: Game, prop: str, counterexample) -> dict:
+    """A ``dominia check`` property's counterexample in strategy labels: for
+    "tdi", the deciding player, the player whose payoff breaks the tie, the
+    two strategies and the column (null at the player's slot); otherwise the
+    witness pair with the kept "subset" (iiia) or the restriction's kept sets."""
+    labels = game.strategies
+    if prop == "tdi":
+        i, j, r, t, col = counterexample
+        profile = [None if k == i else labels[k][c] for k, c in enumerate(col)]
+        return {"player": i, "other_player": j, "strategies": [labels[i][r], labels[i][t]], "profile": profile}
+    if prop == "iiia":
+        i, subset, w = counterexample
+        doc = {"subset": [labels[i][s] for s in subset]}
+    else:
+        kept, w = counterexample
+        doc = {"kept": [[labels[k][s] for s in ks] for k, ks in enumerate(kept)]}
+    mine = labels[w.player]
+    doc.update(player=w.player, dominated=mine[w.dominated], dominator=mine[w.dominator], relation=w.relation)
     return doc

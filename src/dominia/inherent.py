@@ -28,7 +28,7 @@ from . import config
 from .errors import SizeBoundExceeded
 from .game import Game
 from .mixed import MixedWitness, _checked_columns, find_dominator, point_mass
-from .pure import _holds
+from .pure import _masks, _met
 from .relations import SM, Relation
 
 # strict counterpart used by the positive shortcut (a relation is all pure or
@@ -59,29 +59,6 @@ class InherentResult:
         return self.dominated
 
 
-def _pure_dominator_on(game, tag, i, s, allowed, cols) -> Optional[int]:
-    for t in allowed:
-        if _holds(game, tag, i, s, t, cols):
-            return t
-    return None
-
-
-def _dominated_given(game, base: Relation, i, s, allowed, cols):
-    """A dominator for ``s`` on the sub-game with opponent profiles ``cols``,
-    or None.  Pure bases scan; mixed bases scan point masses then solve."""
-    if not base.mixed:
-        for tag in base.tags:
-            t = _pure_dominator_on(game, tag, i, s, allowed, cols)
-            if t is not None:
-                return t
-        return None
-    for tag in base.tags:
-        t = _pure_dominator_on(game, _PURE_OF[tag], i, s, allowed, cols)
-        if t is not None:
-            return MixedWitness(i, s, point_mass(i, t), tag)
-    return find_dominator(game, base, i, s, allowed, columns=cols)
-
-
 def is_inherently_dominated(
     game: Game,
     query: InherentQuery,
@@ -106,10 +83,24 @@ def is_inherently_dominated(
     # would dominate s
     allowed = tuple(t for t in pool if t != s)
     full = _checked_columns(game, i, columns)
+    # per allowed t, the (fail, need) column bitsets of each base tag (its
+    # pure analog for a mixed base: point masses first) and then of S
+    tags = tuple(_PURE_OF[tag] if base.mixed else tag for tag in base.tags)
+    masks = [(t, _masks(game, tags + ("S",), i, s, t, full)) for t in allowed]
+
+    def dominator(subset, bits):
+        """A dominator for s over the profiles ``subset`` (bitset ``bits``
+        over ``full``), or None."""
+        for k, tag in enumerate(base.tags):
+            for t, m in masks:
+                if _met(m[k : k + 1], bits):
+                    return MixedWitness(i, s, point_mass(i, t), tag) if base.mixed else t
+        return find_dominator(game, base, i, s, allowed, columns=subset) if base.mixed else None
 
     # full profile set is one of the quantified subsets: a cheap complete
     # negative test, and decisive for pointwise bases
-    full_witness = _dominated_given(game, base, i, s, allowed, full) if allowed else None
+    every = (1 << len(full)) - 1
+    full_witness = dominator(full, every) if allowed else None
     if full_witness is None:
         return InherentResult(False, failing_subset=full)
     pointwise = all(tag in _POINTWISE for tag in base.tags)
@@ -118,27 +109,24 @@ def is_inherently_dominated(
 
     if not want_table and any(tag in _STRICT_OF for tag in base.tags):
         if base.mixed:
-            strict = find_dominator(game, SM, i, s, allowed, columns=full)
+            strict = find_dominator(game, SM, i, s, allowed, columns=full) is not None
         else:
-            strict = _pure_dominator_on(game, "S", i, s, allowed, full)
-        if strict is not None:
+            strict = any(_met(m[-1:], every) for _, m in masks)
+        if strict:
             return InherentResult(True, witness_table={full: full_witness})
 
     bound = subset_bound if subset_bound is not None else config.INHERENT_SUBSET_BOUND
     table: dict = {}
     checked = 0
     for size in range(1, len(full) + 1):
-        for subset in itertools.combinations(full, size):
+        for picked in itertools.combinations(range(len(full)), size):
             checked += 1
             if checked > bound:
                 raise SizeBoundExceeded(
                     f"inherent dominance would enumerate more than {bound} profile subsets"
                 )
-            w = (
-                full_witness
-                if subset == full
-                else _dominated_given(game, base, i, s, allowed, subset)
-            )
+            subset = tuple(full[k] for k in picked)
+            w = full_witness if size == len(full) else dominator(subset, sum(1 << k for k in picked))
             if w is None:
                 return InherentResult(False, failing_subset=subset)
             if want_table:

@@ -50,7 +50,7 @@ from .errors import (
 )
 from .game import Game, restrict
 from .lp import EQ, GE, ONE, ZERO, LinearConstraint
-from .pure import CheckOutcome, _check_bound, restrictions
+from .pure import CheckOutcome, _check_bound, _kept_columns, restrictions
 from .relations import Relation
 
 # Count of witnesses that passed direct re-verification since import; the
@@ -591,8 +591,9 @@ def mixed_dominated_set(
 
 
 def check_mixed_hereditary(game: Game, relation: Relation, bound=None) -> CheckOutcome:
-    """Re-check each full-game witness, unchanged, in every restriction that
-    contains the dominated strategy and the witness support.
+    """Re-check each full-game witness, unchanged, over the kept profiles of
+    every restriction that contains the dominated strategy and the witness
+    support.
 
     This tests the fixed witnesses the decision procedures produce; a reported
     counterexample is always genuine."""
@@ -604,17 +605,12 @@ def check_mixed_hereditary(game: Game, relation: Relation, bound=None) -> CheckO
             if w is not None:
                 witnesses.append(w)
     for kept in restrictions(game):
-        sub = None
         for w in witnesses:
             i = w.player
             needed = set(w.dominator.support) | {w.dominated}
-            if not needed <= set(kept[i]):
-                continue
-            if sub is None:
-                sub = restrict(game, kept)
-            local = {p: kept[i].index(p) for p in needed}
-            m_local = mixed_strategy(i, {local[t]: v for t, v in w.dominator.weights})
-            if not witness_holds(sub, w.relation, i, local[w.dominated], m_local):
+            if needed <= set(kept[i]) and not witness_holds(
+                game, w.relation, i, w.dominated, w.dominator, columns=_kept_columns(kept, i)
+            ):
                 return CheckOutcome(False, (kept, w))
     return CheckOutcome(True)
 

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 from . import config
 from .errors import SizeBoundExceeded
 from .game import Game, restrict
-from .relations import Relation
+from .relations import COMPAT, Relation
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,7 @@ def dominates(game: Game, relation: Relation, player: int, dominated: int, domin
 def compatible(game: Game, player: int, s: int, t: int) -> bool:
     """Whenever s and t tie in player's own payoff at some opponents' profile,
     they tie for every player there."""
-    game._check_strategy(player, s)
-    game._check_strategy(player, t)
-    return _holds(game, "COMPAT", player, s, t, game.opponent_profiles(player))
+    return dominates(game, COMPAT, player, s, t)
 
 
 def dominated_set(game: Game, relation: Relation) -> list[list[DominanceWitness]]:
@@ -161,19 +159,23 @@ def restrictions(game: Game) -> Iterator[tuple[tuple[int, ...], ...]]:
     ))
 
 
-def _first_in_restrictions(game: Game, bound: Optional[int], tag: str, holds, fails) -> CheckOutcome:
-    """Over every restriction and ordered pair r != t of one player's
+def _kept_columns(kept, i: int) -> list[tuple[int, ...]]:
+    """Player i's opponent profiles within the restriction ``kept``, in root
+    indices with player i's slot -1: the columns a question about that
+    restriction asks of the root game."""
+    return list(itertools.product(*kept[:i], (-1,), *kept[i + 1 :]))
+
+
+def _first_in_restrictions(game: Game, bound: Optional[int], tag: str, fails) -> CheckOutcome:
+    """Over every restriction and ordered pair r != t of one player's kept
     strategies, the first (kept-sets, witness) where r is TAG-dominated by t
-    under each tag of ``holds`` and under no tag of ``fails``."""
+    and under no tag of ``fails``, asked of the root over the kept profiles."""
     _check_bound(game, bound)
     for kept in restrictions(game):
-        sub = restrict(game, kept)
-        for i in range(sub.n):
-            cols = sub.opponent_profiles(i)
-            for r, t in itertools.permutations(range(len(sub.strategies[i])), 2):
-                if all(_holds(sub, tg, i, r, t, cols) for tg in holds) and not any(
-                    _holds(sub, tg, i, r, t, cols) for tg in fails
-                ):
+        for i in range(game.n):
+            cols = _kept_columns(kept, i)
+            for r, t in itertools.permutations(kept[i], 2):
+                if _holds(game, tag, i, r, t, cols) and not any(_holds(game, f, i, r, t, cols) for f in fails):
                     return CheckOutcome(False, (kept, DominanceWitness(i, r, t, tag)))
     return CheckOutcome(True)
 
@@ -184,13 +186,13 @@ def check_tdi_plus(game: Game, bound: Optional[int] = None) -> CheckOutcome:
     A counterexample is (kept-sets, witness) for the first restriction where
     some weakly dominating pair is incompatible.
     """
-    return _first_in_restrictions(game, bound, "W", ("W",), ("COMPAT",))
+    return _first_in_restrictions(game, bound, "W", ("COMPAT",))
 
 
 def check_tdi_plus_plus(game: Game, bound: Optional[int] = None) -> CheckOutcome:
     """TDI++ : in every restriction, very weak dominance is weak dominance or
     payoff equivalence."""
-    return _first_in_restrictions(game, bound, "VW", ("VW",), ("W", "PE"))
+    return _first_in_restrictions(game, bound, "VW", ("W", "PE"))
 
 
 # -- structural properties ---------------------------------------------------
@@ -225,14 +227,8 @@ def is_hereditary(game: Game, relation: Relation, bound: Optional[int] = None) -
             if tag is not None:
                 pairs.append((i, s, t, tag))
     for kept in restrictions(game):
-        sub = None
         for (i, s, t, tag) in pairs:
-            if s not in kept[i] or t not in kept[i]:
-                continue
-            if sub is None:
-                sub = restrict(game, kept)
-            ls, lt = kept[i].index(s), kept[i].index(t)
-            if not dominates(sub, relation, i, ls, lt):
+            if s in kept[i] and t in kept[i] and not dominates(game, relation, i, s, t, _kept_columns(kept, i)):
                 return CheckOutcome(False, (kept, DominanceWitness(i, s, t, tag)))
     return CheckOutcome(True)
 

@@ -16,6 +16,8 @@ from dominia import (
 from dominia.cli import main
 from dominia.errors import InvalidParams, ParseError
 from dominia.gallery import nonconfluent_weak_2x2
+from dominia.gameio import counterexample_to_dict
+from dominia.pure import DominanceWitness
 from dominia.relations import Inherent, W, parse_relation
 
 G11 = nonconfluent_weak_2x2()
@@ -61,6 +63,24 @@ class TestGameIo:
         doc["payoffs"][0] = doc["payoffs"][0][:1]
         with pytest.raises(ParseError):
             parse_game(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", ["1e5", "2E-3", "1.5e1"])
+    def test_exponent_notation_rejected(self, value):
+        doc = json.loads(G11_JSON)
+        doc["payoffs"][0][1][0] = value
+        with pytest.raises(ParseError, match=r"payoffs\[0, 1\]\[0\]"):
+            parse_game(json.dumps(doc))
+
+    def test_boolean_players_rejected(self):
+        doc = {"players": True, "strategies": [["T"]], "payoffs": [["1"]]}
+        with pytest.raises(ParseError):
+            parse_game(json.dumps(doc))
+
+    def test_iiia_counterexample_in_labels(self):
+        w = DominanceWitness(1, 1, 0, "W")
+        assert counterexample_to_dict(G11, "iiia", (1, (0, 1), w)) == {
+            "subset": ["L", "R"], "player": 1, "dominated": "R", "dominator": "L", "relation": "W",
+        }
 
     def test_not_json_rejected(self):
         with pytest.raises(ParseError):
@@ -204,6 +224,25 @@ class TestCli:
         path = self._write_game(tmp_path, G11)
         code = main(["check", "--game", path, "--property", "hereditary", "--relation", "W"])
         assert code == 1
+        assert json.loads(capsys.readouterr().out)["counterexample"] == {
+            "kept": [["T"], ["L", "R"]], "player": 1, "dominated": "R", "dominator": "L", "relation": "W",
+        }
+
+    def test_check_tdi_counterexamples_in_labels(self, tmp_path, capsys):
+        path = self._write_game(tmp_path, random_game(generator_params(2, (3, 3), -2, 2, 0, 0)))
+        assert main(["check", "--game", path, "--property", "tdi++"]) == 1
+        doc = json.loads(capsys.readouterr().out)["counterexample"]
+        assert (doc["kept"], doc["dominated"], doc["dominator"]) == ([["a1"], ["b1", "b3"]], "b1", "b3")
+        assert main(["check", "--game", path, "--property", "tdi"]) == 1
+        assert json.loads(capsys.readouterr().out)["counterexample"] == {
+            "player": 0, "other_player": 1, "strategies": ["a1", "a2"], "profile": [None, "b2"],
+        }
+
+    def test_exponent_payoff_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(G11_JSON.replace('"1", "0"', '"1e10000000", "0"'))
+        assert main(["check", "--game", str(path), "--property", "tdi"]) == 2
+        assert "exponent" in capsys.readouterr().err
 
     @pytest.mark.parametrize("prop", ["hereditary", "iiia", "spo"])
     def test_pure_property_rejects_mixed_relation(self, tmp_path, capsys, prop):

@@ -33,7 +33,7 @@ from dominia.gallery import (
     nonconfluent_weak_2x2,
     trivial_1x1,
 )
-from dominia.pure import restrictions
+from dominia.pure import DominanceWitness, restrictions
 
 G11 = nonconfluent_weak_2x2()
 
@@ -192,6 +192,28 @@ class TestTdiFamily:
         g = new_game([["T", "B"], ["L"]], {("T", "L"): (0, 1), ("B", "L"): (0, 0)})
         out = check_tdi_plus_plus(g)
         assert not out.ok
+
+    def test_tdi_plus_plus_witness_in_root_indices(self):
+        g = random_game(generator_params(2, (3, 3), -2, 2, 0, 0))
+        out = check_tdi_plus_plus(g)
+        assert out.counterexample == (((0,), (0, 2)), DominanceWitness(1, 0, 2, "VW"))
+
+    def test_tdi_plus_counterexamples_hold_on_kept_profiles(self, small_games):
+        # W and not COMPAT for TDI+; VW and neither W nor PE for TDI++
+        seen = 0
+        for g in small_games:
+            for check, holds, fails in ((check_tdi_plus, W, COMPAT), (check_tdi_plus_plus, VW, union(W, PE))):
+                out = check(g)
+                if out.ok:
+                    continue
+                seen += 1
+                kept, w = out.counterexample
+                i = w.player
+                assert w.dominated in kept[i] and w.dominator in kept[i]
+                cols = list(itertools.product(*kept[:i], (-1,), *kept[i + 1 :]))
+                assert dominates(g, holds, i, w.dominated, w.dominator, columns=cols)
+                assert not dominates(g, fails, i, w.dominated, w.dominator, columns=cols)
+        assert seen
 
     def test_tdi_iff_all_pairs_compatible(self, small_games):
         for g in small_games:
