@@ -24,12 +24,31 @@ the state's kept profiles meet no fail bit and some need bit.  Mixed and
 inherent answers are memoized on (player, s, allowed set, opponents' kept
 bits).  Searches on one root inside one public call share the layer.  Reach
 sets are int bitsets, built bottom-up: every step removes strategies.
+
+Exact clones (strategies of one player with identical payoff vectors, for
+every player, in every opponent profile) are interchangeable: permuting them
+is an automorphism of the root, and every relation here is defined by
+payoffs alone, so it commutes with every successor relation.  A _Search
+takes clone classes; a choice removes a count from each class, always its
+highest-indexed kept members, so from a canonical state (each class keeps
+its lowest-indexed members) every successor is canonical.  The full search
+is the same code with singleton classes.  The quotient is used only where it
+is exact: ``normal_forms`` in both modes (each canonical normal form is
+expanded over its orbit, ``explored_states`` sums orbit sizes, and renaming
+classes are unions of orbits) and weak confluence up to renaming (renaming
+classes, and so reach sets of class labels, are the same across an orbit).
+Plain weak confluence and left commutation ask whether two reach sets share
+a state, which orbits do not decide, and ``successors``, ``single_step_trace``
+and ``maximal_reduce`` report single states; these, one-at-a-time and
+one-step closure stay on the full search.  So does every counterexample: it
+is the first failure in full BFS order, which the quotient does not follow.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -37,7 +56,7 @@ from .game import Game, restrict
 from .inherent import InherentQuery, is_inherently_dominated
 from .mixed import _checked_columns, find_dominator
 from .pure import CheckOutcome, _check_bound, _masks, _met
-from .equivalence import partition_by_equivalence
+from .equivalence import clone_classes, partition_by_equivalence
 from .relations import Inherent, Relation, union
 
 STRICT, LOOSE = "strict", "loose"
@@ -118,6 +137,12 @@ class _Dominance:
         self._pairs: dict = {}
         self._memo: dict = {}
 
+    @functools.cached_property
+    def clones(self) -> list[list[int]]:
+        """Per player, the root's exact-clone classes as masks (bit s for
+        strategy s)."""
+        return [[sum(1 << s for s in c) for c in classes] for classes in clone_classes(self.root)]
+
     def kept(self, state: int, i: int) -> int:
         """Player i's kept strategies, bit s for strategy s."""
         return state >> self.off[i] & self.full[i]
@@ -195,31 +220,92 @@ class _Dominance:
 
 
 class _Search:
-    """Memoized exploration of one (root, spec) reduction system."""
+    """Memoized exploration of one (root, spec) reduction system.
 
-    def __init__(self, layer: _Dominance, spec: RelationSpec):
+    ``classes`` gives per player the masks of the strategy classes whose
+    members the search treats as interchangeable: every removal takes the
+    highest-indexed kept members of a class.  With singleton classes (the
+    default) this is the full search; :meth:`quotient` gives the search over
+    canonical states."""
+
+    def __init__(self, layer: _Dominance, spec: RelationSpec, classes: Optional[list[list[int]]] = None):
         self.layer = layer
         self.spec = spec
         self.start = layer.start
         self.game = layer.game
         self.key = layer.key
+        self.classes = classes or [[1 << s for s in range(k)] for k in layer.root.shape]
         self._succ: dict[int, tuple[int, ...]] = {}
+
+    def quotient(self) -> _Search:
+        """This search on canonical states only: those that keep, in each
+        exact-clone class of the root, its lowest-indexed members.  Permuting
+        clones is an automorphism of the root, so a removal's validity does
+        not change under the permutations that fix a state; the canonical
+        successors of a canonical state are therefore one per orbit of its
+        full successors."""
+        clones = self.layer.clones
+        if sum(map(len, clones)) == self.layer.off[-1]:
+            return self  # no clones: every state is canonical
+        return _Search(self.layer, self.spec, clones)
+
+    def orbit(self, state: int) -> list[int]:
+        """Every state with the same kept count in each class as ``state``."""
+        parts = []
+        for i, classes in enumerate(self.classes):
+            kept, off = self.layer.kept(state, i), self.layer.off[i]
+            for cls in classes:
+                members = _bits(cls)
+                parts.append([
+                    sum(1 << off + s for s in c)
+                    for c in itertools.combinations(members, (kept & cls).bit_count())
+                ])
+        return [sum(p) for p in itertools.product(*parts)]
+
+    def orbit_size(self, state: int) -> int:
+        """``len(self.orbit(state))``, as a product of binomials."""
+        return math.prod(
+            math.comb(cls.bit_count(), (self.layer.kept(state, i) & cls).bit_count())
+            for i, classes in enumerate(self.classes)
+            for cls in classes
+        )
 
     def _player_choices(self, state: int, i: int) -> list[int]:
         """Valid removal masks for player i (non-empty), per the spec's arrow
-        and step mode; [] when the player cannot lose anything."""
+        and step mode; [] when the player cannot lose anything.  A choice
+        removes some number of each class's highest-indexed kept members."""
         layer = self.layer
-        support = layer.loose(state, i)
         kept = layer.kept(state, i)
-        sizes = (1,) if self.spec.step == SINGLE else range(1, len(support) + 1)
+        # (removal, per class it draws on: the highest kept member and its
+        # support); a class's kept members are all dominated or none is
+        removals = [(0, ())]
+        for cls in self.classes[i]:
+            members = kept & cls
+            if not members:
+                continue
+            top = members.bit_length() - 1
+            support = layer.witness(state, i, top, kept & ~(1 << top))
+            if support is None:
+                continue
+            rep = ((top, support),)
+            if self.spec.step == SINGLE:
+                removals.append((1 << top, rep))
+                continue
+            more, taken = [], 0
+            for s in reversed(_bits(members)):
+                taken |= 1 << s
+                more += [(r | taken, reps + rep) for r, reps in removals]
+            removals += more
         strict = self.spec.arrow == STRICT
-        choices = []
-        for removed in (sum(1 << s for s in c) for size in sizes for c in itertools.combinations(support, size)):
-            if removed == kept:
-                continue  # strict: no surviving dominator; loose: degenerate
-            if not strict or all(layer.survives(state, i, s, removed, support[s]) for s in _bits(removed)):
-                choices.append(removed << layer.off[i])
-        return choices
+        # removing all kept strategies leaves no surviving dominator (strict)
+        # or a degenerate game (loose); removed clones of one class stand or
+        # fall together, so the highest one answers for all
+        return [
+            removed << layer.off[i]
+            for removed, reps in removals[1:]
+            if removed != kept
+            and (not strict or all(layer.survives(state, i, top, removed, support) for top, support in reps))
+        ]
 
     def successors(self, state: int) -> tuple[int, ...]:
         cached = self._succ.get(state)
@@ -296,23 +382,45 @@ def normal_forms(
     ``up_to_renaming`` is set; in the non-unique case the report carries a
     witness pair of one-step reducts that cannot be joined again."""
     [search] = _searches(game, bound, spec)
-    states = search.states()
-    nf_states = sorted((st for st in states if not search.successors(st)), key=search.key)
+    quotient = search.quotient()
+    canonical = quotient.states()
+    canonical_nfs = [st for st in canonical if not quotient.successors(st)]
+    nf_states = sorted((x for st in canonical_nfs for x in quotient.orbit(st)), key=search.key)
     nf_games = tuple(search.game(st) for st in nf_states)
-    classes = tuple(tuple(c) for c in partition_by_equivalence(nf_games))
+    # an orbit lies inside one renaming class
+    position = {st: k for k, st in enumerate(nf_states)}
+    classes = tuple(sorted(
+        tuple(sorted(position[x] for c in cls for x in quotient.orbit(canonical_nfs[c])))
+        for cls in partition_by_equivalence(quotient.game(st) for st in canonical_nfs)
+    ))
     unique = (len(classes) == 1) if up_to_renaming else (len(nf_games) == 1)
     counterexample = None
     if not unique:
         failure = _weak_confluence_failure(search, up_to_renaming)
         if failure is not None:
             counterexample = (search.game(failure[1]), search.game(failure[2]))
-    return ConfluenceReport(nf_games, classes, len(states), unique, counterexample)
+    return ConfluenceReport(nf_games, classes, sum(map(quotient.orbit_size, canonical)), unique, counterexample)
 
 
 def _weak_confluence_failure(search: _Search, up_to_renaming: bool):
     """The first (a, b, c), b and c one-step reducts of a reachable a, whose
     reach sets share no state, or no renaming class when ``up_to_renaming``
-    is set; None when every such pair joins."""
+    is set; None when every such pair joins.
+
+    Up to renaming the quotient search decides: renaming classes are unions
+    of orbits, so the classes an orbit's reach sets meet are the same from
+    every member.  Only a failure is looked up on the full search, so that
+    it is the first one in full BFS order."""
+    if up_to_renaming:
+        quotient = search.quotient()
+        failure = _first_unjoined(quotient, True)
+        if failure is None or quotient is search:
+            return failure
+    return _first_unjoined(search, up_to_renaming)
+
+
+def _first_unjoined(search: _Search, up_to_renaming: bool):
+    """:func:`_weak_confluence_failure` on the states of ``search`` alone."""
     states = search.states()
     label = {st: k for k, st in enumerate(states)}
     if up_to_renaming:

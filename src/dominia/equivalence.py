@@ -109,24 +109,29 @@ def _renaming(g1: Game, g2: Game, fp1, fp2) -> Optional[Renaming]:
     return None
 
 
+def clone_classes(game: Game) -> list[list[tuple[int, ...]]]:
+    """Per player, the classes of exact clones: strategies whose payoff
+    vectors, for every player, agree in every opponent profile.  Each class
+    is ascending, and the classes are ordered by their least member."""
+    table = game._table
+    out = []
+    for i in range(game.n):
+        cols = game.opponent_profiles(i)
+        classes: dict[tuple, list[int]] = {}
+        for s in range(len(game.strategies[i])):
+            classes.setdefault(tuple(table[col[:i] + (s,) + col[i + 1 :]] for col in cols), []).append(s)
+        out.append([tuple(c) for c in classes.values()])
+    return out
+
+
 def purely_reduce(game: Game) -> Game:
     """One elimination step removing all but one representative of each class
     of mutually payoff-equivalent strategies (least index kept).
 
     The result has no payoff-equivalent pair left and is reachable from the
     input by a single bulk elimination of payoff-equivalent strategies."""
-    kept = []
-    for i in range(game.n):
-        cols = game.opponent_profiles(i)
-        seen: dict[tuple, int] = {}
-        reps = []
-        for s in range(len(game.strategies[i])):
-            row = tuple(game.payoff_vector(Game.fill(col, i, s)) for col in cols)
-            if row not in seen:
-                seen[row] = s
-                reps.append(s)
-        kept.append(tuple(reps))
-    if all(len(kept[i]) == len(game.strategies[i]) for i in range(game.n)):
+    kept = [[c[0] for c in classes] for classes in clone_classes(game)]
+    if tuple(map(len, kept)) == game.shape:
         return game
     return restrict(game, kept)
 

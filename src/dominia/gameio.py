@@ -22,7 +22,7 @@ from typing import Any
 
 from .engine import ConfluenceReport, ReductionPath
 from .equivalence import Renaming
-from .errors import ParseError
+from .errors import DuplicateLabel, EmptyStrategySet, ParseError
 from .game import Game, new_game
 
 
@@ -80,7 +80,10 @@ def game_from_dict(doc: dict) -> Game:
             walk(child, prefix + (k,))
 
     walk(payoffs, ())
-    return new_game(labels, table)
+    try:
+        return new_game(labels, table)
+    except (DuplicateLabel, EmptyStrategySet) as exc:
+        raise ParseError(str(exc)) from None
 
 
 def game_to_dict(game: Game) -> dict:
@@ -98,9 +101,11 @@ def game_to_dict(game: Game) -> dict:
 
 
 def parse_game(text: str) -> Game:
+    # ValueError covers JSONDecodeError and integers past int's digit limit;
+    # deep nesting raises RecursionError
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     return game_from_dict(doc)
 

@@ -100,3 +100,25 @@ def small_games(draw, lo=-1, hi=1):
                 if p[i] == shape[i] - 1:
                     table[p] = table[p[:i] + (0,) + p[i + 1 :]]
     return new_game(labels, table)
+
+
+@st.composite
+def clone_games(draw, lo=-1, hi=1, budget=8):
+    """Games built from a 2x2, 2x3 or 2x2x2 base with payoffs lo..hi by
+    copying every base strategy into 1 to 3 exact clones; while there are
+    more than ``budget`` strategies, the largest copy count drops by one."""
+    shape = draw(st.sampled_from([(2, 2), (2, 3), (2, 2, 2)]))
+    profiles = list(itertools.product(*(range(k) for k in shape)))
+    values = draw(st.lists(st.integers(lo, hi), min_size=len(profiles) * len(shape), max_size=len(profiles) * len(shape)))
+    copies = [draw(st.lists(st.integers(1, 3), min_size=k, max_size=k)) for k in shape]
+    while sum(map(sum, copies)) > budget:
+        per = max(copies, key=max)
+        per[per.index(max(per))] -= 1
+    origin = [[b for b, c in enumerate(per) for _ in range(c)] for per in copies]
+    labels = [[f"{chr(ord('a') + i)}{k}" for k in range(len(o))] for i, o in enumerate(origin)]
+    base = {p: values[j * len(shape) : (j + 1) * len(shape)] for j, p in enumerate(profiles)}
+    table = {
+        p: base[tuple(origin[i][q] for i, q in enumerate(p))]
+        for p in itertools.product(*(range(len(o)) for o in origin))
+    }
+    return new_game(labels, table)

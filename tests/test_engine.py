@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from dominia import (
@@ -20,6 +21,8 @@ from dominia import (
     VWM,
     W,
     WM,
+    CheckOutcome,
+    ConfluenceReport,
     Inherent,
     InherentQuery,
     RelationSpec,
@@ -34,6 +37,7 @@ from dominia import (
     maximal_reduce,
     new_game,
     normal_forms,
+    partition_by_equivalence,
     restrict,
     single_step_trace,
     structured_elimination_scenario,
@@ -467,6 +471,42 @@ def _brute_successors(root, spec, kept):
     return sorted(out)
 
 
+def _kept_tuple_bfs(game, spec):
+    """BFS order, successors and reach sets of the reduction system, as kept
+    tuples, from :func:`_brute_successors`."""
+    start = tuple(tuple(range(k)) for k in game.shape)
+    succ, order = {}, [start]
+    for kept in order:
+        succ[kept] = _brute_successors(game, spec, kept)
+        order += [x for x in succ[kept] if x not in order]
+    reach = {}
+    for kept in sorted(order, key=lambda x: sum(map(len, x))):
+        reach[kept] = {kept}.union(*(reach[x] for x in succ[kept]))
+    return order, succ, reach
+
+
+def _reference_failure(game, order, succ, reach, up_to_renaming):
+    """The first pair of one-step reducts, in BFS order, whose reach sets
+    share no state (or no renaming class), as games; None if none."""
+    label = {x: x for x in order}
+    if up_to_renaming:
+        for cls in partition_by_equivalence(restrict(game, x) for x in order):
+            label.update((order[k], cls[0]) for k in cls)
+    for a in order:
+        for b, c in itertools.combinations(succ[a], 2):
+            if not {label[x] for x in reach[b]} & {label[x] for x in reach[c]}:
+                return (restrict(game, b), restrict(game, c))
+    return None
+
+
+def _reference_report(game, up_to_renaming, order, succ, reach):
+    nf_games = tuple(restrict(game, x) for x in sorted(x for x in order if not succ[x]))
+    classes = tuple(tuple(c) for c in partition_by_equivalence(nf_games))
+    unique = len(classes) == 1 if up_to_renaming else len(nf_games) == 1
+    failure = None if unique else _reference_failure(game, order, succ, reach, up_to_renaming)
+    return ConfluenceReport(nf_games, classes, len(order), unique, failure)
+
+
 @pytest.mark.parametrize("relation", [S, union(NW, PE), PE, SM, Inherent(WM)], ids=str)
 @settings(max_examples=40, deadline=None)
 @given(game=helpers.small_games())
@@ -475,15 +515,7 @@ def test_bitmask_engine_matches_kept_tuple_bfs(relation, game):
     # bitmask engine against a BFS over kept tuples written here
     for arrow, step in itertools.product((STRICT, LOOSE), (ANY, SINGLE)):
         spec = RelationSpec(relation, arrow, step)
-        start = tuple(tuple(range(k)) for k in game.shape)
-        succ, order = {}, [start]
-        for kept in order:
-            succ[kept] = _brute_successors(game, spec, kept)
-            order += [x for x in succ[kept] if x not in order]
-        reach = {}
-        for kept in sorted(order, key=lambda x: sum(map(len, x))):
-            reach[kept] = {kept}.union(*(reach[x] for x in succ[kept]))
-
+        order, succ, reach = _kept_tuple_bfs(game, spec)
         [search] = _searches(game, None, spec)
         states = search.states()
         assert [search.key(st) for st in states] == order
@@ -492,7 +524,64 @@ def test_bitmask_engine_matches_kept_tuple_bfs(relation, game):
         reached = search.reach({st: k for k, st in enumerate(states)})
         for st in states:
             assert {search.key(x) for k, x in enumerate(states) if reached[st] >> k & 1} == reach[search.key(st)]
+        assert normal_forms(game, spec) == _reference_report(game, False, order, succ, reach)
 
-        report = normal_forms(game, spec)
-        assert report.normal_forms == tuple(restrict(game, x) for x in sorted(x for x in order if not succ[x]))
-        assert report.explored_states == len(order)
+
+@pytest.mark.parametrize("relation", [S, PE, union(NW, PE), SM, Inherent(WM)], ids=str)
+@settings(max_examples=25, deadline=None)
+@given(game=helpers.clone_games())
+def test_clone_quotient_matches_kept_tuple_bfs(relation, game):
+    # normal forms in both modes and weak confluence up to renaming explore
+    # one state per exact-clone orbit; every field of their results, the
+    # order and the counterexample included, must be the full search's
+    for arrow, step in itertools.product((STRICT, LOOSE), (ANY, SINGLE)):
+        spec = RelationSpec(relation, arrow, step)
+        bfs = _kept_tuple_bfs(game, spec)
+        for up_to_renaming in (False, True):
+            assert normal_forms(game, spec, up_to_renaming=up_to_renaming) == _reference_report(
+                game, up_to_renaming, *bfs
+            )
+        failure = _reference_failure(game, *bfs, True)
+        assert check_weak_confluence(game, spec, up_to_renaming=True) == CheckOutcome(failure is None, failure)
+
+
+def test_all_tie_7x7_payoff_equivalence_normal_forms_up_to_renaming():
+    # 16,129 reachable states in 49 orbits, one per pair of kept counts
+    game = new_game(
+        [[f"a{k}" for k in range(7)], [f"b{k}" for k in range(7)]],
+        {p: (0, 0) for p in itertools.product(range(7), repeat=2)},
+    )
+    rep = normal_forms(game, RelationSpec(PE, STRICT, ANY), up_to_renaming=True)
+    assert len(rep.normal_forms) == 49 and all(nf.shape == (1, 1) for nf in rep.normal_forms)
+    assert rep.classes == (tuple(range(49)),)
+    assert rep.explored_states == 16129 and rep.unique and rep.counterexample is None
+
+
+_GAMES = st.one_of(helpers.small_games(), helpers.clone_games())
+
+
+@settings(max_examples=100, deadline=None)
+@given(game=_GAMES)
+def test_normal_forms_have_no_successors(game):
+    for relation, arrow, step in itertools.product((S, W, PE, union(NW, PE), SM), (STRICT, LOOSE), (ANY, SINGLE)):
+        spec = RelationSpec(relation, arrow, step)
+        for nf in normal_forms(game, spec).normal_forms:
+            assert successors(nf, spec) == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(game=_GAMES)
+def test_strict_and_loose_successors_agree(game):
+    # S, NW and SM are transitive: a removed dominator has a dominator of
+    # its own, and the chain ends at a kept strategy
+    for relation, step in itertools.product((S, NW, SM), (ANY, SINGLE)):
+        assert successors(game, RelationSpec(relation, STRICT, step)) == successors(
+            game, RelationSpec(relation, LOOSE, step)
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(game=_GAMES)
+def test_maximal_strict_endpoint_is_the_unique_normal_form(game):
+    [nf] = normal_forms(game, RelationSpec(S, STRICT, ANY)).normal_forms
+    assert maximal_reduce(game, S).endpoint == nf

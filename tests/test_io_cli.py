@@ -4,8 +4,12 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dominia import gallery
 from dominia import (
+    Game,
     SplitMix64,
     game_to_dict,
     generator_params,
@@ -70,6 +74,18 @@ class TestGameIo:
         doc["payoffs"][0][1][0] = value
         with pytest.raises(ParseError, match=r"payoffs\[0, 1\]\[0\]"):
             parse_game(json.dumps(doc))
+
+    @pytest.mark.parametrize("strategies", [[["T", "T"], ["L"]], [["T", ""], ["L"]], [["T", "L"], ["L"]], [[], ["L"]]])
+    def test_bad_labels_rejected(self, strategies):
+        payoffs = [[["0", "0"]] * len(strategies[1])] * len(strategies[0])
+        doc = {"players": 2, "strategies": strategies, "payoffs": payoffs}
+        with pytest.raises(ParseError):
+            parse_game(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ['{"players": 1' + "1" * 5000 + "}", "[" * 100000 + "]" * 100000])
+    def test_oversized_json_rejected(self, text):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_game(text)
 
     def test_boolean_players_rejected(self):
         doc = {"players": True, "strategies": [["T"]], "payoffs": [["1"]]}
@@ -292,3 +308,71 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["unique"] is True
+
+
+_GALLERY_DOCS = [
+    json.dumps(game_to_dict(make()))
+    for make in (
+        gallery.nonconfluent_weak_2x2,
+        gallery.inherently_dominated_middle_3x2,
+        gallery.weakly_but_not_inherently_dominated_2x2,
+        gallery.mixable_middle_3x2,
+        gallery.redundant_middle_3x2,
+        gallery.trivial_1x1,
+    )
+]
+_ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([1.5, "", "T", "1/2", "1/0", "1e5", [], {}, [[]], ["T", "T"], {"players": 1}]),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A gallery game document with a few character edits, one deleted key
+    or list entry, or one value swapped for a value of another type."""
+    text = draw(st.sampled_from(_GALLERY_DOCS))
+    kind = draw(st.sampled_from(("edit", "delete", "swap")))
+    if kind == "edit":
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(text)))
+            cut = draw(st.integers(0, 2))
+            text = text[:at] + draw(st.text('[]{}",:/-0123456789TBLRe ', max_size=2)) + text[at + cut :]
+        return text
+    doc = json.loads(text)
+    slots = []
+
+    def walk(node):
+        for key in list(node) if isinstance(node, dict) else range(len(node)):
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                walk(node[key])
+
+    walk(doc)
+    node, key = draw(st.sampled_from(slots))
+    if kind == "delete":
+        del node[key]
+    else:
+        node[key] = draw(_ODD_VALUES)
+    return json.dumps(doc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=mutated_documents())
+def test_mutated_document_parses_or_raises_parse_error(text):
+    try:
+        game = parse_game(text)
+    except ParseError:
+        return
+    assert isinstance(game, Game)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=mutated_documents())
+def test_mutated_document_eliminate_exit_code(tmp_path_factory, text):
+    # any other exception escapes main and fails the test
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(text)
+    assert main(["eliminate", "--game", str(path), "--relation", "S"]) in (0, 1, 2)
