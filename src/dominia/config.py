@@ -1,8 +1,8 @@
 """Size-bound configuration for the exhaustive checkers.
 
-Every restriction-quantified or subset-quantified procedure in this package is
-exponential by design.  The bounds below keep them at desk scale; the
-DOMINIA_MAX_STRATEGIES environment variable overrides the main one.
+Every restriction-quantified procedure in this package is exponential by
+design.  The bound below keeps them at desk scale; the DOMINIA_MAX_STRATEGIES
+environment variable overrides it.
 """
 
 import os
@@ -12,10 +12,6 @@ from .errors import InvalidParams
 # Total strategy count allowed for restriction enumeration and bulk-step
 # successor enumeration.
 DEFAULT_MAX_STRATEGIES = 14
-
-# Cap on the number of opponent-profile subsets an inherent-dominance query
-# may enumerate (2**12).
-INHERENT_SUBSET_BOUND = 4096
 
 
 def max_total_strategies() -> int:

@@ -163,9 +163,9 @@ class _Dominance:
     def witness(self, state: int, i: int, s: int, allowed: int) -> Optional[int]:
         """Support of a dominator of s drawn from ``allowed`` (kept strategies
         of player i other than s, bit t for strategy t) as such a mask, or
-        None.  Pure relations report every dominator in ``allowed``, inherent
-        ones the whole allowed set, as the dominator may differ per profile
-        subset."""
+        None.  Pure relations report every dominator in ``allowed``, mixed
+        ones the witness's support and inherent ones the union of the
+        supports of the chain's dominators."""
         if not allowed:
             return None
         others = state & ~(self.full[i] << self.off[i])
@@ -192,7 +192,10 @@ class _Dominance:
             return self._memo[key]
         if isinstance(rel, Inherent):
             query = InherentQuery(rel.base, i, s, _bits(allowed))
-            support = allowed if is_inherently_dominated(self.root, query, columns=cols).dominated else None
+            support = 0
+            for _, d in is_inherently_dominated(self.root, query, columns=cols).chain:
+                support |= sum(1 << t for t in d.dominator.support) if rel.base.mixed else 1 << d
+            support = support or None
         else:
             w = find_dominator(self.root, rel, i, s, _bits(allowed), columns=cols)
             support = None if w is None else sum(1 << t for t in w.dominator.support)

@@ -38,6 +38,23 @@ def inherently_dominated_middle_3x2() -> Game:
     )
 
 
+def inherently_dominated_middle_3x4x4() -> Game:
+    """Row M ties T and B, except that T beats it on the first 8 of the 16
+    opponent profiles (player 1 plays a or b) and B on the other 8.
+    Over any profile subset, T or B weakly dominates M, so M is inherently
+    weakly dominated, yet no row strictly dominates it.  The row player's
+    wins are 1 and every other payoff is 0."""
+    return new_game(
+        [["T", "M", "B"], ["a", "b", "c", "d"], ["w", "x", "y", "z"]],
+        {
+            (r, c, d): (int(r == 0 and c < 2 or r == 2 and c >= 2), 0, 0)
+            for r in range(3)
+            for c in range(4)
+            for d in range(4)
+        },
+    )
+
+
 def weakly_but_not_inherently_dominated_2x2() -> Game:
     """Row B is weakly dominated by T, but given the right column alone the
     rows tie, so B is not inherently weakly dominated."""

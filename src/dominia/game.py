@@ -143,6 +143,11 @@ class Game:
         if not 0 <= strategy < len(self.strategies[player]):
             raise IndexOutOfRange(f"strategy {strategy} out of range for player {player}")
 
+    def _check_per_player(self, lists, name: str) -> None:
+        """Raise unless ``lists`` (if given) has one entry per player."""
+        if lists is not None and len(lists) != self.n:
+            raise IndexOutOfRange(f"{name} needs one strategy list per player: {len(lists)} for {self.n} players")
+
     # -- equality ------------------------------------------------------
 
     def _key(self):

@@ -48,7 +48,7 @@ from .errors import (
     EmptySupport,
     IndexOutOfRange,
 )
-from .game import Game, restrict
+from .game import Game
 from .lp import EQ, GE, ONE, ZERO, LinearConstraint
 from .pure import CheckOutcome, _check_bound, _kept_columns, restrictions
 from .relations import Relation
@@ -573,6 +573,7 @@ def mixed_dominated_set(
     """One witness per strategy dominated by a mix supported on the given
     survivor sets (defaults: all strategies).  Deterministic: the LP pivot
     rule and the order of every LP's constraints are fixed."""
+    game._check_per_player(survivors, "survivors")
     out: list[list[MixedWitness]] = []
     for i in range(game.n):
         allowed = (
@@ -614,22 +615,3 @@ def check_mixed_hereditary(game: Game, relation: Relation, bound=None) -> CheckO
                 return CheckOutcome(False, (kept, w))
     return CheckOutcome(True)
 
-
-def check_mixed_iiia(game: Game, relation: Relation, bound=None) -> CheckOutcome:
-    """Existence of a dominator with support inside a subset of the player's
-    strategies is unaffected by dropping that player's other strategies."""
-    _check_bound(game, bound)
-    for i in range(game.n):
-        k = len(game.strategies[i])
-        for size in range(1, k + 1):
-            for subset in itertools.combinations(range(k), size):
-                kept = [tuple(range(len(game.strategies[j]))) for j in range(game.n)]
-                kept[i] = subset
-                sub = restrict(game, kept)
-                for s in subset:
-                    before = find_dominator(game, relation, i, s, subset) is not None
-                    ls = subset.index(s)
-                    after = find_dominator(sub, relation, i, ls, range(size)) is not None
-                    if before != after:
-                        return CheckOutcome(False, (i, subset, s))
-    return CheckOutcome(True)

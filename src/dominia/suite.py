@@ -119,7 +119,7 @@ def criterion_2() -> CriterionResult:
     def run():
         g1 = gallery.inherently_dominated_middle_3x2()
         m = 1  # row M
-        res = is_inherently_dominated(g1, InherentQuery(W, 0, m, None), want_table=True)
+        res = is_inherently_dominated(g1, InherentQuery(W, 0, m, None))
         if not res.dominated:
             return False, "middle row should be inherently weakly dominated"
         if any(dominates(g1, S, 0, m, t) for t in range(3)):
@@ -128,7 +128,7 @@ def criterion_2() -> CriterionResult:
         b = 1
         if not dominates(g2, W, 0, b, 0):
             return False, "bottom row should be weakly dominated"
-        res2 = is_inherently_dominated(g2, InherentQuery(W, 0, b, None), want_table=True)
+        res2 = is_inherently_dominated(g2, InherentQuery(W, 0, b, None))
         if res2.dominated:
             return False, "bottom row should not be inherently weakly dominated"
         return True, "inherent-vs-weak separation games behave as constructed"

@@ -101,6 +101,18 @@ class TestSuccessors:
                         g, RelationSpec(rel, arrow, ANY)
                     )
 
+    def test_strict_inherent_step_keeps_every_chain_dominator(self):
+        # a1 weakly dominates the clones a2 and a3 given L, but given R alone
+        # only the other clone dominates each (payoff equivalence): a strict
+        # step may remove one clone, not both
+        g = new_game(
+            [["a1", "a2", "a3"], ["L", "R"]],
+            {("a1", "L"): (1, 0), ("a1", "R"): (1, 1), ("a2", "L"): (0, 1), ("a2", "R"): (1, 0),
+             ("a3", "L"): (0, 1), ("a3", "R"): (1, 0)},
+        )
+        spec = RelationSpec(Inherent(union(W, PE)), STRICT, ANY)
+        assert [h.strategies[0] for h in successors(g, spec)] == [("a1", "a2"), ("a1", "a3")]
+
 
 class TestSuccessorOracle:
     """Cross-check the engine against a direct reading of the step condition:
@@ -507,7 +519,7 @@ def _reference_report(game, up_to_renaming, order, succ, reach):
     return ConfluenceReport(nf_games, classes, len(order), unique, failure)
 
 
-@pytest.mark.parametrize("relation", [S, union(NW, PE), PE, SM, Inherent(WM)], ids=str)
+@pytest.mark.parametrize("relation", [S, union(NW, PE), PE, SM, Inherent(WM), Inherent(union(W, PE))], ids=str)
 @settings(max_examples=40, deadline=None)
 @given(game=helpers.small_games())
 def test_bitmask_engine_matches_kept_tuple_bfs(relation, game):

@@ -1,11 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import helpers
 from dominia import (
     NW,
     NWM,
     PE,
+    PEM,
     S,
     SM,
     VW,
@@ -15,38 +18,143 @@ from dominia import (
     InherentQuery,
     dominated_set,
     dominates,
+    find_dominator,
     inherent_dominated_set,
     is_inherently_dominated,
     mixed_dominated_set,
     new_game,
+    point_mass,
     restrict,
+    union,
+    witness_holds,
 )
-from dominia.errors import IndexOutOfRange, SizeBoundExceeded
+from dominia.errors import IndexOutOfRange
 from dominia.gallery import (
     inherently_dominated_middle_3x2,
+    inherently_dominated_middle_3x4x4,
     trivial_1x1,
     weakly_but_not_inherently_dominated_2x2,
 )
 from dominia.pure import restrictions
+from dominia.relations import Relation
 
 G_INH = inherently_dominated_middle_3x2()
 G_NOT = weakly_but_not_inherently_dominated_2x2()
 
+BASES = [S, W, NW, VW, PE, SM, WM, VWM, NWM, PEM, union(W, PE), union(NW, PE), union(WM, PEM), union(SM, PEM)]
+
+
+def _dominators(game, base, i, s, allowed, columns):
+    """Every dominator of s over ``columns``: the strategies for a pure base,
+    the one ``find_dominator`` witness (or none) for a mixed one."""
+    if base.mixed:
+        w = find_dominator(game, base, i, s, allowed, columns=columns) if allowed else None
+        return [] if w is None else [w]
+    return [t for t in allowed if dominates(game, base, i, s, t, columns)]
+
+
+def _enumerated(game, query, columns=None):
+    """Inherent dominance by enumeration: the full column set and then every
+    non-empty subset of it must admit a dominator."""
+    i, s = query.player, query.strategy
+    pool = range(len(game.strategies[i])) if query.must_survive is None else sorted(set(query.must_survive))
+    allowed = [t for t in pool if t != s]
+    full = game.opponent_profiles(i) if columns is None else list(columns)
+    subsets = [full] + [
+        list(picked) for size in range(1, len(full) + 1) for picked in itertools.combinations(full, size)
+    ]
+    return all(_dominators(game, query.base, i, s, allowed, d) for d in subsets)
+
+
+def _dominator_of(chain, subset):
+    """The dominator a chain gives a profile subset: that of the last chain
+    set containing it."""
+    return [d for c, d in chain if set(subset) <= set(c)][-1]
+
+
+def _need(game, base, i, s, d, columns):
+    """The columns of ``columns`` that dominator d needs: where it is strictly
+    better for player i under a weak tag, all of them under a pointwise one."""
+    if base.mixed:
+        tag, weights = d.relation, dict(d.dominator.weights)
+    else:
+        tag = next(tg for tg in base.tags if dominates(game, Relation((tg,), False), i, s, d, columns))
+        weights = {d: 1}
+    if tag not in ("W", "NW", "WM", "NWM"):
+        return set(columns)
+    rest = {c: c[:i] + c[i + 1 :] for c in columns}
+    return {
+        c
+        for c in columns
+        if helpers.mix_payoff(game, i, weights, rest[c], i) > game.payoff(helpers.with_choice(rest[c], i, s), i)
+    }
+
+
+@settings(max_examples=400, deadline=None)
+@given(g=st.one_of(helpers.small_games(), helpers.clone_games()), data=st.data())
+def test_chain_matches_enumeration(g, data):
+    base = data.draw(st.sampled_from(BASES))
+    i = data.draw(st.integers(0, g.n - 1))
+    k = len(g.strategies[i])
+    s = data.draw(st.integers(0, k - 1))
+    survive = data.draw(st.none() | st.lists(st.integers(0, k - 1), max_size=k).map(tuple))
+    every = g.opponent_profiles(i)
+    # at most 6 columns keep the enumeration at 64 subsets
+    picked = data.draw(st.sets(st.integers(0, len(every) - 1), max_size=6))
+    columns = None if len(picked) == len(every) else [every[c] for c in sorted(picked)]
+    query = InherentQuery(base, i, s, survive)
+    res = is_inherently_dominated(g, query, columns=columns)
+    assert res.dominated == _enumerated(g, query, columns)
+    full = every if columns is None else columns
+    allowed = [t for t in (range(k) if survive is None else sorted(set(survive))) if t != s]
+    if not res.dominated:
+        assert set(res.failing_subset) <= set(full)
+        assert res.failing_subset or not full
+        assert not _dominators(g, base, i, s, allowed, list(res.failing_subset))
+        return
+    left = list(full)
+    for subset, d in res.chain:
+        assert list(subset) == left
+        if base.mixed:
+            assert set(d.dominator.support) <= set(allowed)
+            assert d.relation in base.tags and witness_holds(g, d.relation, i, s, d.dominator, list(subset))
+        else:
+            assert d in allowed and dominates(g, base, i, s, d, list(subset))
+        need = _need(g, base, i, s, d, list(subset))
+        left = [c for c in subset if c not in need]
+    assert not left
+
 
 def test_middle_row_inherently_weakly_dominated_with_table():
-    res = is_inherently_dominated(G_INH, InherentQuery(W, 0, 1, None), want_table=True)
+    res = is_inherently_dominated(G_INH, InherentQuery(W, 0, 1, None))
     assert res.dominated
     cols = G_INH.opponent_profiles(0)
     left, right = cols[0], cols[1]
-    # T wins on the left column alone, B on the right and on both
-    assert res.witness_table[(left,)] == 0
-    assert res.witness_table[(right,)] == 2
-    assert res.witness_table[(left, right)] == 2
+    # B wins on both columns and is strictly better on the right one, so the
+    # chain goes on to the left column alone, where T wins
+    assert res.chain == (((left, right), 2), ((left,), 0))
+    assert _dominator_of(res.chain, (left,)) == 0
+    assert _dominator_of(res.chain, (right,)) == 2
+    assert _dominator_of(res.chain, (left, right)) == 2
+
+
+def test_mixed_chain_drops_only_the_columns_a_mix_beats():
+    # every mix of T and B that weakly dominates M ties it on X, and there
+    # only D beats it
+    rows = {"T": (3, 0, 1), "M": (1, 1, 1), "B": (0, 3, 1), "D": (-5, -5, 2)}
+    g = new_game([list(rows), ["L", "R", "X"]], {(r, c): (v[k], 0) for r, v in rows.items() for k, c in enumerate("LRX")})
+    cols = g.opponent_profiles(0)
+    res = is_inherently_dominated(g, InherentQuery(WM, 0, 1, (0, 2)))
+    assert not res.dominated
+    assert res.failing_subset == (cols[2],)
+    res = is_inherently_dominated(g, InherentQuery(WM, 0, 1, None))
+    assert [c for c, _ in res.chain] == [tuple(cols), tuple(cols[1:]), (cols[2],)]
+    assert res.chain[-1][1].dominator == point_mass(0, 3)
 
 
 def test_bottom_row_weak_but_not_inherent():
     assert dominates(G_NOT, W, 0, 1, 0)
-    res = is_inherently_dominated(G_NOT, InherentQuery(W, 0, 1, None), want_table=True)
+    res = is_inherently_dominated(G_NOT, InherentQuery(W, 0, 1, None))
     assert not res.dominated
     # the failing subset is the right column alone, where the rows tie
     assert res.failing_subset == (G_NOT.opponent_profiles(0)[1],)
@@ -108,11 +216,26 @@ def test_must_survive_scope_restricts_dominators():
     assert res.dominated
 
 
-def test_subset_bound_enforced_on_enumeration():
-    with pytest.raises(SizeBoundExceeded):
-        is_inherently_dominated(
-            G_INH, InherentQuery(W, 0, 1, None), want_table=True, subset_bound=2
-        )
+def test_must_survive_out_of_range_rejected():
+    with pytest.raises(IndexOutOfRange):
+        is_inherently_dominated(G_INH, InherentQuery(W, 0, 1, (5,)))
+
+
+@pytest.mark.parametrize("must_survive", [[(0, 2)], [(0, 2), (0,), (0,)]])
+def test_must_survive_needs_one_list_per_player(must_survive):
+    with pytest.raises(IndexOutOfRange):
+        inherent_dominated_set(G_INH, W, must_survive=must_survive)
+
+
+def test_many_profiles_weakly_but_not_strictly():
+    # 16 opponent profiles are 65,535 subsets; the chain takes two links
+    g = inherently_dominated_middle_3x4x4()
+    res = is_inherently_dominated(g, InherentQuery(W, 0, 1, None))
+    cols = g.opponent_profiles(0)
+    assert res.chain == ((tuple(cols), 0), (tuple(cols[8:]), 2))
+    assert not any(dominates(g, S, 0, 1, t) for t in (0, 2))
+    assert inherent_dominated_set(g, W) == [[1], [], []]
+    assert inherent_dominated_set(g, S) == [[], [], []]
 
 
 @pytest.mark.parametrize("base", [W, WM])
@@ -123,10 +246,7 @@ def test_out_of_range_columns_rejected(base, columns):
 
 
 def _inherent_answer(game, query, columns=None):
-    try:
-        return is_inherently_dominated(game, query, columns=columns).dominated
-    except SizeBoundExceeded:
-        return SizeBoundExceeded
+    return is_inherently_dominated(game, query, columns=columns).dominated
 
 
 def test_columns_on_root_match_restriction(small_games):

@@ -182,6 +182,14 @@ class TestCli:
         assert code == 0
         assert doc["endpoint"]["strategies"] == [["T"], ["L"]]
 
+    def test_eliminate_maximal_inherent_over_many_profiles(self, tmp_path, capsys):
+        # 16 opponent profiles: a question about every profile subset
+        path = self._write_game(tmp_path, gallery.inherently_dominated_middle_3x4x4())
+        code = main(["eliminate", "--game", path, "--relation", "inh-W", "--mode", "maximal"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["endpoint"]["strategies"][0] == ["T", "B"]
+
     def test_confluence_counterexample_exit_code(self, tmp_path, capsys):
         path = self._write_game(tmp_path, G11)
         code = main(["confluence", "--game", path, "--relation", "NW"])
@@ -315,6 +323,7 @@ _GALLERY_DOCS = [
     for make in (
         gallery.nonconfluent_weak_2x2,
         gallery.inherently_dominated_middle_3x2,
+        gallery.inherently_dominated_middle_3x4x4,
         gallery.weakly_but_not_inherently_dominated_2x2,
         gallery.mixable_middle_3x2,
         gallery.redundant_middle_3x2,

@@ -37,7 +37,6 @@ from dominia.mixed import (
     certificate_holds,
     cheap_verdict,
     check_mixed_hereditary,
-    check_mixed_iiia,
     lp_dominator,
 )
 
@@ -401,6 +400,11 @@ class TestMixedDominatedSet:
         assert [w.dominated for w in per[0]] == [1]
         assert per[1] == []
 
+    @pytest.mark.parametrize("survivors", [[(0, 2)], [(0,), (0,), (0,)]])
+    def test_survivors_need_one_list_per_player(self, survivors):
+        with pytest.raises(IndexOutOfRange):
+            mixed_dominated_set(mixable_middle_3x2(), SM, survivors=survivors)
+
 
 class TestWitnessImplications:
     def test_self_weighted_witness_shrinks_and_requeries(self, small_games):
@@ -444,11 +448,6 @@ class TestMixedStructural:
         assert not out.ok
         kept, witness = out.counterexample
         assert kept == ((0,), (0, 1))
-
-    def test_wm_iiia_on_samples(self, small_games):
-        for g in small_games[:6]:
-            assert check_mixed_iiia(g, WM).ok
-            assert check_mixed_iiia(g, SM).ok
 
     def test_nwm_equals_wm_under_tdi(self, small_games):
         for g in small_games:
