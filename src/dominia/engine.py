@@ -21,8 +21,10 @@ of the root itself over the opponents' kept profiles.  Pure answers are
 column bitsets: once per (player, s, t), pure._masks gives fail and need
 masks over the root's opponent profiles, and t dominates s in a state iff
 the state's kept profiles meet no fail bit and some need bit.  Mixed and
-inherent answers are memoized on (player, s, allowed set, opponents' kept
-bits).  Searches on one root inside one public call share the layer.  Reach
+inherent questions go to the root over the state's kept columns, which are
+built and range-checked once per (player, opponents' kept strategies); the
+root's integer payoff rows (:meth:`Game._int_rows`) are built once for all
+of them.  Searches on one root inside one public call share the layer.  Reach
 sets are int bitsets, built bottom-up: every step removes strategies.
 
 Exact clones (strategies of one player with identical payoff vectors, for
@@ -135,7 +137,6 @@ class _Dominance:
         self._games: dict[int, Game] = {self.start: root}
         self._columns: dict = {}
         self._pairs: dict = {}
-        self._memo: dict = {}
 
     @functools.cached_property
     def clones(self) -> list[list[int]]:
@@ -187,20 +188,14 @@ class _Dominance:
                 if _met(masks, bits):
                     found |= 1 << t
             return found or None
-        key = (i, s, allowed, others)
-        if key in self._memo:
-            return self._memo[key]
         if isinstance(rel, Inherent):
             query = InherentQuery(rel.base, i, s, _bits(allowed))
             support = 0
             for _, d in is_inherently_dominated(self.root, query, columns=cols).chain:
                 support |= sum(1 << t for t in d.dominator.support) if rel.base.mixed else 1 << d
-            support = support or None
-        else:
-            w = find_dominator(self.root, rel, i, s, _bits(allowed), columns=cols)
-            support = None if w is None else sum(1 << t for t in w.dominator.support)
-        self._memo[key] = support
-        return support
+            return support or None
+        w = find_dominator(self.root, rel, i, s, _bits(allowed), columns=cols)
+        return None if w is None else sum(1 << t for t in w.dominator.support)
 
     def loose(self, state: int, i: int) -> dict[int, int]:
         """Player i's dominated strategies, each with its :meth:`witness`

@@ -3,12 +3,15 @@
 A game holds per-player strategy labels and a total payoff table mapping each
 joint pure-strategy profile to one rational payoff per player.  All payoffs
 are `fractions.Fraction`, so every dominance test downstream is an exact
-inequality with no tolerance anywhere.
+inequality with no tolerance anywhere.  The mixed layer reads player j's
+payoffs times j's scale, the positive LCM of their denominators, which keeps
+every dominance inequality and payoff equality (:meth:`Game._int_rows`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -44,7 +47,7 @@ class Game:
     loose maximal-elimination path ever produces these).
     """
 
-    __slots__ = ("strategies", "n", "_table", "_degenerate", "_hash")
+    __slots__ = ("strategies", "n", "_table", "_degenerate", "_hash", "_ints")
 
     def __init__(
         self,
@@ -85,6 +88,7 @@ class Game:
         object.__setattr__(self, "_table", fixed)
         object.__setattr__(self, "_degenerate", any(k == 0 for k in shape))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_ints", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Game instances are immutable")
@@ -122,6 +126,24 @@ class Game:
         ranges = [range(k) for k in self.shape]
         ranges[player] = [-1]  # type: ignore[list-item]
         return list(itertools.product(*ranges))
+
+    def _int_rows(self, i: int, j: int) -> list[list[int]]:
+        """Player j's payoffs times j's scale (module docstring) as ints, one
+        row per opponent profile of player i in :meth:`opponent_profiles`
+        order and one entry per strategy of i; built on first use and shared,
+        so callers only read it."""
+        rows = self._ints.get((i, j))
+        if rows is None:
+            values = [vec[j] for vec in self._table.values()]  # in product order, see __init__
+            scale = math.lcm(*{v.denominator for v in values})
+            values = [v.numerator * (scale // v.denominator) for v in values]
+            shape = self.shape
+            b = math.prod(shape[i + 1 :])
+            w = shape[i] * b
+            # profile (a, t, c), a the players before i and c those after, sits at a * w + t * b + c
+            rows = [values[a * w + c : (a + 1) * w : b] for a in range(math.prod(shape[:i])) for c in range(b)]
+            self._ints[i, j] = rows
+        return rows
 
     @staticmethod
     def fill(column: Profile, player: int, strategy: int) -> Profile:

@@ -159,18 +159,14 @@ def counterexample_to_dict(game: Game, prop: str, counterexample) -> dict:
     """A ``dominia check`` property's counterexample in strategy labels: for
     "tdi", the deciding player, the player whose payoff breaks the tie, the
     two strategies and the column (null at the player's slot); otherwise the
-    witness pair with the kept "subset" (iiia) or the restriction's kept sets."""
+    witness pair with the restriction's kept sets."""
     labels = game.strategies
     if prop == "tdi":
         i, j, r, t, col = counterexample
         profile = [None if k == i else labels[k][c] for k, c in enumerate(col)]
         return {"player": i, "other_player": j, "strategies": [labels[i][r], labels[i][t]], "profile": profile}
-    if prop == "iiia":
-        i, subset, w = counterexample
-        doc = {"subset": [labels[i][s] for s in subset]}
-    else:
-        kept, w = counterexample
-        doc = {"kept": [[labels[k][s] for s in ks] for k, ks in enumerate(kept)]}
+    kept, w = counterexample
+    doc = {"kept": [[labels[k][s] for s in ks] for k, ks in enumerate(kept)]}
     mine = labels[w.player]
     doc.update(player=w.player, dominated=mine[w.dominated], dominator=mine[w.dominator], relation=w.relation)
     return doc

@@ -17,6 +17,9 @@ as a need column below.  So one chain decides:
   mixed base; if there is none, C_k is a failing subset;
 * C_{k+1} is C_k less d_k's need columns; stop when it is empty.
 
+Over no columns there is no non-empty subset, so every strategy is
+vacuously inherently dominated there, with an empty chain.
+
 This is exact.  Take any non-empty D and the last C_k that contains D.  d_k
 meets no fail column in D, because it meets none in C_k and fail conditions
 are per column.  It meets D's need columns, because D is not inside C_{k+1}.
@@ -107,15 +110,14 @@ def is_inherently_dominated(game: Game, query: InherentQuery, *, columns=None) -
 
     chain = []
     left = (1 << len(full)) - 1
-    while True:
+    while left:
         subset = tuple(col for k, col in enumerate(full) if left >> k & 1)
         found = dominator(subset, left)
         if found is None:
             return InherentResult(False, failing_subset=subset)
         chain.append((subset, found[0]))
         left &= ~found[1]  # need -1 (pointwise): every column
-        if not left:
-            return InherentResult(True, chain=tuple(chain))
+    return InherentResult(True, chain=tuple(chain))
 
 
 def inherent_dominated_set(

@@ -4,11 +4,11 @@ Supported relations: SM (strict), WM (weak), VWM (very weak), NWM (nice weak:
 weak plus compatibility of the pair), PEM (payoff equivalence; with the
 dominated strategy outside the support this is randomized redundance).
 
-Each query is first put to a cheap test on the scaled integer payoff rows,
-and only a query the test leaves open goes to the exact LP.  A mix's payoff
-in one column lies between the payoffs of the strategies it mixes (the
-one-column case of Pearce 1984, Lemma 3), so with A the allowed support and
-A' = A minus the dominated strategy s:
+Each query is first put to a cheap test on the game's integer payoff rows
+(:meth:`Game._int_rows`), and only a query the test leaves open goes to the
+exact LP.  A mix's payoff in one column lies between the payoffs of the
+strategies it mixes (the one-column case of Pearce 1984, Lemma 3), so with A
+the allowed support and A' = A minus the dominated strategy s:
 
 - "no" by one column: SM when u(s) >= max over A' there; WM, NWM and VWM
   when u(s) > max over A' there; WM and NWM also when s is never worse than
@@ -38,7 +38,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import lp
@@ -140,10 +139,12 @@ def mixed_payoff(game: Game, profile: Sequence[MixedStrategy], player: int) -> F
 
 
 def _mix_payoff(game: Game, weights, i: int, col, j: int) -> Fraction:
-    """Payoff of player j when player i plays the mix and the others play col."""
+    """Payoff of player j when player i plays the mix and the others play col
+    (all checked by the caller)."""
+    table = game._table
     total = ZERO
     for s, w in weights:
-        total += w * game.payoff(Game.fill(col, i, s), j)
+        total += w * table[col[:i] + (s,) + col[i + 1 :]][j]
     return total
 
 
@@ -185,37 +186,30 @@ def shrink_self_weight(strategy: int, m: MixedStrategy) -> MixedStrategy:
 
 
 def witness_holds(game: Game, tag: str, player: int, dominated: int, m: MixedStrategy, columns=None) -> bool:
-    """Direct evaluation of the defining quantified conditions for one witness."""
-    cols = columns if columns is not None else game.opponent_profiles(player)
-    pairs = m.weights
-    if tag in ("SM", "WM", "VWM", "NWM"):
-        strict = False
-        for col in cols:
-            mine = game.payoff(Game.fill(col, player, dominated), player)
-            theirs = _mix_payoff(game, pairs, player, col, player)
-            if tag == "SM":
-                if not mine < theirs:
-                    return False
-            else:
-                if mine > theirs:
-                    return False
-                if mine < theirs:
-                    strict = True
-        if tag in ("WM", "NWM") and not strict:
+    """Direct evaluation of the defining quantified conditions for one witness
+    on the game's Fraction payoffs, with every index checked once, up front.
+    With d the mix's payoff less s's for player i in a column: SM needs d > 0
+    everywhere; WM, NWM and VWM need d >= 0, the first two with some d > 0;
+    PEM (s outside the support) needs d = 0; NWM and PEM also need every
+    player's payoffs equal wherever d = 0."""
+    if tag not in _DECIDERS:
+        raise ValueError(f"unknown mixed tag {tag!r}")
+    game._check_strategy(player, dominated)
+    _check_mixed(game, m, player)
+    cols = _checked_columns(game, player, columns)
+    if tag == "PEM" and dominated in m.support:
+        return False
+    strict = False
+    for col in cols:
+        mine = game._table[Game.fill(col, player, dominated)]
+        d = _mix_payoff(game, m.weights, player, col, player) - mine[player]
+        if d < 0 or (d == 0 and tag == "SM") or (d != 0 and tag == "PEM"):
             return False
-        if tag == "NWM":
-            return _compatible_with_mix(game, player, dominated, pairs, cols)
-        return True
-    if tag == "PEM":
-        if dominated in m.support:
-            return False
-        for col in cols:
-            prof = Game.fill(col, player, dominated)
-            for j in range(game.n):
-                if game.payoff(prof, j) != _mix_payoff(game, pairs, player, col, j):
-                    return False
-        return True
-    raise ValueError(f"unknown mixed tag {tag!r}")
+        strict = strict or d > 0
+        if d == 0 and tag in ("NWM", "PEM"):
+            if any(mine[j] != _mix_payoff(game, m.weights, player, col, j) for j in range(game.n)):
+                return False
+    return strict or tag in ("SM", "VWM", "PEM")
 
 
 def verify_witness(game: Game, tag: str, player: int, dominated: int, m: MixedStrategy, columns=None) -> None:
@@ -269,16 +263,6 @@ def _verify_certificate(game: Game, tag: str, player: int, dominated: int, allow
         )
 
 
-def _compatible_with_mix(game: Game, i: int, s: int, pairs, cols) -> bool:
-    for col in cols:
-        prof = Game.fill(col, i, s)
-        if game.payoff(prof, i) == _mix_payoff(game, pairs, i, col, i):
-            for j in range(game.n):
-                if game.payoff(prof, j) != _mix_payoff(game, pairs, i, col, j):
-                    return False
-    return True
-
-
 def _weights_from_point(allowed, point) -> dict[int, Fraction]:
     return {t: v for t, v in zip(allowed, point) if v != 0}
 
@@ -286,7 +270,8 @@ def _weights_from_point(allowed, point) -> dict[int, Fraction]:
 class _Columns(tuple):
     """Opponent profiles of one player of one game (``game``, ``player``),
     range-checked once when built, so that a caller that asks many questions
-    over the same columns pays for the check once."""
+    over the same columns pays for the check once.  ``rows``: their positions
+    in ``game.opponent_profiles(player)``, None when they are all, in order."""
 
 
 def _checked_columns(game: Game, player: int, columns=None) -> _Columns:
@@ -296,37 +281,34 @@ def _checked_columns(game: Game, player: int, columns=None) -> _Columns:
     if isinstance(columns, _Columns) and columns.game is game and columns.player == player:
         return columns
     cols = _Columns(game.opponent_profiles(player) if columns is None else columns)
+    rows = None
     if columns is not None:
         for col in cols:
             game._check_profile(Game.fill(col, player, 0))
-    cols.game, cols.player = game, player
+        position = {col: k for k, col in enumerate(game.opponent_profiles(player))}
+        rows = [position[Game.fill(col, player, -1)] for col in cols]
+        if rows == list(range(len(position))):
+            rows = None
+    cols.game, cols.player, cols.rows = game, player, rows
     return cols
 
 
-def _scaled_payoffs(game: Game, i: int, cols, j: int) -> list[list[int]]:
-    """Player j's payoffs as ints: one row per column of ``cols``, one entry
-    per strategy of player i, all times the positive LCM of their
-    denominators.  One positive scale per player keeps every dominance
-    inequality and payoff equality between those entries."""
-    table = game._table
-    strategies = range(len(game.strategies[i]))
-    cells = [[table[col[:i] + (t,) + col[i + 1 :]][j] for t in strategies] for col in cols]
-    scale = lcm(*{v.denominator for row in cells for v in row})
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in cells]
-
-
 class _Rows:
-    """Every player's :func:`_scaled_payoffs` for one query, ``rows[j]``, each
-    built on first use: most queries are settled by player i's rows alone."""
+    """Every player's :meth:`Game._int_rows` at one query's columns, ``rows[j]``
+    (the game's list itself when the columns are all, in order), each picked
+    on first use: most queries are settled by player i's rows alone."""
 
-    def __init__(self, game: Game, i: int, cols):
+    def __init__(self, game: Game, i: int, cols: _Columns):
         self.game, self.i, self.cols = game, i, cols
         self._rows: list = [None] * game.n
 
     def __getitem__(self, j: int) -> list[list[int]]:
         rows = self._rows[j]
         if rows is None:
-            rows = self._rows[j] = _scaled_payoffs(self.game, self.i, self.cols, j)
+            rows = self.game._int_rows(self.i, j)
+            if self.cols.rows is not None:
+                rows = [rows[k] for k in self.cols.rows]
+            self._rows[j] = rows
         return rows
 
     def __iter__(self):
@@ -472,8 +454,8 @@ def _decide_nwm(pay, i, s, allowed):
     return None
 
 
-# Each decider gets ``pay[j]``, player j's ``_scaled_payoffs`` over the
-# quantified columns (a :class:`_Rows`), the player, the dominated strategy
+# Each decider gets ``pay[j]``, player j's integer rows over the quantified
+# columns (a :class:`_Rows`), the player, the dominated strategy
 # and the allowed support; it returns dominator weights or None.
 _DECIDERS = {
     "SM": _decide_sm,

@@ -3,8 +3,10 @@ conditions (TDI family, IIIA, strict partial order, hereditarity) that the
 order-independence results lean on.
 
 Everything here is an exact quantifier evaluation over the finite payoff
-table.  The restriction-quantified checks enumerate every non-degenerate
-restriction and are bounded by :func:`dominia.config.max_total_strategies`.
+table, except IIIA, which every pure relation has (:func:`check_iiia`).  The
+restriction-quantified checks (TDI+, TDI++, hereditarity) enumerate every
+non-degenerate restriction and are bounded by
+:func:`dominia.config.max_total_strategies`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterator, Optional
 
 from . import config
 from .errors import SizeBoundExceeded
-from .game import Game, restrict
+from .game import Game
 from .relations import COMPAT, Relation
 
 
@@ -233,25 +235,17 @@ def is_hereditary(game: Game, relation: Relation, bound: Optional[int] = None) -
     return CheckOutcome(True)
 
 
-def check_iiia(game: Game, relation: Relation, bound: Optional[int] = None) -> CheckOutcome:
+def check_iiia(game: Game, relation: Relation) -> CheckOutcome:
     """Individual independence of irrelevant alternatives: dominance between
     two surviving strategies is unaffected by dropping the same player's other
-    strategies (an iff, checked over every subset containing the pair)."""
-    _check_bound(game, bound)
-    for i in range(game.n):
-        k = len(game.strategies[i])
-        full = game.opponent_profiles(i)
-        for size in range(1, k + 1):
-            for subset in itertools.combinations(range(k), size):
-                kept = [tuple(range(len(game.strategies[j]))) for j in range(game.n)]
-                kept[i] = subset
-                sub = restrict(game, kept)
-                cols = sub.opponent_profiles(i)
-                for s in subset:
-                    for t in subset:
-                        before = any(_holds(game, tg, i, s, t, full) for tg in relation.tags)
-                        ls, lt = subset.index(s), subset.index(t)
-                        after = any(_holds(sub, tg, i, ls, lt, cols) for tg in relation.tags)
-                        if before != after:
-                            return CheckOutcome(False, (i, subset, DominanceWitness(i, s, t, str(relation))))
+    strategies (an iff, over every subset containing the pair).
+
+    Every pure relation has it, so no restriction is built.  Whether t
+    TAG-dominates s for player i is read from the payoffs of s and t alone,
+    over the opponents' joint profiles (:func:`_masks`).  Dropping some of
+    player i's own strategies leaves the opponents' profiles, and those two
+    strategies' payoffs on them, unchanged, so every pure tag answers the same
+    before and after.  A relation that is not pure raises ValueError."""
+    if relation.mixed:
+        raise ValueError(f"IIIA is decided for pure relations, not {relation}")
     return CheckOutcome(True)

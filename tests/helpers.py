@@ -86,12 +86,16 @@ def mix_payoff(game, i, weights, rest, j):
 
 
 @st.composite
-def small_games(draw, lo=-1, hi=1):
-    """Games of shapes 2x2 to 3x3 and 2x2x2 with payoffs lo..hi, each player's
+def small_games(draw, lo=-1, hi=1, fractional=False):
+    """Games of shapes 2x2 to 3x3 and 2x2x2 with payoffs lo..hi (with
+    ``fractional``, p/q for p in lo..hi and q in {1, 2, 3}), each player's
     last strategy optionally an exact clone of its first."""
     shape = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2)]))
     profiles = list(itertools.product(*(range(k) for k in shape)))
-    values = draw(st.lists(st.integers(lo, hi), min_size=len(profiles) * len(shape), max_size=len(profiles) * len(shape)))
+    payoff = st.integers(lo, hi)
+    if fractional:
+        payoff = st.builds(Fraction, payoff, st.sampled_from([1, 2, 3]))
+    values = draw(st.lists(payoff, min_size=len(profiles) * len(shape), max_size=len(profiles) * len(shape)))
     labels = [[f"{chr(ord('a') + i)}{k}" for k in range(n)] for i, n in enumerate(shape)]
     table = {p: values[j * len(shape) : (j + 1) * len(shape)] for j, p in enumerate(profiles)}
     for i in range(len(shape)):

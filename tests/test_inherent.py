@@ -54,15 +54,13 @@ def _dominators(game, base, i, s, allowed, columns):
 
 
 def _enumerated(game, query, columns=None):
-    """Inherent dominance by enumeration: the full column set and then every
-    non-empty subset of it must admit a dominator."""
+    """Inherent dominance by enumeration: every non-empty subset of the
+    columns must admit a dominator (vacuous over no columns)."""
     i, s = query.player, query.strategy
     pool = range(len(game.strategies[i])) if query.must_survive is None else sorted(set(query.must_survive))
     allowed = [t for t in pool if t != s]
     full = game.opponent_profiles(i) if columns is None else list(columns)
-    subsets = [full] + [
-        list(picked) for size in range(1, len(full) + 1) for picked in itertools.combinations(full, size)
-    ]
+    subsets = [list(picked) for size in range(1, len(full) + 1) for picked in itertools.combinations(full, size)]
     return all(_dominators(game, query.base, i, s, allowed, d) for d in subsets)
 
 
@@ -236,6 +234,14 @@ def test_many_profiles_weakly_but_not_strictly():
     assert not any(dominates(g, S, 0, 1, t) for t in (0, 2))
     assert inherent_dominated_set(g, W) == [[1], [], []]
     assert inherent_dominated_set(g, S) == [[], [], []]
+
+
+@pytest.mark.parametrize("base", [W, WM])
+def test_no_columns_is_vacuous(base):
+    # no non-empty subset of no columns needs a dominator, although over no
+    # columns nothing W- or WM-dominates M (no column where it is beaten)
+    res = is_inherently_dominated(G_INH, InherentQuery(base, 0, 1, None), columns=[])
+    assert res.dominated and res.chain == ()
 
 
 @pytest.mark.parametrize("base", [W, WM])

@@ -20,8 +20,6 @@ from dominia import (
 from dominia.cli import main
 from dominia.errors import InvalidParams, ParseError
 from dominia.gallery import nonconfluent_weak_2x2
-from dominia.gameio import counterexample_to_dict
-from dominia.pure import DominanceWitness
 from dominia.relations import Inherent, W, parse_relation
 
 G11 = nonconfluent_weak_2x2()
@@ -91,12 +89,6 @@ class TestGameIo:
         doc = {"players": True, "strategies": [["T"]], "payoffs": [["1"]]}
         with pytest.raises(ParseError):
             parse_game(json.dumps(doc))
-
-    def test_iiia_counterexample_in_labels(self):
-        w = DominanceWitness(1, 1, 0, "W")
-        assert counterexample_to_dict(G11, "iiia", (1, (0, 1), w)) == {
-            "subset": ["L", "R"], "player": 1, "dominated": "R", "dominator": "L", "relation": "W",
-        }
 
     def test_not_json_rejected(self):
         with pytest.raises(ParseError):
@@ -299,6 +291,13 @@ class TestCli:
         monkeypatch.setenv("DOMINIA_MAX_STRATEGIES", "2")
         path = self._write_game(tmp_path, G11)
         assert main(["eliminate", "--game", path, "--relation", "S"]) == 3
+
+    def test_iiia_answers_past_the_size_bound(self, tmp_path, capsys, monkeypatch):
+        # IIIA holds for every pure relation and builds no restriction
+        monkeypatch.setenv("DOMINIA_MAX_STRATEGIES", "2")
+        path = self._write_game(tmp_path, G11)
+        assert main(["check", "--game", path, "--property", "iiia", "--relation", "W"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"property": "iiia", "ok": True}
 
     @pytest.mark.parametrize("raw", ["abc", "0"])
     def test_malformed_size_bound_exit_code(self, tmp_path, capsys, monkeypatch, raw):

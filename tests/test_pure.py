@@ -10,6 +10,7 @@ from dominia import (
     NW,
     PE,
     S,
+    SM,
     VW,
     W,
     check_iiia,
@@ -36,6 +37,22 @@ from dominia.gallery import (
 from dominia.pure import DominanceWitness, restrictions
 
 G11 = nonconfluent_weak_2x2()
+
+
+def _iiia_by_enumeration(game, relation):
+    """IIIA by its definition, the reference for check_iiia: for every player
+    and every subset of that player's strategies, each ordered pair in the
+    subset is related in the restriction iff it is in the game."""
+    for i, labels in enumerate(game.strategies):
+        for size in range(1, len(labels) + 1):
+            for subset in itertools.combinations(range(len(labels)), size):
+                kept = [range(len(other)) for other in game.strategies]
+                kept[i] = subset
+                sub = restrict(game, kept)
+                for (ls, s), (lt, t) in itertools.product(enumerate(subset), repeat=2):
+                    if dominates(game, relation, i, s, t) != dominates(sub, relation, i, ls, lt):
+                        return False
+    return True
 
 
 def seeded_game(seed, players=2, strats=(2, 2)):
@@ -267,8 +284,13 @@ class TestStructuralProperties:
 
     def test_iiia_holds_for_all_relations(self, small_games):
         for g in small_games[:10]:
-            for rel in (S, W, NW, PE, VW, COMPAT):
+            for rel in (S, W, NW, PE, VW, COMPAT, union(W, PE)):
                 assert check_iiia(g, rel).ok
+                assert _iiia_by_enumeration(g, rel)
+
+    def test_iiia_rejects_mixed_relations(self):
+        with pytest.raises(ValueError):
+            check_iiia(G11, SM)
 
     def test_trivial_game_vacuous_everywhere(self):
         t = trivial_1x1()
