@@ -149,14 +149,21 @@ def _cmd_random(args) -> int:
     game = random_game(params)
     text = serialize_game(game)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
 def _cmd_suite(args) -> int:
+    if args.count < 1:
+        print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
+        return EXIT_USAGE
     results = suite_mod.run_all(args.seed, args.count)
     return EXIT_OK if all(r.ok for r in results) else EXIT_COUNTEREXAMPLE
 

@@ -24,8 +24,15 @@ the state's kept profiles meet no fail bit and some need bit.  Mixed and
 inherent questions go to the root over the state's kept columns, which are
 built and range-checked once per (player, opponents' kept strategies); the
 root's integer payoff rows (:meth:`Game._int_rows`) are built once for all
-of them.  Searches on one root inside one public call share the layer.  Reach
-sets are int bitsets, built bottom-up: every step removes strategies.
+of them.  Their answers are kept per (player, s, opponents' kept strategies)
+and reused by monotonicity in the allowed support A: every relation here
+asks "is there a dominator of s with support inside A over these columns",
+so a support inside A answers yes, and a "no" for a superset of A answers
+no.  A reused support may differ from the one a fresh search would find;
+results depend only on verdicts, since :meth:`_Dominance.survives` asks
+again whenever the removal meets the support.  Searches on one root inside
+one public call share the layer.  Reach sets are int bitsets, built
+bottom-up: every step removes strategies.
 
 Exact clones (strategies of one player with identical payoff vectors, for
 every player, in every opponent profile) are interchangeable: permuting them
@@ -137,6 +144,8 @@ class _Dominance:
         self._games: dict[int, Game] = {self.start: root}
         self._columns: dict = {}
         self._pairs: dict = {}
+        # (player, s, opponents' kept strategies) -> [(allowed, support or None)]
+        self._answers: dict = {}
 
     @functools.cached_property
     def clones(self) -> list[list[int]]:
@@ -165,8 +174,9 @@ class _Dominance:
         """Support of a dominator of s drawn from ``allowed`` (kept strategies
         of player i other than s, bit t for strategy t) as such a mask, or
         None.  Pure relations report every dominator in ``allowed``, mixed
-        ones the witness's support and inherent ones the union of the
-        supports of the chain's dominators."""
+        ones a witness's support and inherent ones the union of the supports
+        of a chain's dominators; the witness or chain may be one found for an
+        earlier question on the same columns."""
         if not allowed:
             return None
         others = state & ~(self.full[i] << self.off[i])
@@ -188,14 +198,26 @@ class _Dominance:
                 if _met(masks, bits):
                     found |= 1 << t
             return found or None
+        # the answer is monotone in ``allowed`` over fixed columns: a support
+        # inside it still dominates, and a "no" on a superset still refutes
+        past = self._answers.setdefault((i, s, others), [])
+        for a, support in past:
+            if support is None:
+                if not allowed & ~a:
+                    return None
+            elif not support & ~allowed:
+                return support
         if isinstance(rel, Inherent):
             query = InherentQuery(rel.base, i, s, _bits(allowed))
             support = 0
             for _, d in is_inherently_dominated(self.root, query, columns=cols).chain:
                 support |= sum(1 << t for t in d.dominator.support) if rel.base.mixed else 1 << d
-            return support or None
-        w = find_dominator(self.root, rel, i, s, _bits(allowed), columns=cols)
-        return None if w is None else sum(1 << t for t in w.dominator.support)
+            support = support or None
+        else:
+            w = find_dominator(self.root, rel, i, s, _bits(allowed), columns=cols)
+            support = None if w is None else sum(1 << t for t in w.dominator.support)
+        past.append((allowed, support))
+        return support
 
     def loose(self, state: int, i: int) -> dict[int, int]:
         """Player i's dominated strategies, each with its :meth:`witness`

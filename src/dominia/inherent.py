@@ -111,7 +111,7 @@ def is_inherently_dominated(game: Game, query: InherentQuery, *, columns=None) -
     chain = []
     left = (1 << len(full)) - 1
     while left:
-        subset = tuple(col for k, col in enumerate(full) if left >> k & 1)
+        subset = full.subset(left)
         found = dominator(subset, left)
         if found is None:
             return InherentResult(False, failing_subset=subset)

@@ -273,6 +273,17 @@ class _Columns(tuple):
     over the same columns pays for the check once.  ``rows``: their positions
     in ``game.opponent_profiles(player)``, None when they are all, in order."""
 
+    def subset(self, bits: int) -> _Columns:
+        """The columns at the set bits of ``bits`` (bit k for ``self[k]``),
+        unchecked: they are among these."""
+        if bits == (1 << len(self)) - 1:
+            return self
+        ks = [k for k in range(len(self)) if bits >> k & 1]
+        cols = _Columns(self[k] for k in ks)
+        cols.game, cols.player = self.game, self.player
+        cols.rows = ks if self.rows is None else [self.rows[k] for k in ks]
+        return cols
+
 
 def _checked_columns(game: Game, player: int, columns=None) -> _Columns:
     """``columns`` (default: every opponent profile) as :class:`_Columns` of

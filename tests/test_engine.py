@@ -44,6 +44,7 @@ from dominia import (
     successors,
     union,
 )
+from dominia import engine
 from dominia.engine import _searches
 from dominia.errors import SizeBoundExceeded
 from dominia.gallery import (
@@ -519,12 +520,18 @@ def _reference_report(game, up_to_renaming, order, succ, reach):
     return ConfluenceReport(nf_games, classes, len(order), unique, failure)
 
 
-@pytest.mark.parametrize("relation", [S, union(NW, PE), PE, SM, Inherent(WM), Inherent(union(W, PE))], ids=str)
+@pytest.mark.parametrize(
+    "relation",
+    [S, union(NW, PE), PE, SM, WM, NWM, PEM, union(NWM, PEM), Inherent(WM), Inherent(union(W, PE))],
+    ids=str,
+)
 @settings(max_examples=40, deadline=None)
 @given(game=helpers.small_games())
 def test_bitmask_engine_matches_kept_tuple_bfs(relation, game):
     # successors in order, BFS order, reach sets and normal forms of the
-    # bitmask engine against a BFS over kept tuples written here
+    # bitmask engine against a BFS over kept tuples written here; the BFS
+    # asks every mixed and inherent question afresh, the engine reuses
+    # answers across states
     for arrow, step in itertools.product((STRICT, LOOSE), (ANY, SINGLE)):
         spec = RelationSpec(relation, arrow, step)
         order, succ, reach = _kept_tuple_bfs(game, spec)
@@ -537,6 +544,42 @@ def test_bitmask_engine_matches_kept_tuple_bfs(relation, game):
         for st in states:
             assert {search.key(x) for k, x in enumerate(states) if reached[st] >> k & 1} == reach[search.key(st)]
         assert normal_forms(game, spec) == _reference_report(game, False, order, succ, reach)
+
+
+def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch):
+    # over the same opponents' kept strategies, a "no" on allowed A refutes
+    # every subset of A and a "yes" with support S answers every allowed set
+    # that contains S; only other questions reach find_dominator
+    game = new_game(
+        [["T", "M", "B", "X"], ["L", "R"]],
+        {
+            ("T", "L"): (3, 0), ("T", "R"): (0, 0),
+            ("M", "L"): (1, 0), ("M", "R"): (1, 0),
+            ("B", "L"): (0, 0), ("B", "R"): (3, 0),
+            ("X", "L"): (0, 0), ("X", "R"): (0, 0),
+        },
+    )
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return find_dominator(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "find_dominator", counted)
+    layer = engine._Dominance(game, SM)
+    T, B, X = 1 << 0, 1 << 2, 1 << 3
+    start = layer.start
+    no_x = start & ~(1 << layer.off[0] + 3)  # same opponents' kept strategies
+    no_r = start & ~(1 << layer.off[1] + 1)  # other columns
+    assert layer.witness(start, 0, 1, T | X) is None
+    assert layer.witness(start, 0, 1, T) is None
+    assert layer.witness(start, 0, 1, T | B) == T | B
+    assert layer.witness(start, 0, 1, T | B | X) == T | B
+    assert layer.witness(no_x, 0, 1, T | B) == T | B
+    assert calls == [(0, 3), (0, 2)]
+    assert layer.witness(start, 0, 1, B) is None
+    assert layer.witness(no_r, 0, 1, T) == T
+    assert calls == [(0, 3), (0, 2), (2,), (0,)]
 
 
 @pytest.mark.parametrize("relation", [S, PE, union(NW, PE), SM, Inherent(WM)], ids=str)

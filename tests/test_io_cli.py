@@ -278,6 +278,18 @@ class TestCli:
         g = parse_game(out.read_text())
         assert g.shape == (3, 3)
 
+    def test_random_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        code = main(["random", "--players", "2", "--strategies", "2", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_suite_count_below_one_exits_2(self, capsys, count):
+        assert main(["suite", "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert "--count" in captured.err and captured.out == ""
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
