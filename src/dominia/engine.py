@@ -17,12 +17,13 @@ sort key that fixes the order of successors.  Everything exhaustive here
 raises SizeBoundExceeded past the configured total strategy bound.
 
 One _Dominance layer per (root, relation) answers every dominance question,
-of the root itself over the opponents' kept profiles.  Pure answers are
-column bitsets: once per (player, s, t), pure._masks gives fail and need
-masks over the root's opponent profiles, and t dominates s in a state iff
-the state's kept profiles meet no fail bit and some need bit.  Mixed and
-inherent questions go to the root over the state's kept columns, which are
-built and range-checked once per (player, opponents' kept strategies); the
+of the root itself over the opponents' kept profiles: a bitset over the
+root's opponent profiles, from pure._column_bits once per (player,
+opponents' kept strategies).  Pure answers come from pure._masks, where
+every tag is defined: once per (player, s, t) it gives fail and need masks,
+and t dominates s in a state iff the kept profiles meet no fail bit and
+some need bit.  Mixed and inherent questions go to the root over the kept
+columns, picked by that bitset from the root's columns, checked once; the
 root's integer payoff rows (:meth:`Game._int_rows`) are built once for all
 of them.  Their answers are kept per (player, s, opponents' kept strategies)
 and reused by monotonicity in the allowed support A: every relation here
@@ -64,7 +65,7 @@ from typing import Optional, Union
 from .game import Game, restrict
 from .inherent import InherentQuery, is_inherently_dominated
 from .mixed import _checked_columns, find_dominator
-from .pure import CheckOutcome, _check_bound, _masks, _met
+from .pure import CheckOutcome, _check_bound, _column_bits, _masks, _met
 from .equivalence import clone_classes, partition_by_equivalence
 from .relations import Inherent, Relation, union
 
@@ -134,12 +135,7 @@ class _Dominance:
         self.off = list(itertools.accumulate((len(s) for s in root.strategies), initial=0))
         self.full = [(1 << len(s)) - 1 for s in root.strategies]
         self.start = (1 << self.off[-1]) - 1
-        self._profiles = [root.opponent_profiles(i) for i in range(root.n)]
-        # per opponent profile, the mask of the opponents' strategies it uses
-        self._needs = [
-            [sum(1 << self.off[j] + r for j, r in enumerate(col) if j != i) for col in cols]
-            for i, cols in enumerate(self._profiles)
-        ]
+        self._profiles = [_checked_columns(root, i) for i in range(root.n)]
         self._keys: dict[int, StateKey] = {}
         self._games: dict[int, Game] = {self.start: root}
         self._columns: dict = {}
@@ -182,11 +178,8 @@ class _Dominance:
         others = state & ~(self.full[i] << self.off[i])
         hit = self._columns.get((i, others))
         if hit is None:
-            kept = [k for k, need in enumerate(self._needs[i]) if state & need == need]
-            cols = [self._profiles[i][k] for k in kept]
-            if not self.pure:  # checked once here, not on every query
-                cols = _checked_columns(self.root, i, cols)
-            hit = self._columns[i, others] = (sum(1 << k for k in kept), cols)
+            bits = _column_bits(self.root, self.key(state), i)
+            hit = self._columns[i, others] = (bits, self._profiles[i].subset(bits))
         bits, cols = hit
         rel = self.relation
         if self.pure:

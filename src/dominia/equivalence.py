@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .game import Game, restrict
-from .mixed import find_dominator
-from .pure import _check_bound, _kept_columns
+from .mixed import _checked_columns, find_dominator
+from .pure import _check_bound, _column_bits
 from .relations import PEM
 
 
@@ -24,13 +24,6 @@ class Renaming:
     """Per-player bijections: maps[i][s] is the image of player i's strategy s."""
 
     maps: tuple[tuple[int, ...], ...]
-
-    def apply_kept(self, kept):
-        return tuple(tuple(sorted(self.maps[i][s] for s in kept_i)) for i, kept_i in enumerate(kept))
-
-    def compose(self, then: "Renaming") -> "Renaming":
-        """Renaming equal to applying self first, then ``then``."""
-        return Renaming(tuple(tuple(then.maps[i][t] for t in m) for i, m in enumerate(self.maps)))
 
 
 def _fingerprints(game: Game) -> list[list[tuple]]:
@@ -145,7 +138,8 @@ def fully_reduce(game: Game, bound: Optional[int] = None) -> Game:
     while True:
         for i, s in ((i, s) for i in range(game.n) if len(kept[i]) > 1 for s in kept[i]):
             others = [t for t in kept[i] if t != s]
-            if find_dominator(game, PEM, i, s, others, columns=_kept_columns(kept, i)) is not None:
+            cols = _checked_columns(game, i).subset(_column_bits(game, kept, i))
+            if find_dominator(game, PEM, i, s, others, columns=cols) is not None:
                 kept[i] = others
                 break
         else:

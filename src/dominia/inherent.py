@@ -12,9 +12,11 @@ PE, COMPAT and SM, VWM, PEM) need nothing, and for them every column counts
 as a need column below.  So one chain decides:
 
 * C_0 is the full column set;
-* find a dominator d_k on C_k: point masses first (:func:`pure._masks`
-  bitsets, the pure analog of a mixed tag), then :func:`find_dominator` for a
-  mixed base; if there is none, C_k is a failing subset;
+* find a dominator d_k on C_k: point masses first, then
+  :func:`find_dominator` for a mixed base; if there is none, C_k is a
+  failing subset.  Every dominator's fail and need columns, a point mass's
+  or an LP witness's, are read from :func:`pure._masks`, where every tag is
+  defined;
 * C_{k+1} is C_k less d_k's need columns; stop when it is empty.
 
 Over no columns there is no non-empty subset, so every strategy is
@@ -34,12 +36,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .game import Game
-from .mixed import MixedWitness, _checked_columns, _mix_payoff, find_dominator, point_mass
+from .mixed import MixedWitness, _checked_columns, find_dominator, point_mass
 from .pure import _masks, _met
 from .relations import Relation
-
-# the pure analog of each mixed tag, used for the point-mass scan
-_PURE_OF = {"SM": "S", "WM": "W", "VWM": "VW", "NWM": "NW", "PEM": "PE"}
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,7 @@ def is_inherently_dominated(game: Game, query: InherentQuery, *, columns=None) -
     # would dominate s
     allowed = tuple(t for t in pool if t != s)
     full = _checked_columns(game, i, columns)
-    tags = tuple(_PURE_OF[tag] if base.mixed else tag for tag in base.tags)
-    masks = [(t, _masks(game, tags, i, s, t, full)) for t in allowed]
+    masks = [(t, _masks(game, base.tags, i, s, t, full)) for t in allowed]
 
     def dominator(subset, bits):
         """A dominator of s over ``subset``, the columns ``bits`` (bit k for
@@ -98,15 +96,7 @@ def is_inherently_dominated(game: Game, query: InherentQuery, *, columns=None) -
         w = find_dominator(game, base, i, s, allowed, columns=subset)
         if w is None:
             return None
-        if w.relation not in ("WM", "NWM"):
-            return w, -1
-        weights = w.dominator.weights
-        better = [
-            k
-            for k, col in enumerate(full)
-            if bits >> k & 1 and _mix_payoff(game, weights, i, col, i) > game.payoff(Game.fill(col, i, s), i)
-        ]
-        return w, sum(1 << k for k in better)
+        return w, _masks(game, (w.relation,), i, s, w.dominator, full)[0][1]
 
     chain = []
     left = (1 << len(full)) - 1

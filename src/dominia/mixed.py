@@ -22,11 +22,14 @@ the allowed support and A' = A minus the dominated strategy s:
 VWM with s inside A (the point mass on s dominates) goes to the LP, which
 picks the witness.  Strictness is always decided by maximizing an exact
 margin and testing it against zero, never by tolerance.  Every witness,
-point mass or LP point, is re-verified against the defining quantified
-conditions by direct evaluation before it leaves this module, and every
-cheap "no" carries a certificate (the column, and for PEM the player) that
-is checked on the game's Fraction payoffs (:func:`certificate_holds`) before
-``None`` leaves it.
+point mass or LP point, is re-verified before it leaves this module by
+:func:`witness_holds`: the tag's pure analog evaluated on the mix's
+expected Fraction payoffs by :func:`pure._masks`, where every tag is
+defined.  Every cheap "no" carries a certificate (the column, and for PEM
+the player) that is checked on the game's Fraction payoffs
+(:func:`certificate_holds`) before ``None`` leaves it.
+:func:`check_mixed_hereditary` builds each witness's masks once and answers
+every restriction from its kept-column bitset (:func:`pure._column_bits`).
 
 The ``allowed_support`` argument makes the loose/strict elimination
 distinction (dominators from the pre-step sets versus dominators that must
@@ -49,7 +52,7 @@ from .errors import (
 )
 from .game import Game
 from .lp import EQ, GE, ONE, ZERO, LinearConstraint
-from .pure import CheckOutcome, _check_bound, _kept_columns, restrictions
+from .pure import CheckOutcome, _check_bound, _column_bits, _masks, _met, restrictions
 from .relations import Relation
 
 # Count of witnesses that passed direct re-verification since import; the
@@ -138,16 +141,6 @@ def mixed_payoff(game: Game, profile: Sequence[MixedStrategy], player: int) -> F
     return total
 
 
-def _mix_payoff(game: Game, weights, i: int, col, j: int) -> Fraction:
-    """Payoff of player j when player i plays the mix and the others play col
-    (all checked by the caller)."""
-    table = game._table
-    total = ZERO
-    for s, w in weights:
-        total += w * table[col[:i] + (s,) + col[i + 1 :]][j]
-    return total
-
-
 def substitute(m2: MixedStrategy, t1: int, m1: MixedStrategy) -> MixedStrategy:
     """Replace strategy ``t1`` inside ``m2`` by the mix ``m1`` and renormalize.
 
@@ -187,11 +180,9 @@ def shrink_self_weight(strategy: int, m: MixedStrategy) -> MixedStrategy:
 
 def witness_holds(game: Game, tag: str, player: int, dominated: int, m: MixedStrategy, columns=None) -> bool:
     """Direct evaluation of the defining quantified conditions for one witness
-    on the game's Fraction payoffs, with every index checked once, up front.
-    With d the mix's payoff less s's for player i in a column: SM needs d > 0
-    everywhere; WM, NWM and VWM need d >= 0, the first two with some d > 0;
-    PEM (s outside the support) needs d = 0; NWM and PEM also need every
-    player's payoffs equal wherever d = 0."""
+    on the game's Fraction payoffs (:func:`pure._masks`, the tag's pure
+    analog on the mix's expected payoffs), with every index checked once, up
+    front.  PEM also needs s outside the support."""
     if tag not in _DECIDERS:
         raise ValueError(f"unknown mixed tag {tag!r}")
     game._check_strategy(player, dominated)
@@ -199,17 +190,7 @@ def witness_holds(game: Game, tag: str, player: int, dominated: int, m: MixedStr
     cols = _checked_columns(game, player, columns)
     if tag == "PEM" and dominated in m.support:
         return False
-    strict = False
-    for col in cols:
-        mine = game._table[Game.fill(col, player, dominated)]
-        d = _mix_payoff(game, m.weights, player, col, player) - mine[player]
-        if d < 0 or (d == 0 and tag == "SM") or (d != 0 and tag == "PEM"):
-            return False
-        strict = strict or d > 0
-        if d == 0 and tag in ("NWM", "PEM"):
-            if any(mine[j] != _mix_payoff(game, m.weights, player, col, j) for j in range(game.n)):
-                return False
-    return strict or tag in ("SM", "VWM", "PEM")
+    return _met(_masks(game, (tag,), player, dominated, m, cols), (1 << len(cols)) - 1)
 
 
 def verify_witness(game: Game, tag: str, player: int, dominated: int, m: MixedStrategy, columns=None) -> None:
@@ -590,21 +571,22 @@ def check_mixed_hereditary(game: Game, relation: Relation, bound=None) -> CheckO
     support.
 
     This tests the fixed witnesses the decision procedures produce; a reported
-    counterexample is always genuine."""
+    counterexample is always genuine.  Each witness is judged as
+    :func:`witness_holds` judges it (a PEM witness's support never holds s),
+    from masks over the root's columns."""
     _check_bound(game, bound)
-    witnesses: list[MixedWitness] = []
+    witnesses = []
     for i in range(game.n):
+        cols = game.opponent_profiles(i)
         for s in range(len(game.strategies[i])):
             w = find_dominator(game, relation, i, s, range(len(game.strategies[i])))
             if w is not None:
-                witnesses.append(w)
+                needed = set(w.dominator.support) | {s}
+                witnesses.append((w, needed, _masks(game, (w.relation,), i, s, w.dominator, cols)))
     for kept in restrictions(game):
-        for w in witnesses:
-            i = w.player
-            needed = set(w.dominator.support) | {w.dominated}
-            if needed <= set(kept[i]) and not witness_holds(
-                game, w.relation, i, w.dominated, w.dominator, columns=_kept_columns(kept, i)
-            ):
+        cols = [_column_bits(game, kept, i) for i in range(game.n)]
+        for w, needed, masks in witnesses:
+            if needed <= set(kept[w.player]) and not _met(masks, cols[w.player]):
                 return CheckOutcome(False, (kept, w))
     return CheckOutcome(True)
 

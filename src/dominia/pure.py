@@ -3,10 +3,13 @@ conditions (TDI family, IIIA, strict partial order, hereditarity) that the
 order-independence results lean on.
 
 Everything here is an exact quantifier evaluation over the finite payoff
-table, except IIIA, which every pure relation has (:func:`check_iiia`).  The
-restriction-quantified checks (TDI+, TDI++, hereditarity) enumerate every
-non-degenerate restriction and are bounded by
-:func:`dominia.config.max_total_strategies`.
+table, except IIIA, which every pure relation has (:func:`check_iiia`).
+Every tag, pure or mixed, is defined in :func:`_masks` alone, for a pure
+dominator and for a mix.  The restriction-quantified checks (TDI+, TDI++,
+hereditarity) enumerate every non-degenerate restriction and are bounded by
+:func:`dominia.config.max_total_strategies`; each restriction is answered
+from masks over the root's columns, by its kept-column bitset
+(:func:`_column_bits`), as the engine answers its states.
 """
 
 from __future__ import annotations
@@ -43,28 +46,41 @@ class CheckOutcome:
         return self.ok
 
 
-def _masks(game: Game, tags, i: int, s: int, t: int, columns) -> tuple[tuple[int, int], ...]:
+# the pure analog of each mixed tag: a mix TAG-dominates s as its pure
+# analog would, judged on the mix's expected payoffs
+PURE_OF = {"SM": "S", "WM": "W", "VWM": "VW", "NWM": "NW", "PEM": "PE"}
+
+
+def _masks(game: Game, tags, i: int, s: int, t, columns) -> tuple[tuple[int, int], ...]:
     """Per tag, the (fail, need) bitsets over ``columns`` (bit k for
     ``columns[k]``) that decide whether t TAG-dominates s for player i: over
     a subset C of the columns it does iff C meets no fail bit and some need
-    bit (need -1: nothing needed).  Every pure tag is defined here alone."""
+    bit (need -1: nothing needed).  t is a strategy of player i or a mix of
+    them (a ``MixedStrategy``); a mix's payoffs for the other players are
+    computed only where player i's payoffs tie."""
     table = game._table
+    mix = None if isinstance(t, int) else t.weights
     better = worse = split = 0  # u_i(t) > u_i(s); u_i(t) < u_i(s); tie in u_i only
     for k, col in enumerate(columns):
         a = table[col[:i] + (s,) + col[i + 1 :]]
-        b = table[col[:i] + (t,) + col[i + 1 :]]
-        if a[i] < b[i]:
+        if mix is None:
+            b = table[col[:i] + (t,) + col[i + 1 :]]
+            mine = b[i]
+        else:
+            rows = [(w, table[col[:i] + (x,) + col[i + 1 :]]) for x, w in mix]
+            mine = sum(w * row[i] for w, row in rows)
+        if a[i] < mine:
             better |= 1 << k
-        elif a[i] > b[i]:
+        elif a[i] > mine:
             worse |= 1 << k
-        elif a != b:
+        elif a != (b if mix is None else tuple(sum(w * row[j] for w, row in rows) for j in range(len(a)))):
             split |= 1 << k
     by_tag = {"S": (~better, -1), "W": (worse, better), "VW": (worse, -1), "NW": (worse | split, better),
               "PE": (better | worse | split, -1), "COMPAT": (split, -1)}
     try:
-        return tuple(by_tag[tag] for tag in tags)
+        return tuple(by_tag[PURE_OF.get(tag, tag)] for tag in tags)
     except KeyError as err:
-        raise ValueError(f"unknown pure tag {err.args[0]!r}") from None
+        raise ValueError(f"unknown tag {err.args[0]!r}") from None
 
 
 def _met(masks, cols: int) -> bool:
@@ -75,9 +91,33 @@ def _met(masks, cols: int) -> bool:
     return False
 
 
-def _holds(game: Game, tag: str, i: int, dominated: int, dominator: int, columns) -> bool:
-    """Does ``dominator`` TAG-dominate ``dominated`` for player i over ``columns``?"""
-    return _met(_masks(game, (tag,), i, dominated, dominator, columns), (1 << len(columns)) - 1)
+def _first_tag(tags, masks, cols: int) -> Optional[str]:
+    """The first of ``tags`` whose (fail, need) pair in ``masks`` holds over
+    the column bitset ``cols``, or None."""
+    return next((tag for tag, m in zip(tags, masks) if _met((m,), cols)), None)
+
+
+def _pair_masks(game: Game, tags) -> dict[tuple[int, int, int], tuple[tuple[int, int], ...]]:
+    """:func:`_masks` over all of player i's opponent profiles for every
+    ordered pair s != t of each player i, keyed (i, s, t) in that order."""
+    out = {}
+    for i in range(game.n):
+        cols = game.opponent_profiles(i)
+        for s, t in itertools.permutations(range(len(game.strategies[i])), 2):
+            out[i, s, t] = _masks(game, tags, i, s, t, cols)
+    return out
+
+
+def _column_bits(game: Game, kept, i: int) -> int:
+    """The bitset of player i's opponent profiles (bit k for
+    ``game.opponent_profiles(i)[k]``) that use only the strategies in
+    ``kept`` (per player; player i's own entry is ignored): the columns a
+    question about the restriction ``kept`` asks of ``game``."""
+    index = [0]
+    for j, k in enumerate(game.shape):
+        if j != i:
+            index = [x * k + r for x in index for r in kept[j]]
+    return sum(1 << x for x in index)
 
 
 def dominates(game: Game, relation: Relation, player: int, dominated: int, dominator: int, columns=None) -> bool:
@@ -108,12 +148,13 @@ def dominated_set(game: Game, relation: Relation) -> list[list[DominanceWitness]
     out: list[list[DominanceWitness]] = []
     for i in range(game.n):
         columns = game.opponent_profiles(i)
+        every = (1 << len(columns)) - 1
         found: list[DominanceWitness] = []
         for s in range(len(game.strategies[i])):
             for t in range(len(game.strategies[i])):
                 if t == s:
                     continue
-                tag = next((tg for tg in relation.tags if _holds(game, tg, i, s, t, columns)), None)
+                tag = _first_tag(relation.tags, _masks(game, relation.tags, i, s, t, columns), every)
                 if tag is not None:
                     found.append(DominanceWitness(i, s, t, tag))
                     break
@@ -161,23 +202,18 @@ def restrictions(game: Game) -> Iterator[tuple[tuple[int, ...], ...]]:
     ))
 
 
-def _kept_columns(kept, i: int) -> list[tuple[int, ...]]:
-    """Player i's opponent profiles within the restriction ``kept``, in root
-    indices with player i's slot -1: the columns a question about that
-    restriction asks of the root game."""
-    return list(itertools.product(*kept[:i], (-1,), *kept[i + 1 :]))
-
-
 def _first_in_restrictions(game: Game, bound: Optional[int], tag: str, fails) -> CheckOutcome:
     """Over every restriction and ordered pair r != t of one player's kept
     strategies, the first (kept-sets, witness) where r is TAG-dominated by t
     and under no tag of ``fails``, asked of the root over the kept profiles."""
     _check_bound(game, bound)
+    masks = _pair_masks(game, (tag,) + fails)
     for kept in restrictions(game):
         for i in range(game.n):
-            cols = _kept_columns(kept, i)
+            cols = _column_bits(game, kept, i)
             for r, t in itertools.permutations(kept[i], 2):
-                if _holds(game, tag, i, r, t, cols) and not any(_holds(game, f, i, r, t, cols) for f in fails):
+                m = masks[i, r, t]
+                if _met(m[:1], cols) and not _met(m[1:], cols):
                     return CheckOutcome(False, (kept, DominanceWitness(i, r, t, tag)))
     return CheckOutcome(True)
 
@@ -221,16 +257,16 @@ def is_hereditary(game: Game, relation: Relation, bound: Optional[int] = None) -
     but not in that restriction.
     """
     _check_bound(game, bound)
-    pairs: list[tuple[int, int, int, str]] = []
-    for i in range(game.n):
-        cols = game.opponent_profiles(i)
-        for s, t in itertools.permutations(range(len(game.strategies[i])), 2):
-            tag = next((tg for tg in relation.tags if _holds(game, tg, i, s, t, cols)), None)
-            if tag is not None:
-                pairs.append((i, s, t, tag))
+    every = [(1 << len(game.opponent_profiles(i))) - 1 for i in range(game.n)]
+    pairs = []
+    for (i, s, t), m in _pair_masks(game, relation.tags).items():
+        tag = _first_tag(relation.tags, m, every[i])
+        if tag is not None:
+            pairs.append((i, s, t, tag, m))
     for kept in restrictions(game):
-        for (i, s, t, tag) in pairs:
-            if s in kept[i] and t in kept[i] and not dominates(game, relation, i, s, t, _kept_columns(kept, i)):
+        cols = [_column_bits(game, kept, i) for i in range(game.n)]
+        for (i, s, t, tag, m) in pairs:
+            if s in kept[i] and t in kept[i] and not _met(m, cols[i]):
                 return CheckOutcome(False, (kept, DominanceWitness(i, s, t, tag)))
     return CheckOutcome(True)
 

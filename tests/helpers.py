@@ -85,6 +85,39 @@ def mix_payoff(game, i, weights, rest, j):
     )
 
 
+NAIVE_PURE = {
+    "S": naive_strict,
+    "W": naive_weak,
+    "VW": naive_very_weak,
+    "NW": naive_nice_weak,
+    "PE": naive_payoff_equivalent,
+    "COMPAT": naive_compatible,
+}
+
+
+def naive_mixed(game, tag, i, s, weights, rests):
+    """Does the mix ``weights`` ({strategy: weight}) of player i TAG-dominate
+    s over the opponents' profiles ``rests``?  With d the mix's payoff less
+    s's for player i: SM needs d > 0 everywhere; VWM needs d >= 0; WM needs
+    d >= 0 with some d > 0; NWM is WM with every player's payoffs equal
+    where d = 0; PEM needs s outside the support and every player's payoffs
+    equal everywhere."""
+    diffs, ties = [], []
+    for rest in rests:
+        mine = [game.payoff(with_choice(rest, i, s), j) for j in range(game.n)]
+        mix = [mix_payoff(game, i, weights, rest, j) for j in range(game.n)]
+        diffs.append(mix[i] - mine[i])
+        ties.append(mix == mine)
+    weak = all(d >= 0 for d in diffs) and any(d > 0 for d in diffs)
+    return {
+        "SM": all(d > 0 for d in diffs),
+        "WM": weak,
+        "VWM": all(d >= 0 for d in diffs),
+        "NWM": weak and all(tie for d, tie in zip(diffs, ties) if d == 0),
+        "PEM": not weights.get(s) and all(ties),
+    }[tag]
+
+
 @st.composite
 def small_games(draw, lo=-1, hi=1, fractional=False):
     """Games of shapes 2x2 to 3x3 and 2x2x2 with payoffs lo..hi (with

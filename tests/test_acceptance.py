@@ -6,7 +6,7 @@ complete.  The random-game criteria share one 200-game seeded corpus.
 
 import pytest
 
-from dominia import suite
+from dominia import check_tdi, gallery, suite
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +49,12 @@ def test_criterion_07_left_commutativity(games):
 
 def test_criterion_08_structured_elimination(games):
     _report(suite.criterion_8(games))
+
+
+def test_criterion_08_on_the_one_game_corpus():
+    # the one-game corpus at the default seed holds no TDI game of its own
+    assert check_tdi(gallery.nonconfluent_weak_2x2()).ok
+    _report(suite.criterion_8(suite.build_suite(suite.DEFAULT_SEED, 1)))
 
 
 def test_criterion_09_regularity_algebra():

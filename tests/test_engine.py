@@ -439,7 +439,7 @@ class TestBisimilarity:
                     tuple(sorted(g.strategies[i].index(lab) for lab in child.strategies[i]))
                     for i in range(g.n)
                 )
-                image_kept = ren.apply_kept(kept)
+                image_kept = tuple(tuple(sorted(ren.maps[i][s] for s in kept[i])) for i in range(g.n))
                 from dominia import restrict
 
                 image = restrict(twin, image_kept)

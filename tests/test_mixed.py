@@ -20,8 +20,10 @@ from dominia import (
     new_game,
     point_mass,
     random_game,
+    restrict,
     shrink_self_weight,
     substitute,
+    union,
     witness_holds,
 )
 from dominia.errors import DegenerateSubstitution, EmptySupport, IndexOutOfRange
@@ -32,6 +34,7 @@ from dominia.gallery import (
     trivial_1x1,
 )
 from dominia import lp, mixed
+from dominia.pure import CheckOutcome, restrictions
 from dominia.mixed import (
     WitnessVerificationError,
     certificate_holds,
@@ -234,6 +237,22 @@ class TestFindDominator:
         # player 1's strategy 0 is not player 0's strategy 0
         with pytest.raises(IndexOutOfRange):
             witness_holds(G11, "VWM", 0, 1, point_mass(1, 0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(helpers.small_games(fractional=True), helpers.small_games()), st.data())
+    def test_witness_holds_matches_naive_definitions(self, g, data):
+        # weights in 0..2 give point masses, mixes with weight on s, and ties
+        i, s, _, cols = _draw_query(g, data)
+        k = len(g.strategies[i])
+        raw = data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k).filter(any))
+        weights = {t: F(w, sum(raw)) for t, w in enumerate(raw) if w}
+        m = mixed_strategy(i, weights)
+        if cols is None:
+            rests = list(helpers.others(g, i))
+        else:
+            rests = [col[:i] + col[i + 1 :] for col in cols]
+        for tag in ("SM", "WM", "VWM", "NWM", "PEM"):
+            assert witness_holds(g, tag, i, s, m, cols) == helpers.naive_mixed(g, tag, i, s, weights, rests)
 
     @settings(max_examples=150, deadline=None)
     @given(helpers.small_games(fractional=True), st.data())
@@ -472,7 +491,34 @@ class TestWitnessImplications:
                     assert witness_holds(g, "VWM", w.player, w.dominated, w.dominator)
 
 
+def _mixed_hereditary_materialized(g, relation):
+    """check_mixed_hereditary by asking each full-game witness on each
+    materialized restriction that keeps it, in local indices."""
+    witnesses = []
+    for i in range(g.n):
+        for s in range(len(g.strategies[i])):
+            w = find_dominator(g, relation, i, s, range(len(g.strategies[i])))
+            if w is not None:
+                witnesses.append(w)
+    for kept in restrictions(g):
+        sub = restrict(g, kept)
+        for w in witnesses:
+            i, local = w.player, kept[w.player]
+            if set(w.dominator.support) | {w.dominated} <= set(local):
+                weights = {local.index(t): x for t, x in w.dominator.weights}
+                s = local.index(w.dominated)
+                if not helpers.naive_mixed(sub, w.relation, i, s, weights, helpers.others(sub, i)):
+                    return CheckOutcome(False, (kept, w))
+    return CheckOutcome(True)
+
+
 class TestMixedStructural:
+    @settings(max_examples=25, deadline=None)
+    @given(helpers.small_games())
+    def test_hereditary_matches_materialized_restrictions(self, g):
+        for rel in (SM, WM, NWM, union(WM, PEM)):
+            assert check_mixed_hereditary(g, rel) == _mixed_hereditary_materialized(g, rel)
+
     def test_sm_hereditary_on_samples(self, small_games):
         for g in small_games[:6]:
             assert check_mixed_hereditary(g, SM).ok

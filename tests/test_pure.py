@@ -34,7 +34,7 @@ from dominia.gallery import (
     nonconfluent_weak_2x2,
     trivial_1x1,
 )
-from dominia.pure import DominanceWitness, restrictions
+from dominia.pure import CheckOutcome, DominanceWitness, _column_bits, restrictions
 
 G11 = nonconfluent_weak_2x2()
 
@@ -315,3 +315,54 @@ def test_columns_on_root_match_restriction(small_games):
                         assert on_root == dominates(sub, rel, i, ls, lt)
                         seen.add(on_root)
     assert seen == {True, False}
+
+
+def test_column_bits_pick_the_kept_profiles(small_games):
+    for g in small_games[:10]:
+        for kept in restrictions(g):
+            for i in range(g.n):
+                bits = _column_bits(g, kept, i)
+                picked = [col for k, col in enumerate(g.opponent_profiles(i)) if bits >> k & 1]
+                assert picked == list(itertools.product(*kept[:i], (-1,), *kept[i + 1 :]))
+
+
+def _first_in_materialized(g, tag, fails):
+    """check_tdi_plus's question on each materialized restriction, in local
+    indices: the first pair under ``tag`` and under no tag of ``fails``."""
+    for kept in restrictions(g):
+        sub = restrict(g, kept)
+        for i in range(g.n):
+            for a, b in itertools.permutations(range(len(kept[i])), 2):
+                naive = helpers.NAIVE_PURE
+                if naive[tag](sub, i, a, b) and not any(naive[f](sub, i, a, b) for f in fails):
+                    return CheckOutcome(False, (kept, DominanceWitness(i, kept[i][a], kept[i][b], tag)))
+    return CheckOutcome(True)
+
+
+def _hereditary_materialized(g, tags):
+    """is_hereditary by asking each full-game pair on each materialized
+    restriction that keeps it, in local indices."""
+
+    def first(game, i, s, t):
+        return next((tag for tag in tags if helpers.NAIVE_PURE[tag](game, i, s, t)), None)
+
+    pairs = [
+        (i, s, t, first(g, i, s, t))
+        for i in range(g.n)
+        for s, t in itertools.permutations(range(len(g.strategies[i])), 2)
+    ]
+    for kept in restrictions(g):
+        sub = restrict(g, kept)
+        for i, s, t, tag in pairs:
+            if tag and s in kept[i] and t in kept[i] and not first(sub, i, kept[i].index(s), kept[i].index(t)):
+                return CheckOutcome(False, (kept, DominanceWitness(i, s, t, tag)))
+    return CheckOutcome(True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(helpers.small_games())
+def test_restriction_checks_match_materialized_restrictions(g):
+    assert check_tdi_plus(g) == _first_in_materialized(g, "W", ("COMPAT",))
+    assert check_tdi_plus_plus(g) == _first_in_materialized(g, "VW", ("W", "PE"))
+    for rel in (W, NW, union(S, W), union(NW, PE)):
+        assert is_hereditary(g, rel) == _hereditary_materialized(g, rel.tags)
