@@ -2,14 +2,17 @@
 
 Every mixed-dominance decision in this package is a boolean claim hinging on
 strict-versus-weak inequalities, so the solver is exact: there is no tolerance
-anywhere.  Problems are stated in `fractions.Fraction`; the simplex runs
-fraction-free on Python integers (integer-preserving pivoting, Edmonds 1967;
-Bareiss 1968).  Each row is scaled by the LCM of its denominators, the tableau
-holds integers over one common positive denominator (the last pivot), every
-update divides exactly, and ratios are compared by cross-multiplying.
-Fractions are built only for the returned point.  Callers never encode a
-strict inequality directly: they maximize a margin variable and test the exact
-optimum against zero.
+anywhere.  The simplex runs fraction-free on Python integers
+(integer-preserving pivoting, Edmonds 1967; Bareiss 1968): :func:`solve_int`
+takes integer rows and an integer objective and builds the tableau from them
+directly; the tableau holds integers over one common positive denominator
+(the last pivot), every update divides exactly, and ratios are compared by
+cross-multiplying.  Fractions are built only for the returned point and
+value.  :func:`solve` is the entry for problems stated in
+`fractions.Fraction`: it scales each row, and the objective, by the LCM of
+its denominators and calls :func:`solve_int`; nothing else scales.  Callers
+never encode a strict inequality directly: they maximize a margin variable
+and test the exact optimum against zero.
 
 Bland's pivoting rule (lowest eligible index enters; lowest basic index leaves
 among minimum-ratio ties) guarantees termination; a generous pivot cap guards
@@ -186,73 +189,77 @@ def _scaled(values) -> tuple[int, list[int]]:
 
 
 def solve(prob: LpProblem) -> LpOutcome:
-    """Exact optimum of the problem; the returned point is re-verified against
-    every constraint before the outcome is handed back."""
-    minimize = prob.sense == "min"
-    obj = list(prob.objective) if minimize else [-c for c in prob.objective]
+    """Exact optimum of a rational problem: each row, and the objective, is
+    scaled to integers by the LCM of its denominators and handed to
+    :func:`solve_int`.  A positive scale keeps the feasible set, the optimal
+    points and every sign and ratio test within a row; it also rescales the
+    row's slack and artificial, which phase 1 then weighs alike, so feasibility
+    is unchanged while the phase-1 pivots are those of the scaled rows."""
+    rows = [_scaled((*con.coeffs, con.rhs))[1] for con in prob.constraints]
+    scale, objective = _scaled(prob.objective)
+    out = solve_int(rows, [con.op for con in prob.constraints], objective, prob.sense, prob.nonneg)
+    if out.optimal and scale != 1:
+        return LpOutcome("optimal", out.value / scale, out.point)
+    return out
 
-    # map original variables to standard (nonnegative) columns
+
+def solve_int(rows, ops, objective, sense: str = "max", nonneg=None) -> LpOutcome:
+    """Exact optimum of ``objective`` . x (``sense`` "max" or "min") subject
+    to ``rows[r][:-1]`` . x ``ops[r]`` ``rows[r][-1]`` for every r, with
+    integer rows (coefficients, then the rhs) and an integer objective.
+    ``nonneg[j]`` (default: every j) keeps x_j >= 0; otherwise x_j is free.
+    The returned point is re-verified against every row before the outcome is
+    handed back."""
+    if nonneg is None:
+        nonneg = (True,) * len(objective)
+    # map original variables to standard (nonnegative) columns: a free
+    # variable is the difference of two
     col_of: list[tuple[int, Optional[int]]] = []
     ncols = 0
-    for flag in prob.nonneg:
+    for flag in nonneg:
         if flag:
             col_of.append((ncols, None))
             ncols += 1
         else:
             col_of.append((ncols, ncols + 1))
             ncols += 2
+    split = ncols > len(col_of)
 
-    std_cost = [ZERO] * ncols
-    for j, (p, q) in enumerate(col_of):
-        std_cost[p] += obj[j]
-        if q is not None:
-            std_cost[q] -= obj[j]
+    def standard(values: list[int]) -> list[int]:
+        if not split:
+            return values
+        out = []
+        for v, flag in zip(values, nonneg):
+            out.append(v)
+            if not flag:
+                out.append(-v)
+        return out
 
-    # Each row is scaled to integers by the LCM of its denominators, and its
-    # slack and artificial get coefficient 1.  That rescales those variables
-    # by the positive row scale, so phase 1 weights artificial r by 1/scale_r
-    # to minimize the unscaled sum; positive rescalings keep every sign and
-    # ratio comparison, so the pivots are those of the unscaled tableau.
-    rows: list[list[int]] = []
-    scales: list[int] = []
-    scaled_rows: list[list[int]] = []
-    n_slack = sum(1 for con in prob.constraints if con.op != EQ)
-    total = ncols + n_slack
-    slack_at = ncols
-    for con in prob.constraints:
-        scale, scaled = _scaled((*con.coeffs, con.rhs))
-        *coeffs, rhs = scaled
-        scales.append(scale)
-        scaled_rows.append(scaled)
-        row = [0] * total
-        for j, (p, q) in enumerate(col_of):
-            row[p] = coeffs[j]
-            if q is not None:
-                row[q] = -coeffs[j]
-        if con.op == LE:
-            row[slack_at] = 1
-            slack_at += 1
-        elif con.op == GE:
-            row[slack_at] = -1
-            slack_at += 1
-        row.append(rhs)
-        if rhs < 0:
-            row = [-v for v in row]
-        rows.append(row)
-
+    # rows with a negative rhs are negated; each row's slack and artificial
+    # get coefficient 1, and phase 1 minimizes the sum of the artificials
     m = len(rows)
-    # phase 1: artificial basis
-    art_base = total
-    for r, row in enumerate(rows):
-        rhs = row.pop()
-        row.extend(1 if k == r else 0 for k in range(m))
-        row.append(rhs)
-    basis = [art_base + r for r in range(m)]
-    tab = _Tableau(rows, basis)
-    weight = lcm(*scales)
-    phase1_cost = [0] * art_base + [weight // s for s in scales] + [0]
+    n_slack = sum(1 for op in ops if op != EQ)
+    art_base = ncols + n_slack
+    tab_rows: list[list[int]] = []
+    slack = 0
+    for r, (row, op) in enumerate(zip(rows, ops)):
+        body = [*row]
+        rhs = body.pop()
+        body = standard(body) + [0] * n_slack
+        if op != EQ:
+            body[ncols + slack] = 1 if op == LE else -1
+            slack += 1
+        if rhs < 0:
+            body = [-v for v in body]
+            rhs = -rhs
+        body += [0] * m
+        body[art_base + r] = 1
+        body.append(rhs)
+        tab_rows.append(body)
+
+    tab = _Tableau(tab_rows, [art_base + r for r in range(m)])
     try:
-        red = tab.minimize(phase1_cost)
+        red = tab.minimize([0] * art_base + [1] * m + [0])
     except _Unbounded:  # pragma: no cover - phase 1 objective is bounded below by 0
         raise AssertionError("phase 1 cannot be unbounded")
     if red[-1] != 0:  # objective cell holds -value
@@ -270,12 +277,12 @@ def solve(prob: LpProblem) -> LpOutcome:
     tab.rows = [tab.rows[r] for r in keep]
     tab.basis = [tab.basis[r] for r in keep]
     # chop artificial columns
-    for r in range(len(tab.rows)):
-        tab.rows[r] = tab.rows[r][:art_base] + [tab.rows[r][-1]]
+    for row in tab.rows:
+        del row[art_base:-1]
 
-    phase2_cost = _scaled(std_cost)[1] + [0] * n_slack + [0]
+    cost = standard(list(objective) if sense == "min" else [-c for c in objective])
     try:
-        tab.minimize(phase2_cost)
+        tab.minimize(cost + [0] * n_slack + [0])
     except _Unbounded:
         return LpOutcome("unbounded")
 
@@ -283,30 +290,20 @@ def solve(prob: LpProblem) -> LpOutcome:
     for r, b in enumerate(tab.basis):
         std_num[b] = tab.rows[r][-1]
     nums = [std_num[p] - (0 if q is None else std_num[q]) for p, q in col_of]
-    _check_point(prob, scaled_rows, nums, tab.d)
-    point = [Fraction(v, tab.d) for v in nums]
-    value = sum((c * x for c, x in zip(prob.objective, point)), ZERO)
-    return LpOutcome("optimal", value, tuple(point))
+    d = tab.d
+    _check_point(rows, ops, nonneg, nums, d)
+    value = Fraction(sum(c * v for c, v in zip(objective, nums)), d)
+    return LpOutcome("optimal", value, tuple(Fraction(v, d) for v in nums))
 
 
-def _check_point(prob: LpProblem, scaled_rows, nums: list[int], d: int) -> None:
-    """Re-check the point ``nums / d`` (d > 0) exactly against every
-    constraint, on its integer row (coefficients then rhs, times the row's
-    positive scale), and every sign; an internal consistency guard."""
-    for con, (*coeffs, rhs) in zip(prob.constraints, scaled_rows):
-        lhs = sum(c * v for c, v in zip(coeffs, nums))
-        rhs *= d
-        if not (lhs <= rhs if con.op == LE else lhs >= rhs if con.op == GE else lhs == rhs):
-            raise AssertionError(f"simplex returned a point violating {con}")
-    if any(flag and v < 0 for flag, v in zip(prob.nonneg, nums)):
+def _check_point(rows, ops, nonneg, nums: list[int], d: int) -> None:
+    """Re-check the point ``nums / d`` (d > 0) exactly against every integer
+    row (coefficients then rhs) and every sign; an internal consistency
+    guard."""
+    for r, (row, op) in enumerate(zip(rows, ops)):
+        lhs = sum(c * v for c, v in zip(row, nums))  # the rhs has no partner
+        rhs = row[-1] * d
+        if not (lhs <= rhs if op == LE else lhs >= rhs if op == GE else lhs == rhs):
+            raise AssertionError(f"simplex returned a point violating row {r}: {list(row)} ({op})")
+    if any(flag and v < 0 for flag, v in zip(nonneg, nums)):
         raise AssertionError("simplex returned a negative value for a nonnegative variable")
-
-
-def feasible_point(constraints, num_vars: int, nonneg=None) -> LpOutcome:
-    """Phase-one feasibility: Optimal with value 0 and a witness point iff the
-    system has a solution."""
-    prob = problem(num_vars, constraints, [ZERO] * num_vars, "min", nonneg)
-    out = solve(prob)
-    if out.status != "optimal":
-        return out
-    return LpOutcome("optimal", ZERO, out.point)

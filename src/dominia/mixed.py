@@ -20,16 +20,19 @@ the allowed support and A' = A minus the dominated strategy s:
   such as :func:`check_mixed_hereditary` re-check in restrictions.
 
 VWM with s inside A (the point mass on s dominates) goes to the LP, which
-picks the witness.  Strictness is always decided by maximizing an exact
-margin and testing it against zero, never by tolerance.  Every witness,
-point mass or LP point, is re-verified before it leaves this module by
-:func:`witness_holds`: the tag's pure analog evaluated on the mix's
-expected Fraction payoffs by :func:`pure._masks`, where every tag is
+picks the witness.  The deciders hand the LP those integer rows as they are
+(:func:`lp.solve_int`), with no rescaling.  Strictness is always decided by
+maximizing an exact margin and testing it against zero, never by tolerance.
+Every witness, point mass or LP point, is re-verified before it leaves this
+module by :func:`witness_holds`: the tag's pure analog evaluated on the
+mix's expected Fraction payoffs by :func:`pure._masks`, where every tag is
 defined.  Every cheap "no" carries a certificate (the column, and for PEM
 the player) that is checked on the game's Fraction payoffs
 (:func:`certificate_holds`) before ``None`` leaves it.
 :func:`check_mixed_hereditary` builds each witness's masks once and answers
 every restriction from its kept-column bitset (:func:`pure._column_bits`).
+The engine and the inherent chain, which check their arguments once, ask
+:func:`_find`, the search behind :func:`find_dominator`, directly.
 
 The ``allowed_support`` argument makes the loose/strict elimination
 distinction (dominators from the pre-step sets versus dominators that must
@@ -51,12 +54,13 @@ from .errors import (
     IndexOutOfRange,
 )
 from .game import Game
-from .lp import EQ, GE, ONE, ZERO, LinearConstraint
+from .lp import EQ, GE, ONE, ZERO
 from .pure import CheckOutcome, _check_bound, _column_bits, _masks, _met, restrictions
 from .relations import Relation
 
-# Count of witnesses that passed direct re-verification since import; the
-# acceptance suite asserts this grows and that no verification ever fails.
+# Count of witnesses that passed direct re-verification since import; a
+# failed one raises instead.  Criterion 5 of the acceptance suite fails when
+# its run does not make this grow.
 verified_witness_count = 0
 
 
@@ -358,14 +362,15 @@ def _margin_lp(pay, i, s, allowed, ties, margin) -> lp.LpOutcome:
     less z on the columns in ``margin``."""
     k = len(allowed)
     tied = set(ties)
-    cons = [LinearConstraint((*(rows[c][t] for t in allowed), 0), EQ, rows[c][s]) for c in ties for rows in pay]
-    cons.extend(
-        LinearConstraint((*(row[t] for t in allowed), -1 if c in margin else 0), GE, row[s])
-        for c, row in enumerate(pay[i])
-        if c not in tied
-    )
-    cons.append(LinearConstraint((1,) * k + (0,), EQ, 1))
-    return lp.solve(lp.problem(k + 1, cons, [0] * k + [1], "max", [True] * k + [False]))
+    rows = [[*(player[c][t] for t in allowed), 0, player[c][s]] for c in ties for player in pay]
+    ops = [EQ] * len(rows)
+    for c, row in enumerate(pay[i]):
+        if c not in tied:
+            rows.append([*(row[t] for t in allowed), -1 if c in margin else 0, row[s]])
+            ops.append(GE)
+    rows.append([1] * k + [0, 1])
+    ops.append(EQ)
+    return lp.solve_int(rows, ops, [0] * k + [1], "max", [True] * k + [False])
 
 
 def _decide_sm(pay, i, s, allowed):
@@ -377,27 +382,27 @@ def _decide_sm(pay, i, s, allowed):
     return None
 
 
-def _wm_constraints(pay, i, s, allowed):
-    cons = [LinearConstraint(tuple(row[t] for t in allowed), GE, row[s]) for row in pay[i]]
-    cons.append(LinearConstraint((1,) * len(allowed), EQ, 1))
-    return cons
+def _wm_rows(pay, i, s, allowed):
+    """Player i's payoff at least s's on every column, weights summing to 1:
+    the rows and their ops."""
+    rows = [[*(row[t] for t in allowed), row[s]] for row in pay[i]]
+    rows.append([1] * (len(allowed) + 1))
+    return rows, [GE] * (len(rows) - 1) + [EQ]
 
 
 def _decide_wm(pay, i, s, allowed):
-    k = len(allowed)
-    cons = _wm_constraints(pay, i, s, allowed)
     # maximize total slack over all columns; strictly positive iff some
     # inequality can be made strict
     obj = [sum(row[t] for row in pay[i]) for t in allowed]
     base = sum(row[s] for row in pay[i])
-    out = lp.solve(lp.problem(k, cons, obj, "max"))
+    out = lp.solve_int(*_wm_rows(pay, i, s, allowed), obj, "max")
     if out.optimal and out.value > base:
         return _weights_from_point(allowed, out.point)
     return None
 
 
 def _decide_vwm(pay, i, s, allowed):
-    out = lp.feasible_point(_wm_constraints(pay, i, s, allowed), len(allowed))
+    out = lp.solve_int(*_wm_rows(pay, i, s, allowed), [0] * len(allowed), "min")
     if out.optimal:
         return _weights_from_point(allowed, out.point)
     return None
@@ -405,9 +410,9 @@ def _decide_vwm(pay, i, s, allowed):
 
 def _decide_pem(pay, i, s, allowed):
     k = len(allowed)
-    cons = [LinearConstraint(tuple(row[t] for t in allowed), EQ, row[s]) for rows in zip(*pay) for row in rows]
-    cons.append(LinearConstraint((1,) * k, EQ, 1))
-    out = lp.feasible_point(cons, k)
+    rows = [[*(row[t] for t in allowed), row[s]] for column in zip(*pay) for row in column]
+    rows.append([1] * (k + 1))
+    out = lp.solve_int(rows, [EQ] * len(rows), [0] * k, "min")
     if out.optimal:
         return _weights_from_point(allowed, out.point)
     return None
@@ -480,20 +485,29 @@ def find_dominator(
     if not relation.mixed:
         raise ValueError("find_dominator needs a mixed relation")
     allowed, cols, pay = _query(game, player, strategy, allowed_support, columns)
+    return _find(game, relation, player, strategy, allowed, cols, pay)
+
+
+def _find(
+    game: Game, relation: Relation, i: int, s: int, allowed, cols: _Columns, pay: _Rows
+) -> Optional[MixedWitness]:
+    """:func:`find_dominator` on checked arguments: ``allowed`` sorted and
+    distinct strategies of player i, ``cols`` from :func:`_checked_columns`
+    and ``pay`` the :class:`_Rows` of ``game``, i and ``cols``."""
     for tag in relation.tags:
-        member_allowed = _member_support(tag, allowed, strategy)
+        member_allowed = _member_support(tag, allowed, s)
         if not member_allowed:
             continue
-        weights, certificate = _settle(pay, tag, player, strategy, member_allowed)
+        weights, certificate = _settle(pay, tag, i, s, member_allowed)
         if certificate is not None:
-            _verify_certificate(game, tag, player, strategy, member_allowed, certificate, cols)
+            _verify_certificate(game, tag, i, s, member_allowed, certificate, cols)
             continue
         if weights is None:
-            weights = _DECIDERS[tag](pay, player, strategy, member_allowed)
+            weights = _DECIDERS[tag](pay, i, s, member_allowed)
         if weights is not None:
-            m = mixed_strategy(player, weights)
-            verify_witness(game, tag, player, strategy, m, cols)
-            return MixedWitness(player, strategy, m, tag)
+            m = mixed_strategy(i, weights)
+            verify_witness(game, tag, i, s, m, cols)
+            return MixedWitness(i, s, m, tag)
     return None
 
 

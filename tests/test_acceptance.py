@@ -6,7 +6,7 @@ complete.  The random-game criteria share one 200-game seeded corpus.
 
 import pytest
 
-from dominia import check_tdi, gallery, suite
+from dominia import check_tdi, gallery, mixed, suite
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,18 @@ def test_criterion_04_arrow_equivalence(games):
 
 def test_criterion_05_mixed_theorems(games):
     _report(suite.criterion_5(games))
+
+
+def test_criterion_05_on_the_one_game_corpus(monkeypatch):
+    # the gallery game alone re-verifies witnesses; a run that re-verifies
+    # none fails the criterion
+    _report(suite.criterion_5(suite.build_suite(suite.DEFAULT_SEED, 1)))
+    before = mixed.verified_witness_count
+    _report(suite.criterion_5([]))
+    assert mixed.verified_witness_count > before
+    monkeypatch.setattr(mixed, "verify_witness", lambda *args: None)
+    result = suite.criterion_5([])
+    assert not result.ok and "no witness was re-verified" in result.detail
 
 
 def test_criterion_06_renaming_unique_normal_forms(games):

@@ -51,6 +51,7 @@ from dominia.gallery import (
     nonconfluent_weak_2x2,
     trivial_1x1,
 )
+from dominia.mixed import _find
 
 G11 = nonconfluent_weak_2x2()
 NW_STRICT_ANY = RelationSpec(NW, STRICT, ANY)
@@ -549,7 +550,7 @@ def test_bitmask_engine_matches_kept_tuple_bfs(relation, game):
 def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch):
     # over the same opponents' kept strategies, a "no" on allowed A refutes
     # every subset of A and a "yes" with support S answers every allowed set
-    # that contains S; only other questions reach find_dominator
+    # that contains S; only other questions reach the mixed search
     game = new_game(
         [["T", "M", "B", "X"], ["L", "R"]],
         {
@@ -563,9 +564,9 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
 
     def counted(*args, **kwargs):
         calls.append(args[4])
-        return find_dominator(*args, **kwargs)
+        return _find(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "find_dominator", counted)
+    monkeypatch.setattr(engine, "_find", counted)
     layer = engine._Dominance(game, SM)
     T, B, X = 1 << 0, 1 << 2, 1 << 3
     start = layer.start
@@ -580,6 +581,26 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
     assert layer.witness(start, 0, 1, B) is None
     assert layer.witness(no_r, 0, 1, T) == T
     assert calls == [(0, 3), (0, 2), (2,), (0,)]
+
+
+@pytest.mark.parametrize("relation", [SM, WM, NWM, PEM, union(NWM, PEM)], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(game=helpers.small_games(lo=-2, hi=2, fractional=True), data=st.data())
+def test_dominance_layer_answers_as_the_public_search(relation, game, data):
+    # a fresh layer's witness support is that of find_dominator on the root
+    # over the state's kept columns, listed here without the layer's bitsets
+    layer = engine._Dominance(game, relation)
+    i = data.draw(st.sampled_from(range(game.n)))
+    kept = [
+        data.draw(st.sets(st.sampled_from(range(k)), min_size=2 if j == i else 1)) for j, k in enumerate(game.shape)
+    ]
+    state = sum(1 << layer.off[j] + t for j, ks in enumerate(kept) for t in ks)
+    s = data.draw(st.sampled_from(sorted(kept[i])))
+    allowed = data.draw(st.sets(st.sampled_from(sorted(kept[i] - {s})), min_size=1))
+    cols = [col for col in game.opponent_profiles(i) if all(col[j] in kept[j] for j in range(game.n) if j != i)]
+    support = layer.witness(state, i, s, sum(1 << t for t in allowed))
+    w = find_dominator(game, relation, i, s, allowed, columns=cols)
+    assert support == (None if w is None else sum(1 << t for t in w.dominator.support))
 
 
 @pytest.mark.parametrize("relation", [S, PE, union(NW, PE), SM, Inherent(WM)], ids=str)

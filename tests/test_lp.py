@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,23 +18,30 @@ def test_unbounded():
     assert out.status == "unbounded"
 
 
+def _feasible(constraints, num_vars):
+    """Phase one alone: minimize 0 over the constraints."""
+    return lp.solve(lp.problem(num_vars, constraints, [0] * num_vars, "min"))
+
+
 def test_contradictory_equalities_infeasible():
-    out = lp.feasible_point([lp.constraint([1], "==", 1), lp.constraint([1], "==", 2)], 1)
+    out = _feasible([lp.constraint([1], "==", 1), lp.constraint([1], "==", 2)], 1)
     assert out.status == "infeasible"
 
 
 def test_simplex_feasibility():
-    out = lp.feasible_point([lp.constraint([1, 1], "==", 1)], 2)
-    assert out.optimal and sum(out.point) == 1 and all(v >= 0 for v in out.point)
+    out = _feasible([lp.constraint([1, 1], "==", 1)], 2)
+    assert out.optimal and out.value == 0
+    assert sum(out.point) == 1 and all(v >= 0 for v in out.point)
 
 
 def test_simplex_with_forced_bound_infeasible():
     cons = [lp.constraint([1, 1], "==", 1), lp.constraint([1, 0], ">=", 2)]
-    assert lp.feasible_point(cons, 2).status == "infeasible"
+    assert _feasible(cons, 2).status == "infeasible"
 
 
 def test_vacuous_problem_feasible():
-    assert lp.feasible_point([], 0).optimal
+    out = _feasible([], 0)
+    assert out.optimal and out.value == 0 and out.point == ()
 
 
 def test_free_variables():
@@ -201,14 +209,66 @@ def test_post_solve_check_rejects_a_point_off_by_one_over_d():
     out = lp.solve(prob)
     assert out.point == (Fraction(13, 9), Fraction(10, 9), Fraction(-3, 2))
     rows = [lp._scaled((*con.coeffs, con.rhs))[1] for con in prob.constraints]
+    ops = [con.op for con in prob.constraints]
+    assert rows == [[2, 1, 0, 4], [3, -3, 0, 1], [0, 0, 2, -3]]
     d = 18
     nums = [int(v * d) for v in out.point]
-    lp._check_point(prob, rows, nums, d)
-    for shift, broken in (((1, 1, 0), le), ((-1, 0, 0), eq), ((0, 0, -1), ge)):
+    lp._check_point(rows, ops, prob.nonneg, nums, d)
+    for shift, broken in (((1, 1, 0), 0), ((-1, 0, 0), 1), ((0, 0, -1), 2)):
         off = [v + k for v, k in zip(nums, shift)]
-        with pytest.raises(AssertionError, match="violating") as err:
-            lp._check_point(prob, rows, off, d)
-        assert str(broken) in str(err.value)
-    sign = lp.problem(1, [], [0], "min")
+        with pytest.raises(AssertionError, match=f"violating row {broken}:") as err:
+            lp._check_point(rows, ops, prob.nonneg, off, d)
+        assert str(rows[broken]) in str(err.value)
     with pytest.raises(AssertionError, match="negative value"):
-        lp._check_point(sign, [], [-1], d)
+        lp._check_point([], [], [True], [-1], d)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.tuples(st.lists(rationals, min_size=n, max_size=n), st.sampled_from(["<=", "==", ">="]), rationals),
+                max_size=4,
+            ),
+            st.lists(rationals, min_size=n, max_size=n),
+            st.sampled_from(["max", "min"]),
+            st.lists(st.booleans(), min_size=n, max_size=n),
+        )
+    )
+)
+def test_rational_adapter_solves_the_scaled_integer_problem(case):
+    """``solve`` on a rational problem answers as ``solve_int`` on the same
+    problem with each row, and the objective, times its scale; the point
+    meets every rational row, and the post-solve check rejects a move of
+    any coordinate that an equality row or a zero sign bound pins."""
+    rows, objective, sense, nonneg = case
+    prob = lp.problem(len(objective), [lp.constraint(c, op, b) for c, op, b in rows], objective, sense, nonneg)
+    int_rows = [lp._scaled((*con.coeffs, con.rhs))[1] for con in prob.constraints]
+    ops = [op for _, op, _ in rows]
+    scale, int_objective = lp._scaled(prob.objective)
+    assert all(isinstance(v, int) for row in int_rows for v in row + int_objective)
+    rational = lp.solve(prob)
+    integer = lp.solve_int(int_rows, ops, int_objective, sense, nonneg)
+    assert rational.status == integer.status
+    assert rational.point == integer.point
+    if not rational.optimal:
+        assert rational.value is None and integer.value is None
+        return
+    assert integer.value == scale * rational.value
+    x = rational.point
+    assert rational.value == sum(c * v for c, v in zip(prob.objective, x))
+    for con in prob.constraints:
+        lhs = sum(c * v for c, v in zip(con.coeffs, x))
+        assert lhs <= con.rhs if con.op == "<=" else lhs >= con.rhs if con.op == ">=" else lhs == con.rhs
+    assert all(v >= 0 for v, flag in zip(x, nonneg) if flag)
+    d = lcm(*(v.denominator for v in x))
+    nums = [int(v * d) for v in x]
+    lp._check_point(int_rows, ops, nonneg, nums, d)
+    for j in range(len(x)):
+        pinned = any(op == "==" and row[j] for row, op in zip(int_rows, ops))
+        for step in (1, -1):
+            if pinned or (nonneg[j] and nums[j] == 0 and step < 0):
+                off = nums[:j] + [nums[j] + step] + nums[j + 1 :]
+                with pytest.raises(AssertionError, match="violating|negative value"):
+                    lp._check_point(int_rows, ops, nonneg, off, d)
