@@ -25,17 +25,16 @@ and t dominates s in a state iff the kept profiles meet no fail bit and
 some need bit.  Mixed and inherent questions go to the root over the kept
 columns, picked by that bitset from the root's columns, checked once; the
 root's integer payoff rows (:meth:`Game._int_rows`) are built once for all
-of them and picked for each column set once (a ``mixed._Rows`` kept beside
-the bitset), and mixed questions skip :func:`mixed.find_dominator`'s
-argument checks (:func:`mixed._find`).  Their answers are kept per (player,
-s, opponents' kept strategies) and reused by monotonicity in the allowed
-support A: every relation here asks "is there a dominator of s with support
-inside A over these columns", so a support inside A answers yes, and a "no"
-for a superset of A answers no.  A reused support may differ from the one a
-fresh search would find; results depend only on verdicts, since
-:meth:`_Dominance.survives` asks again whenever the removal meets the
-support.  Searches on one root inside one public call share the layer.
-Reach sets are int bitsets, built bottom-up: every step removes strategies.
+of them and picked once per column set, which carries them.  Their answers
+are kept per (player, s, opponents' kept strategies) and reused by
+monotonicity in the allowed support A: every relation here asks "is there a
+dominator of s with support inside A over these columns", so a support
+inside A answers yes, and a "no" for a superset of A answers no.  A reused
+support may differ from the one a fresh search would find; results depend
+only on verdicts, since :meth:`_Dominance.survives` asks again whenever the
+removal meets the support.  Searches on one root inside one public call
+share the layer.  Reach sets are int bitsets, built bottom-up: every step
+removes strategies.
 
 Exact clones (strategies of one player with identical payoff vectors, for
 every player, in every opponent profile) are interchangeable: permuting them
@@ -66,7 +65,7 @@ from typing import Optional, Union
 
 from .game import Game, restrict
 from .inherent import InherentQuery, is_inherently_dominated
-from .mixed import _checked_columns, _find, _Rows
+from .mixed import _checked_columns, find_dominator
 from .pure import CheckOutcome, _check_bound, _column_bits, _masks, _met
 from .equivalence import clone_classes, partition_by_equivalence
 from .relations import Inherent, Relation, union
@@ -181,9 +180,8 @@ class _Dominance:
         hit = self._columns.get((i, others))
         if hit is None:
             bits = _column_bits(self.root, self.key(state), i)
-            cols = self._profiles[i].subset(bits)
-            hit = self._columns[i, others] = (bits, cols, None if self.pure else _Rows(self.root, i, cols))
-        bits, cols, rows = hit
+            hit = self._columns[i, others] = (bits, self._profiles[i].subset(bits))
+        bits, cols = hit
         rel = self.relation
         if self.pure:
             found = 0
@@ -210,7 +208,7 @@ class _Dominance:
                 support |= sum(1 << t for t in d.dominator.support) if rel.base.mixed else 1 << d
             support = support or None
         else:
-            w = _find(self.root, rel, i, s, _bits(allowed), cols, rows)
+            w = find_dominator(self.root, rel, i, s, _bits(allowed), columns=cols)
             support = None if w is None else sum(1 << t for t in w.dominator.support)
         past.append((allowed, support))
         return support

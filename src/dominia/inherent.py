@@ -13,10 +13,10 @@ as a need column below.  So one chain decides:
 
 * C_0 is the full column set;
 * find a dominator d_k on C_k: point masses first, then
-  :func:`find_dominator`'s search for a mixed base; if there is none, C_k
-  is a failing subset.  Every dominator's fail and need columns, a point
-  mass's or an LP witness's, are read from :func:`pure._masks`, where every
-  tag is defined;
+  :func:`find_dominator` for a mixed base; if there is none, C_k is a
+  failing subset.  Every dominator's fail and need columns, a point mass's
+  or an LP witness's, are read from :func:`pure._masks`, where every tag is
+  defined;
 * C_{k+1} is C_k less d_k's need columns; stop when it is empty.
 
 Over no columns there is no non-empty subset, so every strategy is
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .game import Game
-from .mixed import MixedWitness, _checked_columns, _find, _Rows, point_mass
+from .mixed import MixedWitness, _checked_columns, find_dominator, point_mass
 from .pure import _masks, _met
 from .relations import Relation
 
@@ -93,7 +93,7 @@ def is_inherently_dominated(game: Game, query: InherentQuery, *, columns=None) -
                     return (MixedWitness(i, s, point_mass(i, t), tag) if base.mixed else t), m[k][1]
         if not base.mixed or not allowed:
             return None
-        w = _find(game, base, i, s, allowed, subset, _Rows(game, i, subset))
+        w = find_dominator(game, base, i, s, allowed, columns=subset)
         if w is None:
             return None
         return w, _masks(game, (w.relation,), i, s, w.dominator, full)[0][1]

@@ -1,18 +1,18 @@
-"""Exact rational linear programming by two-phase simplex with Bland's rule.
+"""Exact linear programming by two-phase simplex with Bland's rule.
 
 Every mixed-dominance decision in this package is a boolean claim hinging on
 strict-versus-weak inequalities, so the solver is exact: there is no tolerance
-anywhere.  The simplex runs fraction-free on Python integers
-(integer-preserving pivoting, Edmonds 1967; Bareiss 1968): :func:`solve_int`
-takes integer rows and an integer objective and builds the tableau from them
-directly; the tableau holds integers over one common positive denominator
-(the last pivot), every update divides exactly, and ratios are compared by
-cross-multiplying.  Fractions are built only for the returned point and
-value.  :func:`solve` is the entry for problems stated in
-`fractions.Fraction`: it scales each row, and the objective, by the LCM of
-its denominators and calls :func:`solve_int`; nothing else scales.  Callers
-never encode a strict inequality directly: they maximize a margin variable
-and test the exact optimum against zero.
+anywhere.  A problem (:class:`LpProblem`) is stated in integers: each
+constraint row holds integer coefficients and an integer right-hand side,
+and the objective is integer.  The mixed layer's payoff rows already are
+(:meth:`Game._int_rows`), so nothing is rescaled on the way in.  The simplex
+runs fraction-free on Python integers (integer-preserving pivoting, Edmonds
+1967; Bareiss 1968): the tableau is built from the rows directly and holds
+integers over one common positive denominator (the last pivot), every update
+divides exactly, and ratios are compared by cross-multiplying.  Fractions
+are built only for the returned point and value.  Callers never encode a
+strict inequality directly: they maximize a margin variable and test the
+exact optimum against zero.
 
 Bland's pivoting rule (lowest eligible index enters; lowest basic index leaves
 among minimum-ratio ties) guarantees termination; a generous pivot cap guards
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .errors import DimensionMismatch, PivotLimitExceeded
@@ -36,49 +35,36 @@ MAX_PIVOTS = 200_000
 LE, EQ, GE = "<=", "==", ">="
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    coeffs: tuple[Fraction | int, ...]
-    op: str  # one of <=, ==, >=
-    rhs: Fraction | int
-
-
-def constraint(coeffs, op: str, rhs) -> LinearConstraint:
-    if op not in (LE, EQ, GE):
-        raise DimensionMismatch(f"unknown constraint operator {op!r}")
-    return LinearConstraint(tuple(Fraction(c) for c in coeffs), op, Fraction(rhs))
-
-
-@dataclass(frozen=True)
 class LpProblem:
-    num_vars: int
-    constraints: tuple[LinearConstraint, ...]
-    objective: tuple[Fraction, ...]
-    sense: str  # "max" or "min"
-    nonneg: tuple[bool, ...]  # per-variable x >= 0 flag; False means free
+    """Optimize ``objective`` . x (``sense`` "max" or "min") subject to
+    ``constraints[r][:-1]`` . x ``ops[r]`` ``constraints[r][-1]`` for every
+    r, where each op is one of <=, == and >=.  Rows and objective hold
+    integers.  ``nonneg[j]`` (default: every j) keeps x_j >= 0; otherwise x_j
+    is free."""
 
-    def __post_init__(self):
-        if self.sense not in ("max", "min"):
-            raise DimensionMismatch(f"sense must be max or min, got {self.sense!r}")
-        if len(self.objective) != self.num_vars:
-            raise DimensionMismatch("objective length != variable count")
-        if len(self.nonneg) != self.num_vars:
+    __slots__ = ("constraints", "ops", "objective", "sense", "nonneg")
+
+    def __init__(self, constraints, ops, objective, sense: str = "max", nonneg=None):
+        n = len(objective)
+        if sense not in ("max", "min"):
+            raise DimensionMismatch(f"sense must be max or min, got {sense!r}")
+        if nonneg is None:
+            nonneg = (True,) * n
+        elif len(nonneg) != n:
             raise DimensionMismatch("nonneg flags length != variable count")
-        for con in self.constraints:
-            if len(con.coeffs) != self.num_vars:
-                raise DimensionMismatch("constraint length != variable count")
+        if len(ops) != len(constraints):
+            raise DimensionMismatch("one op per constraint row")
+        for row, op in zip(constraints, ops):
+            if len(row) != n + 1:
+                raise DimensionMismatch("constraint length != variable count + 1 (the rhs)")
+            if op not in (LE, EQ, GE):
+                raise DimensionMismatch(f"unknown constraint operator {op!r}")
+        self.constraints, self.ops, self.objective = constraints, ops, objective
+        self.sense, self.nonneg = sense, nonneg
 
-
-def problem(num_vars, constraints, objective, sense="max", nonneg=None) -> LpProblem:
-    if nonneg is None:
-        nonneg = [True] * num_vars
-    return LpProblem(
-        num_vars,
-        tuple(constraints),
-        tuple(Fraction(c) for c in objective),
-        sense,
-        tuple(bool(b) for b in nonneg),
-    )
+    @property
+    def num_vars(self) -> int:
+        return len(self.objective)
 
 
 @dataclass(frozen=True)
@@ -181,37 +167,10 @@ class _Unbounded(Exception):
         self.column = column
 
 
-def _scaled(values) -> tuple[int, list[int]]:
-    """The LCM of the values' denominators, and the values times it: integers
-    with the same signs."""
-    scale = lcm(*{v.denominator for v in values})
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
-
-
 def solve(prob: LpProblem) -> LpOutcome:
-    """Exact optimum of a rational problem: each row, and the objective, is
-    scaled to integers by the LCM of its denominators and handed to
-    :func:`solve_int`.  A positive scale keeps the feasible set, the optimal
-    points and every sign and ratio test within a row; it also rescales the
-    row's slack and artificial, which phase 1 then weighs alike, so feasibility
-    is unchanged while the phase-1 pivots are those of the scaled rows."""
-    rows = [_scaled((*con.coeffs, con.rhs))[1] for con in prob.constraints]
-    scale, objective = _scaled(prob.objective)
-    out = solve_int(rows, [con.op for con in prob.constraints], objective, prob.sense, prob.nonneg)
-    if out.optimal and scale != 1:
-        return LpOutcome("optimal", out.value / scale, out.point)
-    return out
-
-
-def solve_int(rows, ops, objective, sense: str = "max", nonneg=None) -> LpOutcome:
-    """Exact optimum of ``objective`` . x (``sense`` "max" or "min") subject
-    to ``rows[r][:-1]`` . x ``ops[r]`` ``rows[r][-1]`` for every r, with
-    integer rows (coefficients, then the rhs) and an integer objective.
-    ``nonneg[j]`` (default: every j) keeps x_j >= 0; otherwise x_j is free.
-    The returned point is re-verified against every row before the outcome is
-    handed back."""
-    if nonneg is None:
-        nonneg = (True,) * len(objective)
+    """Exact optimum of ``prob``.  The returned point is re-verified against
+    every row before the outcome is handed back."""
+    rows, ops, objective, nonneg = prob.constraints, prob.ops, prob.objective, prob.nonneg
     # map original variables to standard (nonnegative) columns: a free
     # variable is the difference of two
     col_of: list[tuple[int, Optional[int]]] = []
@@ -280,7 +239,7 @@ def solve_int(rows, ops, objective, sense: str = "max", nonneg=None) -> LpOutcom
     for row in tab.rows:
         del row[art_base:-1]
 
-    cost = standard(list(objective) if sense == "min" else [-c for c in objective])
+    cost = standard(list(objective) if prob.sense == "min" else [-c for c in objective])
     try:
         tab.minimize(cost + [0] * n_slack + [0])
     except _Unbounded:

@@ -21,7 +21,7 @@ the allowed support and A' = A minus the dominated strategy s:
 
 VWM with s inside A (the point mass on s dominates) goes to the LP, which
 picks the witness.  The deciders hand the LP those integer rows as they are
-(:func:`lp.solve_int`), with no rescaling.  Strictness is always decided by
+(:class:`lp.LpProblem`), with no rescaling.  Strictness is always decided by
 maximizing an exact margin and testing it against zero, never by tolerance.
 Every witness, point mass or LP point, is re-verified before it leaves this
 module by :func:`witness_holds`: the tag's pure analog evaluated on the
@@ -31,8 +31,9 @@ the player) that is checked on the game's Fraction payoffs
 (:func:`certificate_holds`) before ``None`` leaves it.
 :func:`check_mixed_hereditary` builds each witness's masks once and answers
 every restriction from its kept-column bitset (:func:`pure._column_bits`).
-The engine and the inherent chain, which check their arguments once, ask
-:func:`_find`, the search behind :func:`find_dominator`, directly.
+A column set checked once (:class:`_Columns`, which the engine keeps per
+state's opponents and the inherent chain per link) carries its integer rows,
+picked from the game's on first use, so queries over it pick them once.
 
 The ``allowed_support`` argument makes the loose/strict elimination
 distinction (dominators from the pre-step sets versus dominators that must
@@ -256,7 +257,11 @@ class _Columns(tuple):
     """Opponent profiles of one player of one game (``game``, ``player``),
     range-checked once when built, so that a caller that asks many questions
     over the same columns pays for the check once.  ``rows``: their positions
-    in ``game.opponent_profiles(player)``, None when they are all, in order."""
+    in ``game.opponent_profiles(player)``, None when they are all, in order;
+    ``pay``: every player's integer rows there (a :class:`_Rows`), set by
+    the first query over them."""
+
+    pay = None
 
     def subset(self, bits: int) -> _Columns:
         """The columns at the set bits of ``bits`` (bit k for ``self[k]``),
@@ -290,20 +295,21 @@ def _checked_columns(game: Game, player: int, columns=None) -> _Columns:
 
 
 class _Rows:
-    """Every player's :meth:`Game._int_rows` at one query's columns, ``rows[j]``
-    (the game's list itself when the columns are all, in order), each picked
-    on first use: most queries are settled by player i's rows alone."""
+    """Every player's :meth:`Game._int_rows` of player i's columns at the
+    positions ``positions`` (None: all, in order), ``rows[j]`` (the game's
+    list itself for all), each picked on first use: most queries are settled
+    by player i's rows alone."""
 
-    def __init__(self, game: Game, i: int, cols: _Columns):
-        self.game, self.i, self.cols = game, i, cols
+    def __init__(self, game: Game, i: int, positions):
+        self.game, self.i, self.positions = game, i, positions
         self._rows: list = [None] * game.n
 
     def __getitem__(self, j: int) -> list[list[int]]:
         rows = self._rows[j]
         if rows is None:
             rows = self.game._int_rows(self.i, j)
-            if self.cols.rows is not None:
-                rows = [rows[k] for k in self.cols.rows]
+            if self.positions is not None:
+                rows = [rows[k] for k in self.positions]
             self._rows[j] = rows
         return rows
 
@@ -370,7 +376,7 @@ def _margin_lp(pay, i, s, allowed, ties, margin) -> lp.LpOutcome:
             ops.append(GE)
     rows.append([1] * k + [0, 1])
     ops.append(EQ)
-    return lp.solve_int(rows, ops, [0] * k + [1], "max", [True] * k + [False])
+    return lp.solve(lp.LpProblem(rows, ops, [0] * k + [1], "max", [True] * k + [False]))
 
 
 def _decide_sm(pay, i, s, allowed):
@@ -395,14 +401,14 @@ def _decide_wm(pay, i, s, allowed):
     # inequality can be made strict
     obj = [sum(row[t] for row in pay[i]) for t in allowed]
     base = sum(row[s] for row in pay[i])
-    out = lp.solve_int(*_wm_rows(pay, i, s, allowed), obj, "max")
+    out = lp.solve(lp.LpProblem(*_wm_rows(pay, i, s, allowed), obj, "max"))
     if out.optimal and out.value > base:
         return _weights_from_point(allowed, out.point)
     return None
 
 
 def _decide_vwm(pay, i, s, allowed):
-    out = lp.solve_int(*_wm_rows(pay, i, s, allowed), [0] * len(allowed), "min")
+    out = lp.solve(lp.LpProblem(*_wm_rows(pay, i, s, allowed), [0] * len(allowed), "min"))
     if out.optimal:
         return _weights_from_point(allowed, out.point)
     return None
@@ -412,7 +418,7 @@ def _decide_pem(pay, i, s, allowed):
     k = len(allowed)
     rows = [[*(row[t] for t in allowed), row[s]] for column in zip(*pay) for row in column]
     rows.append([1] * (k + 1))
-    out = lp.solve_int(rows, [EQ] * len(rows), [0] * k, "min")
+    out = lp.solve(lp.LpProblem(rows, [EQ] * len(rows), [0] * k, "min"))
     if out.optimal:
         return _weights_from_point(allowed, out.point)
     return None
@@ -485,29 +491,20 @@ def find_dominator(
     if not relation.mixed:
         raise ValueError("find_dominator needs a mixed relation")
     allowed, cols, pay = _query(game, player, strategy, allowed_support, columns)
-    return _find(game, relation, player, strategy, allowed, cols, pay)
-
-
-def _find(
-    game: Game, relation: Relation, i: int, s: int, allowed, cols: _Columns, pay: _Rows
-) -> Optional[MixedWitness]:
-    """:func:`find_dominator` on checked arguments: ``allowed`` sorted and
-    distinct strategies of player i, ``cols`` from :func:`_checked_columns`
-    and ``pay`` the :class:`_Rows` of ``game``, i and ``cols``."""
     for tag in relation.tags:
-        member_allowed = _member_support(tag, allowed, s)
+        member_allowed = _member_support(tag, allowed, strategy)
         if not member_allowed:
             continue
-        weights, certificate = _settle(pay, tag, i, s, member_allowed)
+        weights, certificate = _settle(pay, tag, player, strategy, member_allowed)
         if certificate is not None:
-            _verify_certificate(game, tag, i, s, member_allowed, certificate, cols)
+            _verify_certificate(game, tag, player, strategy, member_allowed, certificate, cols)
             continue
         if weights is None:
-            weights = _DECIDERS[tag](pay, i, s, member_allowed)
+            weights = _DECIDERS[tag](pay, player, strategy, member_allowed)
         if weights is not None:
-            m = mixed_strategy(i, weights)
-            verify_witness(game, tag, i, s, m, cols)
-            return MixedWitness(i, s, m, tag)
+            m = mixed_strategy(player, weights)
+            verify_witness(game, tag, player, strategy, m, cols)
+            return MixedWitness(player, strategy, m, tag)
     return None
 
 
@@ -520,7 +517,9 @@ def _query(game: Game, player: int, strategy: int, allowed_support, columns):
     for t in allowed:
         game._check_strategy(player, t)
     cols = _checked_columns(game, player, columns)
-    return allowed, cols, _Rows(game, player, cols)
+    if cols.pay is None:
+        cols.pay = _Rows(game, player, cols.rows)
+    return allowed, cols, cols.pay
 
 
 def _member_support(tag: str, allowed, strategy: int):

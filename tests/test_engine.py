@@ -51,7 +51,6 @@ from dominia.gallery import (
     nonconfluent_weak_2x2,
     trivial_1x1,
 )
-from dominia.mixed import _find
 
 G11 = nonconfluent_weak_2x2()
 NW_STRICT_ANY = RelationSpec(NW, STRICT, ANY)
@@ -550,7 +549,7 @@ def test_bitmask_engine_matches_kept_tuple_bfs(relation, game):
 def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch):
     # over the same opponents' kept strategies, a "no" on allowed A refutes
     # every subset of A and a "yes" with support S answers every allowed set
-    # that contains S; only other questions reach the mixed search
+    # that contains S; only other questions reach find_dominator
     game = new_game(
         [["T", "M", "B", "X"], ["L", "R"]],
         {
@@ -564,9 +563,9 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
 
     def counted(*args, **kwargs):
         calls.append(args[4])
-        return _find(*args, **kwargs)
+        return find_dominator(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "_find", counted)
+    monkeypatch.setattr(engine, "find_dominator", counted)
     layer = engine._Dominance(game, SM)
     T, B, X = 1 << 0, 1 << 2, 1 << 3
     start = layer.start

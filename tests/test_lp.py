@@ -8,34 +8,60 @@ from dominia import lp
 from dominia.errors import DimensionMismatch
 
 
+def _scaled(values) -> tuple[int, list[int]]:
+    """The LCM of the values' denominators, and the values times it: integers
+    with the same signs."""
+    values = [Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def rational(constraints, objective, sense="max", nonneg=None):
+    """A problem stated in rationals, ``constraints`` as (coefficients, op,
+    rhs), as an :class:`lp.LpProblem`: each row, and the objective, times the
+    LCM of its denominators.  Returns the problem and the objective's scale."""
+    rows = [_scaled((*c, b))[1] for c, _, b in constraints]
+    scale, objective = _scaled(objective)
+    return lp.LpProblem(rows, [op for _, op, _ in constraints], objective, sense, nonneg), scale
+
+
+def solve(constraints, objective, sense="max", nonneg=None):
+    """The optimum of a rational problem; a positive row scale keeps the
+    feasible set and the optimal points, and the objective's scale is divided
+    out of the value."""
+    prob, scale = rational(constraints, objective, sense, nonneg)
+    out = lp.solve(prob)
+    return lp.LpOutcome("optimal", out.value / scale, out.point) if out.optimal else out
+
+
 def test_single_variable_bounded():
-    out = lp.solve(lp.problem(1, [lp.constraint([1], "<=", 3)], [1], "max"))
+    out = solve([([1], "<=", 3)], [1], "max")
     assert out.optimal and out.value == 3 and out.point == (Fraction(3),)
 
 
 def test_unbounded():
-    out = lp.solve(lp.problem(1, [], [1], "max"))
+    out = solve([], [1], "max")
     assert out.status == "unbounded"
 
 
 def _feasible(constraints, num_vars):
     """Phase one alone: minimize 0 over the constraints."""
-    return lp.solve(lp.problem(num_vars, constraints, [0] * num_vars, "min"))
+    return solve(constraints, [0] * num_vars, "min")
 
 
 def test_contradictory_equalities_infeasible():
-    out = _feasible([lp.constraint([1], "==", 1), lp.constraint([1], "==", 2)], 1)
+    out = _feasible([([1], "==", 1), ([1], "==", 2)], 1)
     assert out.status == "infeasible"
 
 
 def test_simplex_feasibility():
-    out = _feasible([lp.constraint([1, 1], "==", 1)], 2)
+    out = _feasible([([1, 1], "==", 1)], 2)
     assert out.optimal and out.value == 0
     assert sum(out.point) == 1 and all(v >= 0 for v in out.point)
 
 
 def test_simplex_with_forced_bound_infeasible():
-    cons = [lp.constraint([1, 1], "==", 1), lp.constraint([1, 0], ">=", 2)]
+    cons = [([1, 1], "==", 1), ([1, 0], ">=", 2)]
     assert _feasible(cons, 2).status == "infeasible"
 
 
@@ -46,39 +72,46 @@ def test_vacuous_problem_feasible():
 
 def test_free_variables():
     # minimize x with x >= -5, x free
-    out = lp.solve(lp.problem(1, [lp.constraint([1], ">=", -5)], [1], "min", [False]))
+    out = solve([([1], ">=", -5)], [1], "min", [False])
     assert out.optimal and out.value == -5
 
 
 def test_dimension_mismatch():
+    # a row holds one coefficient per variable, then the rhs
     with pytest.raises(DimensionMismatch):
-        lp.problem(2, [lp.constraint([1], "<=", 1)], [1, 0], "max")
+        lp.LpProblem([[1, 1]], ["<="], [1, 0], "max")
     with pytest.raises(DimensionMismatch):
-        lp.problem(1, [], [1, 2], "max")
+        lp.LpProblem([], [], [1, 2], "max", [True])
+    with pytest.raises(DimensionMismatch):
+        lp.LpProblem([[1, 1]], [], [1], "max")
+    with pytest.raises(DimensionMismatch):
+        lp.LpProblem([[1, 1]], ["<"], [1], "max")
+    with pytest.raises(DimensionMismatch):
+        lp.LpProblem([], [], [1], "best")
 
 
 def test_exact_rational_optimum():
     # max x + y s.t. 2x + y <= 1, x + 3y <= 2  -> vertex (1/5, 3/5)
-    cons = [lp.constraint([2, 1], "<=", 1), lp.constraint([1, 3], "<=", 2)]
-    out = lp.solve(lp.problem(2, cons, [1, 1], "max"))
+    cons = [([2, 1], "<=", 1), ([1, 3], "<=", 2)]
+    out = solve(cons, [1, 1], "max")
     assert out.value == Fraction(4, 5)
     assert out.point == (Fraction(1, 5), Fraction(3, 5))
 
 
 def test_degenerate_redundant_rows():
     cons = [
-        lp.constraint([1, 1], "==", 1),
-        lp.constraint([2, 2], "==", 2),  # redundant copy
-        lp.constraint([1, 0], "<=", 1),
+        ([1, 1], "==", 1),
+        ([2, 2], "==", 2),  # redundant copy
+        ([1, 0], "<=", 1),
     ]
-    out = lp.solve(lp.problem(2, cons, [1, 0], "max"))
+    out = solve(cons, [1, 0], "max")
     assert out.optimal and out.value == 1
 
 
 def test_row_with_unlike_denominators():
     # one row scaled by lcm(3, 2, 6, 4) = 12; the best ratio is x's, 3 * 7/4
-    cons = [lp.constraint([Fraction(1, 3), Fraction(1, 2), Fraction(5, 6)], "<=", Fraction(7, 4))]
-    out = lp.solve(lp.problem(3, cons, [1, 1, 1], "max"))
+    cons = [([Fraction(1, 3), Fraction(1, 2), Fraction(5, 6)], "<=", Fraction(7, 4))]
+    out = solve(cons, [1, 1, 1], "max")
     assert out.value == Fraction(21, 4)
     assert out.point == (Fraction(21, 4), Fraction(0), Fraction(0))
 
@@ -95,11 +128,11 @@ def test_redundant_equality_pair_negative_drive_out(monkeypatch):
 
     monkeypatch.setattr(lp._Tableau, "pivot", recording)
     cons = [
-        lp.constraint([-1, -2], "==", -2),
-        lp.constraint([-2, -4], "==", -4),  # redundant copy
-        lp.constraint([1, -2], ">=", 2),
+        ([-1, -2], "==", -2),
+        ([-2, -4], "==", -4),  # redundant copy
+        ([1, -2], ">=", 2),
     ]
-    out = lp.solve(lp.problem(2, cons, [-2, -2], "max"))
+    out = solve(cons, [-2, -2], "max")
     assert any(p < 0 for p in pivots)
     assert out.optimal and out.value == -4
     assert out.point == (Fraction(2), Fraction(0))
@@ -108,11 +141,11 @@ def test_redundant_equality_pair_negative_drive_out(monkeypatch):
 def test_beale_cycling_example_terminates():
     # Beale 1955: cycles under the textbook largest-coefficient rule
     cons = [
-        lp.constraint([Fraction(1, 4), -60, Fraction(-1, 25), 9], "<=", 0),
-        lp.constraint([Fraction(1, 2), -90, Fraction(-1, 50), 3], "<=", 0),
-        lp.constraint([0, 0, 1, 0], "<=", 1),
+        ([Fraction(1, 4), -60, Fraction(-1, 25), 9], "<=", 0),
+        ([Fraction(1, 2), -90, Fraction(-1, 50), 3], "<=", 0),
+        ([0, 0, 1, 0], "<=", 1),
     ]
-    out = lp.solve(lp.problem(4, cons, [Fraction(-3, 4), 150, Fraction(-1, 50), 6], "min"))
+    out = solve(cons, [Fraction(-3, 4), 150, Fraction(-1, 50), 6], "min")
     assert out.optimal and out.value == Fraction(-1, 20)
     assert out.point == (Fraction(1, 25), Fraction(0), Fraction(1), Fraction(0))
 
@@ -132,13 +165,9 @@ def test_duality_spot_check(rows, rhs, objective):
     and feasible."""
     m = min(len(rows), len(rhs))
     rows, rhs = rows[:m], rhs[:m]
-    primal = lp.solve(
-        lp.problem(2, [lp.constraint(r, "<=", b) for r, b in zip(rows, rhs)], objective, "max")
-    )
-    dual_cons = [
-        lp.constraint([rows[k][j] for k in range(m)], ">=", objective[j]) for j in range(2)
-    ]
-    dual = lp.solve(lp.problem(m, dual_cons, rhs, "min"))
+    primal = solve([(r, "<=", b) for r, b in zip(rows, rhs)], objective, "max")
+    dual_cons = [([rows[k][j] for k in range(m)], ">=", objective[j]) for j in range(2)]
+    dual = solve(dual_cons, rhs, "min")
     if primal.optimal and dual.optimal:
         assert primal.value == dual.value
     elif primal.status == "unbounded":
@@ -171,14 +200,10 @@ def test_duality_with_equalities_and_free_variables(case):
     dual row >= c_j and a free x_j a dual row == c_j."""
     rows, objective, nonneg = case
     n = len(objective)
-    primal = lp.solve(lp.problem(n, [lp.constraint(c, op, b) for c, op, b in rows], objective, "max", nonneg))
+    primal = solve(rows, objective, "max", nonneg)
     as_le = [([-a for a in c], "<=", -b) if op == ">=" else (c, op, b) for c, op, b in rows]
-    dual_cons = [
-        lp.constraint([c[j] for c, _, _ in as_le], ">=" if nonneg[j] else "==", objective[j]) for j in range(n)
-    ]
-    dual = lp.solve(
-        lp.problem(len(as_le), dual_cons, [b for _, _, b in as_le], "min", [op == "<=" for _, op, _ in as_le])
-    )
+    dual_cons = [([c[j] for c, _, _ in as_le], ">=" if nonneg[j] else "==", objective[j]) for j in range(n)]
+    dual = solve(dual_cons, [b for _, _, b in as_le], "min", [op == "<=" for _, op, _ in as_le])
     if primal.optimal and dual.optimal:
         assert primal.value == dual.value
     elif primal.status == "unbounded":
@@ -193,23 +218,22 @@ def test_pivot_counter_stays_reasonable():
     n = 8
     for j in range(n):
         coeffs = [Fraction(1) if k <= j else Fraction(0) for k in range(n)]
-        cons.append(lp.constraint(coeffs, "<=", Fraction(j + 1)))
-    cons.append(lp.constraint([1] * n, "==", Fraction(3)))
-    out = lp.solve(lp.problem(n, cons, [1] * n, "max"))
+        cons.append((coeffs, "<=", Fraction(j + 1)))
+    cons.append(([1] * n, "==", Fraction(3)))
+    out = solve(cons, [1] * n, "max")
     assert out.optimal and out.value == 3
 
 
 def test_post_solve_check_rejects_a_point_off_by_one_over_d():
-    # the re-check runs on the scaled integer rows against the point's
-    # numerators over d; moving one coordinate by 1/d breaks exactly one row
-    le = lp.constraint([1, Fraction(1, 2), 0], "<=", 2)
-    eq = lp.constraint([1, -1, 0], "==", Fraction(1, 3))
-    ge = lp.constraint([0, 0, 1], ">=", Fraction(-3, 2))
-    prob = lp.problem(3, [le, eq, ge], [1, 1, -1], "max", [True, True, False])
+    # the re-check runs on the integer rows against the point's numerators
+    # over d; moving one coordinate by 1/d breaks exactly one row
+    le = ([1, Fraction(1, 2), 0], "<=", 2)
+    eq = ([1, -1, 0], "==", Fraction(1, 3))
+    ge = ([0, 0, 1], ">=", Fraction(-3, 2))
+    prob, _ = rational([le, eq, ge], [1, 1, -1], "max", [True, True, False])
     out = lp.solve(prob)
     assert out.point == (Fraction(13, 9), Fraction(10, 9), Fraction(-3, 2))
-    rows = [lp._scaled((*con.coeffs, con.rhs))[1] for con in prob.constraints]
-    ops = [con.op for con in prob.constraints]
+    rows, ops = prob.constraints, prob.ops
     assert rows == [[2, 1, 0, 4], [3, -3, 0, 1], [0, 0, 2, -3]]
     d = 18
     nums = [int(v * d) for v in out.point]
@@ -235,33 +259,41 @@ def test_post_solve_check_rejects_a_point_off_by_one_over_d():
             st.sampled_from(["max", "min"]),
             st.lists(st.booleans(), min_size=n, max_size=n),
         )
-    )
+    ),
+    st.lists(st.integers(min_value=1, max_value=6), min_size=5, max_size=5),
 )
-def test_rational_adapter_solves_the_scaled_integer_problem(case):
-    """``solve`` on a rational problem answers as ``solve_int`` on the same
-    problem with each row, and the objective, times its scale; the point
-    meets every rational row, and the post-solve check rejects a move of
-    any coordinate that an equality row or a zero sign bound pins."""
+def test_positive_row_scales_keep_the_answer(case, factors):
+    """A rational problem, scaled to integer rows, and the same rows each
+    times a further positive factor (the objective too) have the same status
+    and, up to the objective's factor, the same optimum: the feasible set
+    does not change.  Either point meets every rational row and attains the
+    optimum, and the post-solve check rejects a move of any coordinate that
+    an equality row or a zero sign bound pins."""
     rows, objective, sense, nonneg = case
-    prob = lp.problem(len(objective), [lp.constraint(c, op, b) for c, op, b in rows], objective, sense, nonneg)
-    int_rows = [lp._scaled((*con.coeffs, con.rhs))[1] for con in prob.constraints]
-    ops = [op for _, op, _ in rows]
-    scale, int_objective = lp._scaled(prob.objective)
-    assert all(isinstance(v, int) for row in int_rows for v in row + int_objective)
-    rational = lp.solve(prob)
-    integer = lp.solve_int(int_rows, ops, int_objective, sense, nonneg)
-    assert rational.status == integer.status
-    assert rational.point == integer.point
-    if not rational.optimal:
-        assert rational.value is None and integer.value is None
+    prob, scale = rational(rows, objective, sense, nonneg)
+    assert all(type(v) is int for row in prob.constraints for v in (*row, *prob.objective))
+    factors = factors[: len(rows) + 1]
+    wider = lp.LpProblem(
+        [[f * v for v in row] for f, row in zip(factors, prob.constraints)],
+        prob.ops,
+        [factors[-1] * c for c in prob.objective],
+        sense,
+        nonneg,
+    )
+    out, other = lp.solve(prob), lp.solve(wider)
+    assert out.status == other.status
+    if not out.optimal:
+        assert out.value is None and other.value is None and out.point is None
         return
-    assert integer.value == scale * rational.value
-    x = rational.point
-    assert rational.value == sum(c * v for c, v in zip(prob.objective, x))
-    for con in prob.constraints:
-        lhs = sum(c * v for c, v in zip(con.coeffs, x))
-        assert lhs <= con.rhs if con.op == "<=" else lhs >= con.rhs if con.op == ">=" else lhs == con.rhs
-    assert all(v >= 0 for v, flag in zip(x, nonneg) if flag)
+    assert other.value == factors[-1] * out.value
+    for x in (out.point, other.point):
+        assert out.value == scale * sum(Fraction(c) * v for c, v in zip(objective, x))
+        for c, op, b in rows:
+            lhs = sum(a * v for a, v in zip(c, x))
+            assert lhs <= b if op == "<=" else lhs >= b if op == ">=" else lhs == b
+        assert all(v >= 0 for v, flag in zip(x, nonneg) if flag)
+    x = out.point
+    int_rows, ops = prob.constraints, prob.ops
     d = lcm(*(v.denominator for v in x))
     nums = [int(v * d) for v in x]
     lp._check_point(int_rows, ops, nonneg, nums, d)

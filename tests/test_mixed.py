@@ -82,14 +82,11 @@ def _nwm_by_enumeration(pay, i, s, allowed):
             ties = forced_tie + list(extra)
             if len(ties) == len(mine):
                 continue
-            cons = [lp.constraint((*(row[t] for t in allowed), 0), lp.EQ, row[s]) for c in ties for row in by_column[c]]
-            cons.extend(
-                lp.constraint((*(row[t] for t in allowed), -1), lp.GE, row[s])
-                for c, row in enumerate(mine)
-                if c not in ties
-            )
-            cons.append(lp.constraint((1,) * k + (0,), lp.EQ, 1))
-            out = lp.solve(lp.problem(k + 1, cons, [0] * k + [1], "max", [True] * k + [False]))
+            cons = [([*(row[t] for t in allowed), 0, row[s]], lp.EQ) for c in ties for row in by_column[c]]
+            cons.extend(([*(row[t] for t in allowed), -1, row[s]], lp.GE) for c, row in enumerate(mine) if c not in ties)
+            cons.append(([1] * k + [0, 1], lp.EQ))
+            rows, ops = zip(*cons)
+            out = lp.solve(lp.LpProblem(rows, ops, [0] * k + [1], "max", [True] * k + [False]))
             if out.optimal and out.value > 0:
                 return {t: v for t, v in zip(allowed, out.point) if v != 0}
     return None
