@@ -32,8 +32,11 @@ dominator of s with support inside A over these columns", so a support
 inside A answers yes, and a "no" for a superset of A answers no.  A reused
 support may differ from the one a fresh search would find; results depend
 only on verdicts, since :meth:`_Dominance.survives` asks again whenever the
-removal meets the support.  Searches on one root inside one public call
-share the layer.  Reach sets are int bitsets, built bottom-up: every step
+removal meets the support.  The layers of the last root any public call
+searched, compared by identity, outlive that call; a call on another game
+object drops them first, so the engine holds one root's layers at most.
+Each call reads that slot once, so concurrent calls on different games
+stay correct.  Reach sets are int bitsets, built bottom-up: every step
 removes strategies.
 
 Exact clones (strategies of one player with identical payoff vectors, for
@@ -367,10 +370,19 @@ class _Search:
         return out
 
 
+# the root of the last public call, by identity, and its layers by relation
+_last: tuple[Optional[Game], dict] = (None, {})
+
+
 def _searches(game: Game, bound: Optional[int], *specs: RelationSpec) -> list[_Search]:
-    """One search per spec; specs with the same relation share one layer."""
+    """One search per spec; specs with the same relation share one layer,
+    the last call's when it searched this very game object."""
+    global _last
     _check_bound(game, bound)
-    layers: dict = {}
+    root, layers = _last  # read once: a concurrent call may replace it
+    if root is not game:
+        layers = {}
+        _last = (game, layers)
     for spec in specs:
         if spec.relation not in layers:
             layers[spec.relation] = _Dominance(game, spec.relation)
@@ -521,8 +533,7 @@ def maximal_reduce(game: Game, relation: Union[Relation, Inherent], bound: Optio
     Each step records whether it was also valid with surviving dominators and
     whether it emptied some player's strategy set; a degenerate result ends
     the path."""
-    _check_bound(game, bound)
-    layer = _Dominance(game, relation)
+    layer = _searches(game, bound, RelationSpec(relation))[0].layer
     steps: list[ReductionStep] = []
     state = layer.start
     while True:

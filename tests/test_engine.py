@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +25,7 @@ from dominia import (
     WM,
     CheckOutcome,
     ConfluenceReport,
+    Game,
     Inherent,
     InherentQuery,
     RelationSpec,
@@ -48,6 +51,7 @@ from dominia import engine
 from dominia.engine import _searches
 from dominia.errors import SizeBoundExceeded
 from dominia.gallery import (
+    mixable_middle_3x2,
     nonconfluent_weak_2x2,
     trivial_1x1,
 )
@@ -600,6 +604,96 @@ def test_dominance_layer_answers_as_the_public_search(relation, game, data):
     support = layer.witness(state, i, s, sum(1 << t for t in allowed))
     w = find_dominator(game, relation, i, s, allowed, columns=cols)
     assert support == (None if w is None else sum(1 << t for t in w.dominator.support))
+
+
+def test_layers_are_reused_across_calls_on_one_game_object(monkeypatch):
+    # a call on the game object the last call searched asks find_dominator
+    # only what that call left open; a call on another game object in
+    # between drops the kept layers, and the count is the cold one again
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return find_dominator(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "find_dominator", counted)
+    sm = RelationSpec(SM, STRICT, ANY)
+
+    def closed(game):
+        del calls[:]
+        return check_one_step_closed(game, sm), len(calls)
+
+    cold = closed(mixable_middle_3x2())
+    game = mixable_middle_3x2()
+    normal_forms(game, sm)
+    outcome, warm = closed(game)
+    assert outcome == cold[0] and warm < cold[1]
+    normal_forms(game, sm)
+    normal_forms(trivial_1x1(), sm)
+    assert closed(game) == cold
+
+
+def _copy(game):
+    return Game(game.strategies, {p: game.payoff_vector(p) for p in game.profiles()})
+
+
+@pytest.mark.parametrize(
+    "relation", [SM, WM, NWM, PEM, union(NWM, PEM), Inherent(WM), PE, union(NW, PE)], ids=str
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(game=helpers.small_games(), arrow=st.sampled_from((STRICT, LOOSE)), step=st.sampled_from((ANY, SINGLE)))
+def test_warm_layers_answer_as_cold_ones(relation, game, arrow, step):
+    # every entry point gives the same result, counterexamples included, on
+    # a fresh copy of the game and on one game object that the other entry
+    # points searched before it, in forward and in reverse order
+    spec = RelationSpec(relation, arrow, step)
+    first = RelationSpec(PEM, arrow, step)
+    calls = [
+        lambda g: normal_forms(g, spec),
+        lambda g: normal_forms(g, spec, up_to_renaming=True),
+        lambda g: check_weak_confluence(g, spec),
+        lambda g: check_one_step_closed(g, spec),
+        lambda g: check_left_commutes(g, first, spec),
+        lambda g: check_one_at_a_time(g, relation),
+        lambda g: maximal_reduce(g, relation),
+        lambda g: single_step_trace(g, spec),
+    ]
+    cold = [call(_copy(game)) for call in calls]
+    forward, backward = _copy(game), _copy(game)
+    assert [call(forward) for call in calls] == cold
+    assert [call(backward) for call in reversed(calls)] == cold[::-1]
+
+
+def test_concurrent_calls_answer_as_alone(small_games):
+    # each call reads the slot once and keeps the layers it read, so threads
+    # that replace the slot under one another, or share one game object,
+    # still give every result a lone call on a fresh copy gives
+    games = small_games[:6]
+    specs = [RelationSpec(SM, STRICT, ANY), RelationSpec(union(NW, PE), LOOSE, SINGLE)]
+    expected = {(k, spec): normal_forms(_copy(g), spec) for k, g in enumerate(games) for spec in specs}
+    wrong = []
+
+    def work(shift):
+        try:
+            for r in range(3 * len(games)):
+                k = (r + shift) % len(games)
+                for spec in specs:
+                    if normal_forms(games[k], spec) != expected[k, spec]:
+                        wrong.append((k, spec))
+        except Exception as exc:  # reported by the assertion below
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(shift,)) for shift in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and wrong == []
 
 
 @pytest.mark.parametrize("relation", [S, PE, union(NW, PE), SM, Inherent(WM)], ids=str)
