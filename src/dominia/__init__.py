@@ -50,7 +50,7 @@ from .errors import (
     SizeBoundExceeded,
 )
 from .game import Game, new_game, restrict
-from .gameio import game_from_dict, game_to_dict, parse_game, serialize_game
+from .gameio import game_to_dict, parse_game, serialize_game
 from .generator import GeneratorParams, SplitMix64, generator_params, random_game
 from .inherent import InherentQuery, InherentResult, inherent_dominated_set, is_inherently_dominated
 from .mixed import (
@@ -58,7 +58,6 @@ from .mixed import (
     MixedWitness,
     find_dominator,
     mixed_dominated_set,
-    mixed_payoff,
     mixed_strategy,
     point_mass,
     shrink_self_weight,

@@ -24,7 +24,7 @@ from .engine import (
     single_step_trace,
 )
 from .equivalence import equivalent
-from .errors import DominiaError, ParseError, SizeBoundExceeded
+from .errors import DominiaError, InvalidParams, ParseError, SizeBoundExceeded
 from .gameio import (
     confluence_report_to_dict,
     counterexample_to_dict,
@@ -55,7 +55,7 @@ def _load_game(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_game(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
@@ -95,14 +95,11 @@ def _cmd_check(args) -> int:
     game = _load_game(args.game[0])
     relation = parse_relation(args.relation) if args.relation else None
     if args.property in ("hereditary", "iiia", "spo") and relation is None:
-        print("error: this property needs --relation", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParams("this property needs --relation")
     if relation is not None and isinstance(relation, Inherent):
-        print("error: structural properties apply to binary relations", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParams("structural properties apply to binary relations")
     if args.property in ("hereditary", "iiia", "spo") and relation.mixed:
-        print(f"error: {args.property} applies to pure relations, not {relation}", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParams(f"{args.property} applies to pure relations, not {relation}")
     result = _PROPS[args.property](game, relation)
     if isinstance(result, bool):
         _emit({"property": args.property, "ok": result})
@@ -128,8 +125,7 @@ def _cmd_confluence(args) -> int:
 
 def _cmd_equiv(args) -> int:
     if len(args.game) != 2:
-        print("error: equiv needs exactly two --game files", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParams("equiv needs exactly two --game files")
     g1, g2 = (_load_game(p) for p in args.game)
     ren = equivalent(g1, g2)
     if ren is None:
@@ -143,8 +139,7 @@ def _cmd_random(args) -> int:
     try:
         dup = Fraction(args.dup_prob)
     except (ValueError, ZeroDivisionError):
-        print(f"error: bad probability {args.dup_prob!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParams(f"bad probability {args.dup_prob!r}") from None
     params = generator_params(args.players, args.strategies, args.range[0], args.range[1], dup, args.seed)
     game = random_game(params)
     text = serialize_game(game)
@@ -153,8 +148,7 @@ def _cmd_random(args) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise InvalidParams(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -162,8 +156,7 @@ def _cmd_random(args) -> int:
 
 def _cmd_suite(args) -> int:
     if args.count < 1:
-        print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParams(f"--count must be at least 1, got {args.count}")
     results = suite_mod.run_all(args.seed, args.count)
     return EXIT_OK if all(r.ok for r in results) else EXIT_COUNTEREXAMPLE
 

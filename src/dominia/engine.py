@@ -9,6 +9,10 @@ A RelationSpec picks a dominance relation, an arrow flavor and a step mode:
   strategies across players (bulk elimination);
 * step "single": one transition removes exactly one strategy.
 
+On single steps the two arrows coincide for every relation: a dominator's
+support is drawn from the player's kept strategies other than s
+(:meth:`_Dominance.witness`), so a step that removes s alone keeps it.
+
 A state is one int bitmask over the root's strategies (player i's strategy s
 is bit ``off[i] + s``), since every reachable game is a restriction of the
 root; a successor is ``state & ~removed``.  Kept index tuples are built only
@@ -558,13 +562,12 @@ def maximal_reduce(game: Game, relation: Union[Relation, Inherent], bound: Optio
 
 def single_step_trace(game: Game, spec: RelationSpec, bound: Optional[int] = None) -> ReductionPath:
     """Deterministic single-elimination trace: repeatedly apply the first
-    valid single-strategy removal until a normal form is reached."""
-    search, strict_search = _searches(
-        game,
-        bound,
-        RelationSpec(spec.relation, spec.arrow, SINGLE),
-        RelationSpec(spec.relation, STRICT, SINGLE),
-    )
+    valid single-strategy removal until a normal form is reached.
+
+    Every step is ``strict_valid``: a single removal never removes the
+    removed strategy's dominator (module docstring), so the two arrows give
+    the same single steps."""
+    [search] = _searches(game, bound, RelationSpec(spec.relation, spec.arrow, SINGLE))
     steps: list[ReductionStep] = []
     state = search.start
     while True:
@@ -577,8 +580,7 @@ def single_step_trace(game: Game, spec: RelationSpec, bound: Optional[int] = Non
             tuple(game.strategies[i][r] for r in before[i] if r not in after[i])
             for i in range(game.n)
         )
-        strict_valid = spec.arrow == STRICT or nxt in strict_search.successors(state)
-        steps.append(ReductionStep(removed, search.game(nxt), strict_valid, False))
+        steps.append(ReductionStep(removed, search.game(nxt), True, False))
         state = nxt
     return ReductionPath(game, tuple(steps))
 

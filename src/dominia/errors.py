@@ -50,4 +50,4 @@ class ParseError(DominiaError):
 
 
 class InvalidParams(DominiaError):
-    """Generator parameters or configuration settings are out of their documented ranges."""
+    """Generator parameters, command-line arguments or configuration settings are out of their documented ranges."""

@@ -165,11 +165,6 @@ class Game:
         if not 0 <= strategy < len(self.strategies[player]):
             raise IndexOutOfRange(f"strategy {strategy} out of range for player {player}")
 
-    def _check_per_player(self, lists, name: str) -> None:
-        """Raise unless ``lists`` (if given) has one entry per player."""
-        if lists is not None and len(lists) != self.n:
-            raise IndexOutOfRange(f"{name} needs one strategy list per player: {len(lists)} for {self.n} players")
-
     # -- equality ------------------------------------------------------
 
     def _key(self):
@@ -192,7 +187,7 @@ class Game:
         return f"Game({dims}, players={self.n})"
 
 
-def new_game(labels: Sequence[Sequence[str]], payoffs: Mapping, *, allow_degenerate: bool = False) -> Game:
+def new_game(labels: Sequence[Sequence[str]], payoffs: Mapping) -> Game:
     """Build a validated game.
 
     ``payoffs`` maps joint profiles to per-player payoff sequences; profiles
@@ -219,7 +214,7 @@ def new_game(labels: Sequence[Sequence[str]], payoffs: Mapping, *, allow_degener
         else:
             key = tuple(profile)
         table[key] = row
-    return Game(strats, table, allow_degenerate=allow_degenerate)
+    return Game(strats, table)
 
 
 def restrict(game: Game, kept: Sequence[Iterable[int]], *, allow_degenerate: bool = False) -> Game:

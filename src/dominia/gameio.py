@@ -42,7 +42,13 @@ def _parse_rational(value: Any, where: str) -> Fraction:
     raise ParseError(f"{where}: payoffs must be rational strings or integers, got {type(value).__name__}")
 
 
-def game_from_dict(doc: dict) -> Game:
+def parse_game(text: str) -> Game:
+    # ValueError covers JSONDecodeError and integers past int's digit limit;
+    # deep nesting raises RecursionError
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("game document must be a JSON object")
     try:
@@ -98,16 +104,6 @@ def game_to_dict(game: Game) -> dict:
         "strategies": [list(s) for s in game.strategies],
         "payoffs": build(()),
     }
-
-
-def parse_game(text: str) -> Game:
-    # ValueError covers JSONDecodeError and integers past int's digit limit;
-    # deep nesting raises RecursionError
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    return game_from_dict(doc)
 
 
 def serialize_game(game: Game) -> str:

@@ -33,7 +33,7 @@ certificate: s stays inherently dominated by any support that keeps them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .game import Game
 from .mixed import MixedWitness, _checked_columns, find_dominator, point_mass
@@ -110,20 +110,14 @@ def is_inherently_dominated(game: Game, query: InherentQuery, *, columns=None) -
     return InherentResult(True, chain=tuple(chain))
 
 
-def inherent_dominated_set(
-    game: Game,
-    base: Relation,
-    must_survive: Optional[Sequence[Sequence[int]]] = None,
-) -> list[list[int]]:
+def inherent_dominated_set(game: Game, base: Relation) -> list[list[int]]:
     """Per player, the strategies that are inherently dominated."""
-    game._check_per_player(must_survive, "must_survive")
     out: list[list[int]] = []
     for i in range(game.n):
-        survive = None if must_survive is None else tuple(must_survive[i])
         found = [
             s
             for s in range(len(game.strategies[i]))
-            if is_inherently_dominated(game, InherentQuery(base, i, s, survive)).dominated
+            if is_inherently_dominated(game, InherentQuery(base, i, s)).dominated
         ]
         out.append(found)
     return out

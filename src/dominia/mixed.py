@@ -42,10 +42,9 @@ survive) a caller choice instead of two near-duplicate procedures.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from . import lp
 from .errors import (
@@ -128,22 +127,6 @@ def _check_mixed(game: Game, m: MixedStrategy, player: int) -> None:
         raise IndexOutOfRange(f"mixed strategy belongs to player {m.player}, not {player}")
     for s, _ in m.weights:
         game._check_strategy(player, s)
-
-
-def mixed_payoff(game: Game, profile: Sequence[MixedStrategy], player: int) -> Fraction:
-    """Expected payoff of ``player`` under one mixed strategy per player."""
-    game._check_player(player)
-    if len(profile) != game.n:
-        raise IndexOutOfRange("need one mixed strategy per player")
-    for i, m in enumerate(profile):
-        _check_mixed(game, m, i)
-    total = ZERO
-    for combo in itertools.product(*(m.weights for m in profile)):
-        prob = ONE
-        for _, w in combo:
-            prob *= w
-        total += prob * game.payoff(tuple(s for s, _ in combo), player)
-    return total
 
 
 def substitute(m2: MixedStrategy, t1: int, m1: MixedStrategy) -> MixedStrategy:
@@ -552,50 +535,41 @@ def cheap_verdict(game: Game, tag: str, player: int, strategy: int, allowed_supp
     return True
 
 
-def mixed_dominated_set(
-    game: Game,
-    relation: Relation,
-    survivors: Optional[Sequence[Iterable[int]]] = None,
-) -> list[list[MixedWitness]]:
-    """One witness per strategy dominated by a mix supported on the given
-    survivor sets (defaults: all strategies).  Deterministic: the LP pivot
+def mixed_dominated_set(game: Game, relation: Relation) -> list[list[MixedWitness]]:
+    """Per player, one witness per strategy s dominated by a mix of the
+    player's other strategies.  As for pure dominance, the dominator is
+    distinct from s: under VWM the point mass on s would dominate s, and
+    under the other tags a mix dominates s iff its part off s does.  A
+    player with one strategy has none dominated.  Deterministic: the LP pivot
     rule and the order of every LP's constraints are fixed."""
-    game._check_per_player(survivors, "survivors")
     out: list[list[MixedWitness]] = []
     for i in range(game.n):
-        allowed = (
-            tuple(range(len(game.strategies[i])))
-            if survivors is None
-            else tuple(sorted(set(survivors[i])))
-        )
+        k = len(game.strategies[i])
         found: list[MixedWitness] = []
-        if allowed:
-            for s in range(len(game.strategies[i])):
-                w = find_dominator(game, relation, i, s, allowed)
-                if w is not None:
-                    found.append(w)
+        for s in range(k):
+            others = [t for t in range(k) if t != s]
+            w = find_dominator(game, relation, i, s, others) if others else None
+            if w is not None:
+                found.append(w)
         out.append(found)
     return out
 
 
 def check_mixed_hereditary(game: Game, relation: Relation, bound=None) -> CheckOutcome:
-    """Re-check each full-game witness, unchanged, over the kept profiles of
-    every restriction that contains the dominated strategy and the witness
-    support.
+    """Re-check each full-game witness of :func:`mixed_dominated_set`,
+    unchanged, over the kept profiles of every restriction that contains the
+    dominated strategy and the witness support.
 
     This tests the fixed witnesses the decision procedures produce; a reported
     counterexample is always genuine.  Each witness is judged as
-    :func:`witness_holds` judges it (a PEM witness's support never holds s),
-    from masks over the root's columns."""
+    :func:`witness_holds` judges it, from masks over the root's columns."""
     _check_bound(game, bound)
     witnesses = []
-    for i in range(game.n):
+    for i, found in enumerate(mixed_dominated_set(game, relation)):
         cols = game.opponent_profiles(i)
-        for s in range(len(game.strategies[i])):
-            w = find_dominator(game, relation, i, s, range(len(game.strategies[i])))
-            if w is not None:
-                needed = set(w.dominator.support) | {s}
-                witnesses.append((w, needed, _masks(game, (w.relation,), i, s, w.dominator, cols)))
+        for w in found:
+            needed = set(w.dominator.support) | {w.dominated}
+            witnesses.append((w, needed, _masks(game, (w.relation,), i, w.dominated, w.dominator, cols)))
     for kept in restrictions(game):
         cols = [_column_bits(game, kept, i) for i in range(game.n)]
         for w, needed, masks in witnesses:

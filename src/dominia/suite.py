@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from . import gallery, mixed
 from .engine import (
@@ -80,10 +81,16 @@ def build_suite(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT) -> list[Ga
     return games
 
 
-def _timed(fn):
+def _criterion(number: int, name: str, run, limit: Optional[tuple[float, str]] = None) -> CriterionResult:
+    """Run criterion ``number``, timed: ``run`` returns ok and a detail.
+    ``limit``, when given, is (seconds, the same in words): a pass that takes
+    that long or longer fails."""
     t0 = time.perf_counter()
-    ok, detail = fn()
-    return ok, detail, time.perf_counter() - t0
+    ok, detail = run()
+    dt = time.perf_counter() - t0
+    if ok and limit is not None and dt >= limit[0]:
+        ok, detail = False, f"runtime {dt:.2f}s exceeds {limit[1]}"
+    return CriterionResult(number, name, ok, detail, dt)
 
 
 def criterion_1() -> CriterionResult:
@@ -109,10 +116,7 @@ def criterion_1() -> CriterionResult:
             return False, f"unexpected counterexample pair {pair_shapes}"
         return True, "2 normal forms / 2 classes; 1 combined class at the 1x1 (2,1) game; counterexample pair found"
 
-    ok, detail, dt = _timed(run)
-    if ok and dt >= 1.0:
-        ok, detail = False, f"runtime {dt:.2f}s exceeds 1s"
-    return CriterionResult(1, "two-normal-form regression", ok, detail, dt)
+    return _criterion(1, "two-normal-form regression", run, (1.0, "1s"))
 
 
 def criterion_2() -> CriterionResult:
@@ -133,10 +137,7 @@ def criterion_2() -> CriterionResult:
             return False, "bottom row should not be inherently weakly dominated"
         return True, "inherent-vs-weak separation games behave as constructed"
 
-    ok, detail, dt = _timed(run)
-    if ok and dt >= 1.0:
-        ok, detail = False, f"runtime {dt:.2f}s exceeds 1s"
-    return CriterionResult(2, "inherent dominance regression", ok, detail, dt)
+    return _criterion(2, "inherent dominance regression", run, (1.0, "1s"))
 
 
 def criterion_3(games: list[Game]) -> CriterionResult:
@@ -152,34 +153,22 @@ def criterion_3(games: list[Game]) -> CriterionResult:
                 return False, f"game {idx}: one-at-a-time property fails for strict dominance"
         return True, f"{len(games)} games: unique strict normal form == maximal endpoint; one-at-a-time holds"
 
-    ok, detail, dt = _timed(run)
-    if ok and dt >= 300.0:
-        ok, detail = False, f"runtime {dt:.1f}s exceeds 5 minutes"
-    return CriterionResult(3, "strict elimination theorem", ok, detail, dt)
+    return _criterion(3, "strict elimination theorem", run, (300.0, "5 minutes"))
 
 
 def criterion_4(games: list[Game]) -> CriterionResult:
     def run():
-        for idx, g in enumerate(games):
-            for rel in (S, NW, SM):
+        # each relation is transitive: a removed dominator has a dominator of
+        # its own, and the chain ends at a kept strategy
+        for idx, g in enumerate([gallery.nonconfluent_weak_2x2()] + games):
+            for rel in (S, W, NW, SM):
                 loose = successors(g, RelationSpec(rel, LOOSE, ANY))
                 strict = successors(g, RelationSpec(rel, STRICT, ANY))
                 if loose != strict:
                     return False, f"game {idx}: loose/strict successor sets differ for {rel}"
-        g11 = gallery.nonconfluent_weak_2x2()
-        w_div = 0
-        if successors(g11, RelationSpec(W, LOOSE, ANY)) != successors(g11, RelationSpec(W, STRICT, ANY)):
-            w_div += 1
-        for g in games:
-            if successors(g, RelationSpec(W, LOOSE, ANY)) != successors(g, RelationSpec(W, STRICT, ANY)):
-                w_div += 1
-        return True, (
-            f"{len(games)} games: loose == strict for S, NW, SM; "
-            f"weak-dominance divergences observed (informational): {w_div}"
-        )
+        return True, f"{len(games) + 1} games: loose == strict for S, W, NW, SM"
 
-    ok, detail, dt = _timed(run)
-    return CriterionResult(4, "loose/strict arrow equivalence", ok, detail, dt)
+    return _criterion(4, "loose/strict arrow equivalence", run)
 
 
 def criterion_5(games: list[Game]) -> CriterionResult:
@@ -206,8 +195,7 @@ def criterion_5(games: list[Game]) -> CriterionResult:
             f"{verified} witnesses re-verified, 0 failures"
         )
 
-    ok, detail, dt = _timed(run)
-    return CriterionResult(5, "mixed elimination theorems", ok, detail, dt)
+    return _criterion(5, "mixed elimination theorems", run)
 
 
 def criterion_6(games: list[Game]) -> CriterionResult:
@@ -242,10 +230,7 @@ def criterion_6(games: list[Game]) -> CriterionResult:
             f"{len(mixed_rels)} mixed relations: single renaming class; reduced games equivalent"
         )
 
-    ok, detail, dt = _timed(run)
-    if ok and dt >= 900.0:
-        ok, detail = False, f"runtime {dt:.1f}s exceeds 15 minutes"
-    return CriterionResult(6, "renaming-unique normal forms", ok, detail, dt)
+    return _criterion(6, "renaming-unique normal forms", run, (900.0, "15 minutes"))
 
 
 def criterion_7(games: list[Game]) -> CriterionResult:
@@ -261,8 +246,7 @@ def criterion_7(games: list[Game]) -> CriterionResult:
                     return False, f"game {idx}: {first} does not left commute with {second}"
         return True, f"{len(games)} games x {len(pure_pairs) + len(mixed_pairs)} pairs: 0 counterexamples"
 
-    ok, detail, dt = _timed(run)
-    return CriterionResult(7, "left commutativity", ok, detail, dt)
+    return _criterion(7, "left commutativity", run)
 
 
 def criterion_8(games: list[Game]) -> CriterionResult:
@@ -278,8 +262,7 @@ def criterion_8(games: list[Game]) -> CriterionResult:
                 return False, f"TDI game {idx}: endpoints not closed under the combined relation"
         return True, f"{len(tdi_games)} TDI games: all endpoints pairwise equivalent and closed"
 
-    ok, detail, dt = _timed(run)
-    return CriterionResult(8, "structured weak elimination", ok, detail, dt)
+    return _criterion(8, "structured weak elimination", run)
 
 
 def _sm_pair_game(rng: SplitMix64) -> tuple[Game, int, int, mixed.MixedStrategy, mixed.MixedStrategy]:
@@ -365,8 +348,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
             checked += 1
         return True, f"{checked} witness pairs: substitution and self-weight-shrink re-verified exactly"
 
-    ok, detail, dt = _timed(run)
-    return CriterionResult(9, "regularity algebra", ok, detail, dt)
+    return _criterion(9, "regularity algebra", run)
 
 
 def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -409,8 +391,7 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
             f"the LP deciders alone match the support-enumeration oracles exactly"
         )
 
-    ok, detail, dt = _timed(run)
-    return CriterionResult(10, "LP oracle cross-check", ok, detail, dt)
+    return _criterion(10, "LP oracle cross-check", run)
 
 
 def run_all(seed: int = DEFAULT_SEED, count: int = DEFAULT_COUNT, emit=print) -> list[CriterionResult]:

@@ -741,12 +741,30 @@ def test_normal_forms_have_no_successors(game):
 @settings(max_examples=100, deadline=None)
 @given(game=_GAMES)
 def test_strict_and_loose_successors_agree(game):
-    # S, NW and SM are transitive: a removed dominator has a dominator of
+    # S, W, NW and SM are transitive: a removed dominator has a dominator of
     # its own, and the chain ends at a kept strategy
-    for relation, step in itertools.product((S, NW, SM), (ANY, SINGLE)):
+    for relation, step in itertools.product((S, W, NW, SM), (ANY, SINGLE)):
         assert successors(game, RelationSpec(relation, STRICT, step)) == successors(
             game, RelationSpec(relation, LOOSE, step)
         )
+
+
+_EVERY_RELATION = (
+    S, W, VW, NW, PE, union(NW, PE), SM, WM, VWM, NWM, PEM, Inherent(W), Inherent(SM)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(game=_GAMES)
+def test_arrows_agree_on_single_steps(game):
+    # a dominator is drawn from the other kept strategies, so removing one
+    # strategy never removes its own dominator, whatever the relation
+    for relation in _EVERY_RELATION:
+        assert successors(game, RelationSpec(relation, LOOSE, SINGLE)) == successors(
+            game, RelationSpec(relation, STRICT, SINGLE)
+        )
+        path = single_step_trace(game, RelationSpec(relation, LOOSE, SINGLE))
+        assert path == single_step_trace(game, RelationSpec(relation, STRICT, SINGLE))
 
 
 @settings(max_examples=100, deadline=None)

@@ -219,12 +219,6 @@ def test_must_survive_out_of_range_rejected():
         is_inherently_dominated(G_INH, InherentQuery(W, 0, 1, (5,)))
 
 
-@pytest.mark.parametrize("must_survive", [[(0, 2)], [(0, 2), (0,), (0,)]])
-def test_must_survive_needs_one_list_per_player(must_survive):
-    with pytest.raises(IndexOutOfRange):
-        inherent_dominated_set(G_INH, W, must_survive=must_survive)
-
-
 def test_many_profiles_weakly_but_not_strictly():
     # 16 opponent profiles are 65,535 subsets; the chain takes two links
     g = inherently_dominated_middle_3x4x4()

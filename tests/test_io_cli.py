@@ -295,6 +295,30 @@ class TestCli:
         bad.write_text("{")
         assert main(["eliminate", "--game", str(bad), "--relation", "S"]) == 2
 
+    def test_non_utf8_game_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x00")
+        assert main(["eliminate", "--game", str(bad), "--relation", "S"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "--property", "hereditary"], "needs --relation"),
+            (["check", "--property", "spo", "--relation", "inh-W"], "binary relations"),
+            (["equiv"], "exactly two --game files"),
+            (["random", "--players", "2", "--strategies", "2", "--seed", "1", "--dup-prob", "x"], "bad probability"),
+        ],
+    )
+    def test_usage_refusals_exit_2(self, tmp_path, capsys, argv, message):
+        if argv[0] != "random":
+            argv = argv[:1] + ["--game", self._write_game(tmp_path, G11)] + argv[1:]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
     def test_nested_inherent_relation_exit_code(self, tmp_path, capsys):
         path = self._write_game(tmp_path, G11)
         assert main(["eliminate", "--game", path, "--relation", "inh-inh-W"]) == 2

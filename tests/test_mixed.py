@@ -14,8 +14,8 @@ from dominia import (
     check_tdi,
     find_dominator,
     generator_params,
+    inherent_dominated_set,
     mixed_dominated_set,
-    mixed_payoff,
     mixed_strategy,
     new_game,
     point_mass,
@@ -105,24 +105,6 @@ class TestMixedStrategy:
     def test_bad_mass_rejected(self):
         with pytest.raises(Exception):
             mixed_strategy(0, {0: F(1, 2)})
-
-
-class TestMixedPayoff:
-    def test_linearity(self):
-        g = mixable_middle_3x2()
-        m = mixed_strategy(0, {0: F(1, 2), 2: F(1, 2)})
-        assert mixed_payoff(g, [m, point_mass(1, 0)], 0) == F(3, 2)
-
-    def test_point_masses_embed_pure_profile(self):
-        for profile in G11.profiles():
-            ms = [point_mass(i, profile[i]) for i in range(G11.n)]
-            for j in range(G11.n):
-                assert mixed_payoff(G11, ms, j) == G11.payoff(profile, j)
-
-    def test_uniform_mix_on_reference_game(self):
-        half = F(1, 2)
-        ms = [mixed_strategy(0, {0: half, 1: half}), mixed_strategy(1, {0: half, 1: half})]
-        assert mixed_payoff(G11, ms, 1) == F(3, 4)
 
 
 class TestSubstitution:
@@ -287,10 +269,13 @@ class TestFindDominator:
         assert 1 not in w.dominator.support
 
     def test_pem_excludes_self_support(self, small_games):
+        # PEM by its definition, every other tag because a dominator is
+        # drawn from the player's other strategies
         for g in small_games[:12]:
-            for per in mixed_dominated_set(g, PEM):
-                for w in per:
-                    assert w.dominated not in w.dominator.support
+            for relation in (SM, WM, VWM, NWM, PEM):
+                for per in mixed_dominated_set(g, relation):
+                    for w in per:
+                        assert w.dominated not in w.dominator.support
 
     def test_vwm_point_mass_on_self(self):
         w = find_dominator(G11, VWM, 0, 0, [0])
@@ -450,10 +435,19 @@ class TestMixedDominatedSet:
         assert [w.dominated for w in per[0]] == [1]
         assert per[1] == []
 
-    @pytest.mark.parametrize("survivors", [[(0, 2)], [(0,), (0,), (0,)]])
-    def test_survivors_need_one_list_per_player(self, survivors):
-        with pytest.raises(IndexOutOfRange):
-            mixed_dominated_set(mixable_middle_3x2(), SM, survivors=survivors)
+    def test_no_strategy_dominates_itself(self):
+        # the point mass on a strategy very weakly dominates it, but a
+        # dominator is one of the player's other strategies
+        per = mixed_dominated_set(mixable_middle_3x2(), VWM)
+        assert [[w.dominated for w in found] for found in per] == [[1], [0, 1]]
+
+    def test_sets_match_inherent_dominance(self, small_games):
+        # for pointwise tags every subset of columns has the full game's
+        # dominator, so inherent dominance is plain dominance
+        for g in small_games[:12]:
+            for rel in (SM, VWM, PEM):
+                per = mixed_dominated_set(g, rel)
+                assert [[w.dominated for w in found] for found in per] == inherent_dominated_set(g, rel)
 
 
 class TestWitnessImplications:
@@ -489,12 +483,15 @@ class TestWitnessImplications:
 
 
 def _mixed_hereditary_materialized(g, relation):
-    """check_mixed_hereditary by asking each full-game witness on each
-    materialized restriction that keeps it, in local indices."""
+    """check_mixed_hereditary by asking each full-game witness, drawn from
+    the player's other strategies, on each materialized restriction that
+    keeps it, in local indices."""
     witnesses = []
     for i in range(g.n):
-        for s in range(len(g.strategies[i])):
-            w = find_dominator(g, relation, i, s, range(len(g.strategies[i])))
+        k = len(g.strategies[i])
+        for s in range(k):
+            others = [t for t in range(k) if t != s]
+            w = find_dominator(g, relation, i, s, others) if others else None
             if w is not None:
                 witnesses.append(w)
     for kept in restrictions(g):
