@@ -72,7 +72,6 @@ from .pure import (
     check_tdi_plus,
     check_tdi_plus_plus,
     compatible,
-    dominated_set,
     dominates,
     is_hereditary,
     is_strict_partial_order,

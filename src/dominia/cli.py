@@ -94,12 +94,13 @@ _PROPS = {
 def _cmd_check(args) -> int:
     game = _load_game(args.game[0])
     relation = parse_relation(args.relation) if args.relation else None
-    if args.property in ("hereditary", "iiia", "spo") and relation is None:
-        raise InvalidParams("this property needs --relation")
-    if relation is not None and isinstance(relation, Inherent):
-        raise InvalidParams("structural properties apply to binary relations")
-    if args.property in ("hereditary", "iiia", "spo") and relation.mixed:
-        raise InvalidParams(f"{args.property} applies to pure relations, not {relation}")
+    if args.property in ("hereditary", "iiia", "spo"):
+        if relation is None:
+            raise InvalidParams("this property needs --relation")
+        if isinstance(relation, Inherent) or relation.mixed:
+            raise InvalidParams(
+                f"{args.property} applies to pure relations (binary relations between pure strategies), not {relation}"
+            )
     result = _PROPS[args.property](game, relation)
     if isinstance(result, bool):
         _emit({"property": args.property, "ok": result})

@@ -83,6 +83,9 @@ class Game:
                     f"profile {profile} has {len(vec)} payoffs for {n} players"
                 )
             fixed[profile] = vec
+        if len(table) > len(fixed):
+            stray = next(key for key in table if key not in fixed)
+            raise IndexOutOfRange(f"payoff entry for profile {stray!r}, which the game does not have")
         object.__setattr__(self, "strategies", strats)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_table", fixed)

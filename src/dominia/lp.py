@@ -14,6 +14,10 @@ are built only for the returned point and value.  Callers never encode a
 strict inequality directly: they maximize a margin variable and test the
 exact optimum against zero.
 
+Every problem has one form: maximize over nonnegative variables, each row an
+equality or a >= row.  A caller states a free variable as the difference of
+two columns, and a feasibility question with a zero objective.
+
 Bland's pivoting rule (lowest eligible index enters; lowest basic index leaves
 among minimum-ratio ties) guarantees termination; a generous pivot cap guards
 against implementation bugs.
@@ -32,35 +36,27 @@ ONE = Fraction(1)
 
 MAX_PIVOTS = 200_000
 
-LE, EQ, GE = "<=", "==", ">="
+EQ, GE = "==", ">="
 
 
 class LpProblem:
-    """Optimize ``objective`` . x (``sense`` "max" or "min") subject to
+    """Maximize ``objective`` . x over x >= 0 subject to
     ``constraints[r][:-1]`` . x ``ops[r]`` ``constraints[r][-1]`` for every
-    r, where each op is one of <=, == and >=.  Rows and objective hold
-    integers.  ``nonneg[j]`` (default: every j) keeps x_j >= 0; otherwise x_j
-    is free."""
+    r, where each op is == or >=.  Rows and objective hold integers.  A free
+    variable is stated as the difference of two columns."""
 
-    __slots__ = ("constraints", "ops", "objective", "sense", "nonneg")
+    __slots__ = ("constraints", "ops", "objective")
 
-    def __init__(self, constraints, ops, objective, sense: str = "max", nonneg=None):
+    def __init__(self, constraints, ops, objective):
         n = len(objective)
-        if sense not in ("max", "min"):
-            raise DimensionMismatch(f"sense must be max or min, got {sense!r}")
-        if nonneg is None:
-            nonneg = (True,) * n
-        elif len(nonneg) != n:
-            raise DimensionMismatch("nonneg flags length != variable count")
         if len(ops) != len(constraints):
             raise DimensionMismatch("one op per constraint row")
         for row, op in zip(constraints, ops):
             if len(row) != n + 1:
                 raise DimensionMismatch("constraint length != variable count + 1 (the rhs)")
-            if op not in (LE, EQ, GE):
+            if op not in (EQ, GE):
                 raise DimensionMismatch(f"unknown constraint operator {op!r}")
         self.constraints, self.ops, self.objective = constraints, ops, objective
-        self.sense, self.nonneg = sense, nonneg
 
     @property
     def num_vars(self) -> int:
@@ -170,43 +166,21 @@ class _Unbounded(Exception):
 def solve(prob: LpProblem) -> LpOutcome:
     """Exact optimum of ``prob``.  The returned point is re-verified against
     every row before the outcome is handed back."""
-    rows, ops, objective, nonneg = prob.constraints, prob.ops, prob.objective, prob.nonneg
-    # map original variables to standard (nonnegative) columns: a free
-    # variable is the difference of two
-    col_of: list[tuple[int, Optional[int]]] = []
-    ncols = 0
-    for flag in nonneg:
-        if flag:
-            col_of.append((ncols, None))
-            ncols += 1
-        else:
-            col_of.append((ncols, ncols + 1))
-            ncols += 2
-    split = ncols > len(col_of)
-
-    def standard(values: list[int]) -> list[int]:
-        if not split:
-            return values
-        out = []
-        for v, flag in zip(values, nonneg):
-            out.append(v)
-            if not flag:
-                out.append(-v)
-        return out
-
-    # rows with a negative rhs are negated; each row's slack and artificial
-    # get coefficient 1, and phase 1 minimizes the sum of the artificials
+    rows, ops, objective = prob.constraints, prob.ops, prob.objective
+    ncols = len(objective)
+    # a >= row's slack gets -1 and each artificial 1, rows with a negative rhs
+    # are negated, and phase 1 minimizes the sum of the artificials
     m = len(rows)
-    n_slack = sum(1 for op in ops if op != EQ)
+    n_slack = sum(1 for op in ops if op == GE)
     art_base = ncols + n_slack
     tab_rows: list[list[int]] = []
     slack = 0
     for r, (row, op) in enumerate(zip(rows, ops)):
         body = [*row]
         rhs = body.pop()
-        body = standard(body) + [0] * n_slack
-        if op != EQ:
-            body[ncols + slack] = 1 if op == LE else -1
+        body += [0] * n_slack
+        if op == GE:
+            body[ncols + slack] = -1
             slack += 1
         if rhs < 0:
             body = [-v for v in body]
@@ -239,30 +213,29 @@ def solve(prob: LpProblem) -> LpOutcome:
     for row in tab.rows:
         del row[art_base:-1]
 
-    cost = standard(list(objective) if prob.sense == "min" else [-c for c in objective])
     try:
-        tab.minimize(cost + [0] * n_slack + [0])
+        tab.minimize([-c for c in objective] + [0] * n_slack + [0])
     except _Unbounded:
         return LpOutcome("unbounded")
 
-    std_num = [0] * art_base
+    nums = [0] * art_base
     for r, b in enumerate(tab.basis):
-        std_num[b] = tab.rows[r][-1]
-    nums = [std_num[p] - (0 if q is None else std_num[q]) for p, q in col_of]
+        nums[b] = tab.rows[r][-1]
+    del nums[ncols:]
     d = tab.d
-    _check_point(rows, ops, nonneg, nums, d)
+    _check_point(rows, ops, nums, d)
     value = Fraction(sum(c * v for c, v in zip(objective, nums)), d)
     return LpOutcome("optimal", value, tuple(Fraction(v, d) for v in nums))
 
 
-def _check_point(rows, ops, nonneg, nums: list[int], d: int) -> None:
+def _check_point(rows, ops, nums: list[int], d: int) -> None:
     """Re-check the point ``nums / d`` (d > 0) exactly against every integer
     row (coefficients then rhs) and every sign; an internal consistency
     guard."""
     for r, (row, op) in enumerate(zip(rows, ops)):
         lhs = sum(c * v for c, v in zip(row, nums))  # the rhs has no partner
         rhs = row[-1] * d
-        if not (lhs <= rhs if op == LE else lhs >= rhs if op == GE else lhs == rhs):
+        if not (lhs >= rhs if op == GE else lhs == rhs):
             raise AssertionError(f"simplex returned a point violating row {r}: {list(row)} ({op})")
-    if any(flag and v < 0 for flag, v in zip(nonneg, nums)):
+    if any(v < 0 for v in nums):
         raise AssertionError("simplex returned a negative value for a nonnegative variable")

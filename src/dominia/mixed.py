@@ -345,21 +345,24 @@ def _settle(pay, tag, i, s, allowed):
 
 
 def _margin_lp(pay, i, s, allowed, ties, margin) -> lp.LpOutcome:
-    """Maximize a free margin z over the weights on ``allowed`` (summing to
-    1): every player's payoff equals s's on the columns ``ties`` (in that
-    order), and player i's payoff is at least s's on every other column,
-    less z on the columns in ``margin``."""
+    """Maximize a margin z over the weights on ``allowed`` (summing to 1):
+    every player's payoff equals s's on the columns ``ties`` (in that order),
+    and player i's payoff is at least s's on every other column, less z on
+    the columns in ``margin``.  z may be negative, and the LP's variables are
+    not, so z is stated as z+ - z-, two columns after the weights; the
+    point's leading entries are the weights."""
     k = len(allowed)
     tied = set(ties)
-    rows = [[*(player[c][t] for t in allowed), 0, player[c][s]] for c in ties for player in pay]
+    rows = [[*(player[c][t] for t in allowed), 0, 0, player[c][s]] for c in ties for player in pay]
     ops = [EQ] * len(rows)
     for c, row in enumerate(pay[i]):
         if c not in tied:
-            rows.append([*(row[t] for t in allowed), -1 if c in margin else 0, row[s]])
+            z = int(c in margin)
+            rows.append([*(row[t] for t in allowed), -z, z, row[s]])
             ops.append(GE)
-    rows.append([1] * k + [0, 1])
+    rows.append([1] * k + [0, 0, 1])
     ops.append(EQ)
-    return lp.solve(lp.LpProblem(rows, ops, [0] * k + [1], "max", [True] * k + [False]))
+    return lp.solve(lp.LpProblem(rows, ops, [0] * k + [1, -1]))
 
 
 def _decide_sm(pay, i, s, allowed):
@@ -367,7 +370,7 @@ def _decide_sm(pay, i, s, allowed):
     if out.status == "unbounded":  # no columns: every mix dominates vacuously
         return {allowed[0]: ONE}
     if out.value > 0:
-        return _weights_from_point(allowed, out.point[:-1])
+        return _weights_from_point(allowed, out.point)
     return None
 
 
@@ -384,14 +387,14 @@ def _decide_wm(pay, i, s, allowed):
     # inequality can be made strict
     obj = [sum(row[t] for row in pay[i]) for t in allowed]
     base = sum(row[s] for row in pay[i])
-    out = lp.solve(lp.LpProblem(*_wm_rows(pay, i, s, allowed), obj, "max"))
+    out = lp.solve(lp.LpProblem(*_wm_rows(pay, i, s, allowed), obj))
     if out.optimal and out.value > base:
         return _weights_from_point(allowed, out.point)
     return None
 
 
 def _decide_vwm(pay, i, s, allowed):
-    out = lp.solve(lp.LpProblem(*_wm_rows(pay, i, s, allowed), [0] * len(allowed), "min"))
+    out = lp.solve(lp.LpProblem(*_wm_rows(pay, i, s, allowed), [0] * len(allowed)))
     if out.optimal:
         return _weights_from_point(allowed, out.point)
     return None
@@ -401,7 +404,7 @@ def _decide_pem(pay, i, s, allowed):
     k = len(allowed)
     rows = [[*(row[t] for t in allowed), row[s]] for column in zip(*pay) for row in column]
     rows.append([1] * (k + 1))
-    out = lp.solve(lp.LpProblem(rows, [EQ] * len(rows), [0] * k, "min"))
+    out = lp.solve(lp.LpProblem(rows, [EQ] * len(rows), [0] * k))
     if out.optimal:
         return _weights_from_point(allowed, out.point)
     return None
@@ -434,7 +437,7 @@ def _decide_nwm(pay, i, s, allowed):
         if not out.optimal or out.value < 0:
             return None
         if out.value > 0:
-            return _weights_from_point(allowed, out.point[:-1])
+            return _weights_from_point(allowed, out.point)
         implicit = [c for c in every if c not in ties and _margin_lp(pay, i, s, allowed, ties, (c,)).value == 0]
         ties[forced:] = sorted(ties[forced:] + implicit)
     return None

@@ -142,26 +142,6 @@ def compatible(game: Game, player: int, s: int, t: int) -> bool:
     return dominates(game, COMPAT, player, s, t)
 
 
-def dominated_set(game: Game, relation: Relation) -> list[list[DominanceWitness]]:
-    """Per player, one witness for every strategy dominated by some *distinct*
-    strategy; the dominator is the least index that works (deterministic)."""
-    out: list[list[DominanceWitness]] = []
-    for i in range(game.n):
-        columns = game.opponent_profiles(i)
-        every = (1 << len(columns)) - 1
-        found: list[DominanceWitness] = []
-        for s in range(len(game.strategies[i])):
-            for t in range(len(game.strategies[i])):
-                if t == s:
-                    continue
-                tag = _first_tag(relation.tags, _masks(game, relation.tags, i, s, t, columns), every)
-                if tag is not None:
-                    found.append(DominanceWitness(i, s, t, tag))
-                    break
-        out.append(found)
-    return out
-
-
 # -- TDI family ------------------------------------------------------------
 
 

@@ -35,6 +35,17 @@ def test_missing_payoff_rejected():
         new_game([["T", "B"], ["L"]], {("T", "L"): (1, 1)})
 
 
+def test_payoff_entry_out_of_range_rejected():
+    # the game is 2x1: no strategy 5 for the first player
+    with pytest.raises(IndexOutOfRange, match=r"\(5, 0\)"):
+        new_game([["a", "b"], ["x"]], {(0, 0): (1, 1), (1, 0): (2, 2), (5, 0): (9, 9)})
+
+
+def test_payoff_entry_of_wrong_arity_rejected():
+    with pytest.raises(IndexOutOfRange, match=r"\(0, 0, 0\)"):
+        Game((("a", "b"), ("x",)), {(0, 0): (1, 1), (1, 0): (2, 2), (0, 0, 0): (9, 9)})
+
+
 def test_duplicate_labels_rejected_within_and_across_players():
     with pytest.raises(DuplicateLabel):
         new_game([["T", "T"], ["L"]], {})

@@ -16,7 +16,6 @@ from dominia import (
     W,
     WM,
     InherentQuery,
-    dominated_set,
     dominates,
     find_dominator,
     inherent_dominated_set,
@@ -160,28 +159,28 @@ def test_bottom_row_weak_but_not_inherent():
 
 def test_strictly_dominated_implies_inherently_weakly(small_games):
     for g in small_games[:12]:
-        per = dominated_set(g, S)
-        for witnesses in per:
-            for w in witnesses:
-                assert is_inherently_dominated(
-                    g, InherentQuery(W, w.player, w.dominated, None)
-                ).dominated
+        for i, k in enumerate(g.shape):
+            for s, t in itertools.permutations(range(k), 2):
+                if dominates(g, S, i, s, t):
+                    assert is_inherently_dominated(g, InherentQuery(W, i, s, None)).dominated
 
 
 def test_inherently_weakly_implies_weakly(small_games):
     for g in small_games[:12]:
         for i, found in enumerate(inherent_dominated_set(g, W)):
-            weak = {w.dominated for w in dominated_set(g, W)[i]}
             for s in found:
-                assert s in weak
+                assert any(dominates(g, W, i, s, t) for t in range(g.shape[i]) if t != s)
 
 
 def test_hereditary_bases_coincide_with_plain_dominance(small_games):
     for g in small_games[:8]:
         for rel in (S, PE, VW):
             inh = inherent_dominated_set(g, rel)
-            plain = [[w.dominated for w in per] for per in dominated_set(g, rel)]
-            assert [sorted(x) for x in inh] == [sorted(x) for x in plain]
+            plain = [
+                [s for s in range(k) if any(dominates(g, rel, i, s, t) for t in range(k) if t != s)]
+                for i, k in enumerate(g.shape)
+            ]
+            assert [sorted(x) for x in inh] == plain
 
 
 def test_mixed_inherent_weak_equals_strict_mixed(small_games):

@@ -113,11 +113,11 @@ class TestGenerator:
         assert serialize_game(random_game(params)) == serialize_game(random_game(params))
 
     def test_forced_duplicate_creates_pe_pair(self):
-        from dominia import PE, dominated_set
+        from dominia import PE, dominates
 
         params = generator_params(2, (2, 2), -3, 3, F(1), 7)
         g = random_game(params)
-        assert any(per for per in dominated_set(g, PE))
+        assert any(dominates(g, PE, i, 0, 1) for i in range(2))
 
     def test_zero_range_all_payoffs_zero(self):
         g = random_game(generator_params(2, (2, 2), 0, 0, F(0), 5))
@@ -266,6 +266,16 @@ class TestCli:
         assert main(["check", "--game", path, "--property", prop, "--relation", "SM"]) == 2
         assert "pure relations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prop", ["tdi", "tdi+", "tdi++"])
+    def test_tdi_properties_ignore_the_relation(self, tmp_path, capsys, prop):
+        # they read no relation, so neither an inherent nor a mixed one is refused
+        path = self._write_game(tmp_path, random_game(generator_params(2, 2, -3, 3, 0, 1)))
+        outputs = []
+        for extra in ([], ["--relation", "SM"], ["--relation", "inh-W"]):
+            code = main(["check", "--game", path, "--property", prop, *extra])
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0][0] in (0, 1) and outputs[0] == outputs[1] == outputs[2]
+
     def test_random_round_trip(self, tmp_path, capsys):
         out = tmp_path / "rand.json"
         code = main(
@@ -309,6 +319,7 @@ class TestCli:
             (["check", "--property", "spo", "--relation", "inh-W"], "binary relations"),
             (["equiv"], "exactly two --game files"),
             (["random", "--players", "2", "--strategies", "2", "--seed", "1", "--dup-prob", "x"], "bad probability"),
+            (["check", "--property", "hereditary", "--relation", "inh-W"], "pure relations"),
         ],
     )
     def test_usage_refusals_exit_2(self, tmp_path, capsys, argv, message):

@@ -4,8 +4,9 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dominia import lp
+from dominia import lp, mixed
 from dominia.errors import DimensionMismatch
+from dominia.game import new_game
 
 
 def _scaled(values) -> tuple[int, list[int]]:
@@ -16,37 +17,37 @@ def _scaled(values) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def rational(constraints, objective, sense="max", nonneg=None):
+def rational(constraints, objective):
     """A problem stated in rationals, ``constraints`` as (coefficients, op,
     rhs), as an :class:`lp.LpProblem`: each row, and the objective, times the
     LCM of its denominators.  Returns the problem and the objective's scale."""
     rows = [_scaled((*c, b))[1] for c, _, b in constraints]
     scale, objective = _scaled(objective)
-    return lp.LpProblem(rows, [op for _, op, _ in constraints], objective, sense, nonneg), scale
+    return lp.LpProblem(rows, [op for _, op, _ in constraints], objective), scale
 
 
-def solve(constraints, objective, sense="max", nonneg=None):
+def solve(constraints, objective):
     """The optimum of a rational problem; a positive row scale keeps the
     feasible set and the optimal points, and the objective's scale is divided
     out of the value."""
-    prob, scale = rational(constraints, objective, sense, nonneg)
+    prob, scale = rational(constraints, objective)
     out = lp.solve(prob)
     return lp.LpOutcome("optimal", out.value / scale, out.point) if out.optimal else out
 
 
 def test_single_variable_bounded():
-    out = solve([([1], "<=", 3)], [1], "max")
+    out = solve([([-1], ">=", -3)], [1])
     assert out.optimal and out.value == 3 and out.point == (Fraction(3),)
 
 
 def test_unbounded():
-    out = solve([], [1], "max")
+    out = solve([], [1])
     assert out.status == "unbounded"
 
 
 def _feasible(constraints, num_vars):
-    """Phase one alone: minimize 0 over the constraints."""
-    return solve(constraints, [0] * num_vars, "min")
+    """Phase one alone: maximize 0 over the constraints."""
+    return solve(constraints, [0] * num_vars)
 
 
 def test_contradictory_equalities_infeasible():
@@ -70,30 +71,23 @@ def test_vacuous_problem_feasible():
     assert out.optimal and out.value == 0 and out.point == ()
 
 
-def test_free_variables():
-    # minimize x with x >= -5, x free
-    out = solve([([1], ">=", -5)], [1], "min", [False])
-    assert out.optimal and out.value == -5
-
-
 def test_dimension_mismatch():
     # a row holds one coefficient per variable, then the rhs
     with pytest.raises(DimensionMismatch):
-        lp.LpProblem([[1, 1]], ["<="], [1, 0], "max")
+        lp.LpProblem([[1, 1]], [">="], [1, 0])
     with pytest.raises(DimensionMismatch):
-        lp.LpProblem([], [], [1, 2], "max", [True])
+        lp.LpProblem([[1, 1]], [], [1])
     with pytest.raises(DimensionMismatch):
-        lp.LpProblem([[1, 1]], [], [1], "max")
-    with pytest.raises(DimensionMismatch):
-        lp.LpProblem([[1, 1]], ["<"], [1], "max")
-    with pytest.raises(DimensionMismatch):
-        lp.LpProblem([], [], [1], "best")
+        lp.LpProblem([[1, 1]], ["<"], [1])
+    # one form: a <= row is stated as its negation, a >= row
+    with pytest.raises(DimensionMismatch, match="'<='"):
+        lp.LpProblem([[1, 1]], ["<="], [1])
 
 
 def test_exact_rational_optimum():
     # max x + y s.t. 2x + y <= 1, x + 3y <= 2  -> vertex (1/5, 3/5)
-    cons = [([2, 1], "<=", 1), ([1, 3], "<=", 2)]
-    out = solve(cons, [1, 1], "max")
+    cons = [([-2, -1], ">=", -1), ([-1, -3], ">=", -2)]
+    out = solve(cons, [1, 1])
     assert out.value == Fraction(4, 5)
     assert out.point == (Fraction(1, 5), Fraction(3, 5))
 
@@ -102,16 +96,16 @@ def test_degenerate_redundant_rows():
     cons = [
         ([1, 1], "==", 1),
         ([2, 2], "==", 2),  # redundant copy
-        ([1, 0], "<=", 1),
+        ([-1, 0], ">=", -1),
     ]
-    out = solve(cons, [1, 0], "max")
+    out = solve(cons, [1, 0])
     assert out.optimal and out.value == 1
 
 
 def test_row_with_unlike_denominators():
     # one row scaled by lcm(3, 2, 6, 4) = 12; the best ratio is x's, 3 * 7/4
-    cons = [([Fraction(1, 3), Fraction(1, 2), Fraction(5, 6)], "<=", Fraction(7, 4))]
-    out = solve(cons, [1, 1, 1], "max")
+    cons = [([Fraction(-1, 3), Fraction(-1, 2), Fraction(-5, 6)], ">=", Fraction(-7, 4))]
+    out = solve(cons, [1, 1, 1])
     assert out.value == Fraction(21, 4)
     assert out.point == (Fraction(21, 4), Fraction(0), Fraction(0))
 
@@ -132,21 +126,22 @@ def test_redundant_equality_pair_negative_drive_out(monkeypatch):
         ([-2, -4], "==", -4),  # redundant copy
         ([1, -2], ">=", 2),
     ]
-    out = solve(cons, [-2, -2], "max")
+    out = solve(cons, [-2, -2])
     assert any(p < 0 for p in pivots)
     assert out.optimal and out.value == -4
     assert out.point == (Fraction(2), Fraction(0))
 
 
 def test_beale_cycling_example_terminates():
-    # Beale 1955: cycles under the textbook largest-coefficient rule
+    # Beale 1955: cycles under the textbook largest-coefficient rule; its
+    # minimum of c.x is the negated maximum of -c.x
     cons = [
-        ([Fraction(1, 4), -60, Fraction(-1, 25), 9], "<=", 0),
-        ([Fraction(1, 2), -90, Fraction(-1, 50), 3], "<=", 0),
-        ([0, 0, 1, 0], "<=", 1),
+        ([Fraction(-1, 4), 60, Fraction(1, 25), -9], ">=", 0),
+        ([Fraction(-1, 2), 90, Fraction(1, 50), -3], ">=", 0),
+        ([0, 0, -1, 0], ">=", -1),
     ]
-    out = solve(cons, [Fraction(-3, 4), 150, Fraction(-1, 50), 6], "min")
-    assert out.optimal and out.value == Fraction(-1, 20)
+    out = solve(cons, [Fraction(3, 4), -150, Fraction(1, 50), -6])
+    assert out.optimal and out.value == Fraction(1, 20)
     assert out.point == (Fraction(1, 25), Fraction(0), Fraction(1), Fraction(0))
 
 
@@ -160,16 +155,16 @@ small_rationals = st.integers(min_value=-4, max_value=4).map(Fraction)
     st.lists(small_rationals, min_size=2, max_size=2),
 )
 def test_duality_spot_check(rows, rhs, objective):
-    """For max c.x s.t. Ax <= b, x >= 0: primal optimum equals the mechanical
-    dual's optimum (min b.y s.t. A'y >= c, y >= 0) whenever both are bounded
-    and feasible."""
+    """For max c.x s.t. -Ax >= -b, x >= 0: primal optimum equals the negated
+    optimum of the mechanical dual (max -b.y s.t. A'y >= c, y >= 0) whenever
+    both are bounded and feasible."""
     m = min(len(rows), len(rhs))
     rows, rhs = rows[:m], rhs[:m]
-    primal = solve([(r, "<=", b) for r, b in zip(rows, rhs)], objective, "max")
+    primal = solve([([-a for a in r], ">=", -b) for r, b in zip(rows, rhs)], objective)
     dual_cons = [([rows[k][j] for k in range(m)], ">=", objective[j]) for j in range(2)]
-    dual = solve(dual_cons, rhs, "min")
+    dual = solve(dual_cons, [-b for b in rhs])
     if primal.optimal and dual.optimal:
-        assert primal.value == dual.value
+        assert primal.value == -dual.value
     elif primal.status == "unbounded":
         assert dual.status == "infeasible"
     elif dual.status == "unbounded":
@@ -184,28 +179,32 @@ rationals = st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.integ
     st.integers(min_value=1, max_value=3).flatmap(
         lambda n: st.tuples(
             st.lists(
-                st.tuples(st.lists(rationals, min_size=n, max_size=n), st.sampled_from(["<=", "==", ">="]), rationals),
+                st.tuples(st.lists(rationals, min_size=n, max_size=n), st.sampled_from(["==", ">="]), rationals),
                 min_size=1,
                 max_size=4,
             ),
             st.lists(rationals, min_size=n, max_size=n),
-            st.lists(st.booleans(), min_size=n, max_size=n),
         )
     )
 )
 def test_duality_with_equalities_and_free_variables(case):
-    """Primal max c.x over <=, == and >= rows with some free variables, against
-    its dual.  The dual sees each >= row negated into a <= row; <= rows get
-    nonnegative multipliers and == rows free ones; a nonnegative x_j gives a
-    dual row >= c_j and a free x_j a dual row == c_j."""
-    rows, objective, nonneg = case
+    """Primal max c.x over == and >= rows, against its dual, max -b'.y over
+    A'^T y >= c, whose value is the primal's negated.  The dual sees each >=
+    row a.x >= b as the row -a.x <= -b with a nonnegative multiplier, and
+    each == row as a.x <= b with a free one, stated as two columns, a and
+    -a."""
+    rows, objective = case
     n = len(objective)
-    primal = solve(rows, objective, "max", nonneg)
-    as_le = [([-a for a in c], "<=", -b) if op == ">=" else (c, op, b) for c, op, b in rows]
-    dual_cons = [([c[j] for c, _, _ in as_le], ">=" if nonneg[j] else "==", objective[j]) for j in range(n)]
-    dual = solve(dual_cons, [b for _, _, b in as_le], "min", [op == "<=" for _, op, _ in as_le])
+    primal = solve(rows, objective)
+    cols = []  # each multiplier's column of A'^T y and its entry of -b'
+    for a, op, b in rows:
+        if op == "==":
+            cols.append((a, -b))
+        cols.append(([-v for v in a], b))
+    dual_cons = [([col[j] for col, _ in cols], ">=", objective[j]) for j in range(n)]
+    dual = solve(dual_cons, [w for _, w in cols])
     if primal.optimal and dual.optimal:
-        assert primal.value == dual.value
+        assert primal.value == -dual.value
     elif primal.status == "unbounded":
         assert dual.status == "infeasible"
     elif dual.status == "unbounded":
@@ -218,33 +217,33 @@ def test_pivot_counter_stays_reasonable():
     n = 8
     for j in range(n):
         coeffs = [Fraction(1) if k <= j else Fraction(0) for k in range(n)]
-        cons.append((coeffs, "<=", Fraction(j + 1)))
+        cons.append(([-c for c in coeffs], ">=", Fraction(-(j + 1))))
     cons.append(([1] * n, "==", Fraction(3)))
-    out = solve(cons, [1] * n, "max")
+    out = solve(cons, [1] * n)
     assert out.optimal and out.value == 3
 
 
 def test_post_solve_check_rejects_a_point_off_by_one_over_d():
     # the re-check runs on the integer rows against the point's numerators
     # over d; moving one coordinate by 1/d breaks exactly one row
-    le = ([1, Fraction(1, 2), 0], "<=", 2)
+    cap = ([-1, Fraction(-1, 2), 0], ">=", -2)
     eq = ([1, -1, 0], "==", Fraction(1, 3))
-    ge = ([0, 0, 1], ">=", Fraction(-3, 2))
-    prob, _ = rational([le, eq, ge], [1, 1, -1], "max", [True, True, False])
+    ge = ([0, 0, 1], ">=", Fraction(3, 2))
+    prob, _ = rational([cap, eq, ge], [1, 1, -1])
     out = lp.solve(prob)
-    assert out.point == (Fraction(13, 9), Fraction(10, 9), Fraction(-3, 2))
+    assert out.point == (Fraction(13, 9), Fraction(10, 9), Fraction(3, 2))
     rows, ops = prob.constraints, prob.ops
-    assert rows == [[2, 1, 0, 4], [3, -3, 0, 1], [0, 0, 2, -3]]
+    assert rows == [[-2, -1, 0, -4], [3, -3, 0, 1], [0, 0, 2, 3]]
     d = 18
     nums = [int(v * d) for v in out.point]
-    lp._check_point(rows, ops, prob.nonneg, nums, d)
+    lp._check_point(rows, ops, nums, d)
     for shift, broken in (((1, 1, 0), 0), ((-1, 0, 0), 1), ((0, 0, -1), 2)):
         off = [v + k for v, k in zip(nums, shift)]
         with pytest.raises(AssertionError, match=f"violating row {broken}:") as err:
-            lp._check_point(rows, ops, prob.nonneg, off, d)
+            lp._check_point(rows, ops, off, d)
         assert str(rows[broken]) in str(err.value)
     with pytest.raises(AssertionError, match="negative value"):
-        lp._check_point([], [], [True], [-1], d)
+        lp._check_point([], [], [-1], d)
 
 
 @settings(max_examples=120, deadline=None)
@@ -252,12 +251,10 @@ def test_post_solve_check_rejects_a_point_off_by_one_over_d():
     st.integers(min_value=1, max_value=3).flatmap(
         lambda n: st.tuples(
             st.lists(
-                st.tuples(st.lists(rationals, min_size=n, max_size=n), st.sampled_from(["<=", "==", ">="]), rationals),
+                st.tuples(st.lists(rationals, min_size=n, max_size=n), st.sampled_from(["==", ">="]), rationals),
                 max_size=4,
             ),
             st.lists(rationals, min_size=n, max_size=n),
-            st.sampled_from(["max", "min"]),
-            st.lists(st.booleans(), min_size=n, max_size=n),
         )
     ),
     st.lists(st.integers(min_value=1, max_value=6), min_size=5, max_size=5),
@@ -269,16 +266,14 @@ def test_positive_row_scales_keep_the_answer(case, factors):
     does not change.  Either point meets every rational row and attains the
     optimum, and the post-solve check rejects a move of any coordinate that
     an equality row or a zero sign bound pins."""
-    rows, objective, sense, nonneg = case
-    prob, scale = rational(rows, objective, sense, nonneg)
+    rows, objective = case
+    prob, scale = rational(rows, objective)
     assert all(type(v) is int for row in prob.constraints for v in (*row, *prob.objective))
     factors = factors[: len(rows) + 1]
     wider = lp.LpProblem(
         [[f * v for v in row] for f, row in zip(factors, prob.constraints)],
         prob.ops,
         [factors[-1] * c for c in prob.objective],
-        sense,
-        nonneg,
     )
     out, other = lp.solve(prob), lp.solve(wider)
     assert out.status == other.status
@@ -290,17 +285,32 @@ def test_positive_row_scales_keep_the_answer(case, factors):
         assert out.value == scale * sum(Fraction(c) * v for c, v in zip(objective, x))
         for c, op, b in rows:
             lhs = sum(a * v for a, v in zip(c, x))
-            assert lhs <= b if op == "<=" else lhs >= b if op == ">=" else lhs == b
-        assert all(v >= 0 for v, flag in zip(x, nonneg) if flag)
+            assert lhs >= b if op == ">=" else lhs == b
+        assert all(v >= 0 for v in x)
     x = out.point
     int_rows, ops = prob.constraints, prob.ops
     d = lcm(*(v.denominator for v in x))
     nums = [int(v * d) for v in x]
-    lp._check_point(int_rows, ops, nonneg, nums, d)
+    lp._check_point(int_rows, ops, nums, d)
     for j in range(len(x)):
         pinned = any(op == "==" and row[j] for row, op in zip(int_rows, ops))
         for step in (1, -1):
-            if pinned or (nonneg[j] and nums[j] == 0 and step < 0):
+            if pinned or (nums[j] == 0 and step < 0):
                 off = nums[:j] + [nums[j] + step] + nums[j + 1 :]
                 with pytest.raises(AssertionError, match="violating|negative value"):
-                    lp._check_point(int_rows, ops, nonneg, off, d)
+                    lp._check_point(int_rows, ops, off, d)
+
+
+def test_margin_lp_reaches_a_negative_optimum():
+    # every mix of rows 1 and 2 does worse than row 0 in some column; the
+    # best, half of each, by 1/2.  A margin in one nonnegative column could
+    # not go below 0 and would leave the LP infeasible.
+    game = new_game(
+        [["s", "t", "u"], ["L", "R"]],
+        {(0, 0): (0, 0), (0, 1): (0, 0), (1, 0): (-2, 0), (1, 1): (1, 0), (2, 0): (1, 0), (2, 1): (-2, 0)},
+    )
+    _, _, pay = mixed._query(game, 0, 0, [1, 2], None)
+    out = mixed._margin_lp(pay, 0, 0, (1, 2), (), range(2))
+    assert out.optimal and out.value == Fraction(-1, 2)
+    half = Fraction(1, 2)
+    assert out.point[:2] == (half, half) and out.point[2] - out.point[3] == -half

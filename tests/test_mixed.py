@@ -82,11 +82,14 @@ def _nwm_by_enumeration(pay, i, s, allowed):
             ties = forced_tie + list(extra)
             if len(ties) == len(mine):
                 continue
-            cons = [([*(row[t] for t in allowed), 0, row[s]], lp.EQ) for c in ties for row in by_column[c]]
-            cons.extend(([*(row[t] for t in allowed), -1, row[s]], lp.GE) for c, row in enumerate(mine) if c not in ties)
-            cons.append(([1] * k + [0, 1], lp.EQ))
+            # the margin may be negative: it is the difference of two columns
+            cons = [([*(row[t] for t in allowed), 0, 0, row[s]], lp.EQ) for c in ties for row in by_column[c]]
+            cons.extend(
+                ([*(row[t] for t in allowed), -1, 1, row[s]], lp.GE) for c, row in enumerate(mine) if c not in ties
+            )
+            cons.append(([1] * k + [0, 0, 1], lp.EQ))
             rows, ops = zip(*cons)
-            out = lp.solve(lp.LpProblem(rows, ops, [0] * k + [1], "max", [True] * k + [False]))
+            out = lp.solve(lp.LpProblem(rows, ops, [0] * k + [1, -1]))
             if out.optimal and out.value > 0:
                 return {t: v for t, v in zip(allowed, out.point) if v != 0}
     return None

@@ -18,7 +18,6 @@ from dominia import (
     check_tdi_plus,
     check_tdi_plus_plus,
     compatible,
-    dominated_set,
     dominates,
     generator_params,
     is_hereditary,
@@ -30,7 +29,6 @@ from dominia import (
 )
 from dominia.errors import IndexOutOfRange, SizeBoundExceeded
 from dominia.gallery import (
-    inherently_dominated_middle_3x2,
     nonconfluent_weak_2x2,
     trivial_1x1,
 )
@@ -141,28 +139,6 @@ class TestCompatible:
     def test_violation_in_2x1_game(self):
         g = new_game([["T", "B"], ["L"]], {("T", "L"): (0, 1), ("B", "L"): (0, 0)})
         assert not compatible(g, 0, 0, 1)
-
-
-class TestDominatedSet:
-    def test_reference_witnesses(self):
-        per_player = dominated_set(G11, W)
-        assert [(w.player, w.dominated, w.dominator) for w in per_player[0]] == [(0, 1, 0)]
-        assert [(w.player, w.dominated, w.dominator) for w in per_player[1]] == [(1, 1, 0)]
-
-    def test_trivial_game_empty(self):
-        assert dominated_set(trivial_1x1(), W) == [[]]
-
-    def test_column_filled_game_has_no_strict_dominance(self):
-        g = inherently_dominated_middle_3x2()
-        assert dominated_set(g, S)[0] == []
-
-    def test_least_index_dominator_chosen(self):
-        g = new_game(
-            [["a", "b", "c"], ["x"]],
-            {("a", "x"): (3, 0), ("b", "x"): (3, 0), ("c", "x"): (1, 0)},
-        )
-        witness = dominated_set(g, S)[0][0]
-        assert witness.dominated == 2 and witness.dominator == 0
 
 
 class TestTdiFamily:
