@@ -53,13 +53,13 @@ its lowest-indexed members) every successor is canonical.  The full search
 is the same code with singleton classes.  The quotient is used only where it
 is exact: ``normal_forms`` in both modes (each canonical normal form is
 expanded over its orbit, ``explored_states`` sums orbit sizes, and renaming
-classes are unions of orbits) and weak confluence up to renaming (renaming
-classes, and so reach sets of class labels, are the same across an orbit).
-Plain weak confluence and left commutation ask whether two reach sets share
-a state, which orbits do not decide, and ``successors``, ``single_step_trace``
-and ``maximal_reduce`` report single states; these, one-at-a-time and
-one-step closure stay on the full search.  So does every counterexample: it
-is the first failure in full BFS order, which the quotient does not follow.
+classes are unions of orbits), and so weak confluence in both modes, which
+by Newman's lemma is uniqueness of the normal forms.  Left commutation asks
+whether two reach sets share a state, which orbits do not decide, and
+``successors``, ``single_step_trace`` and ``maximal_reduce`` report single
+states; these, one-at-a-time and one-step closure stay on the full search.
+So does every counterexample: it is the first failure in full BFS order,
+which the quotient does not follow, found on reach sets of normal forms.
 """
 
 from __future__ import annotations
@@ -360,14 +360,14 @@ class _Search:
                         order.append(succ)
         return order
 
-    def reach(self, label: dict[int, int]) -> dict[int, int]:
-        """Reflexive-transitive successor set of every labelled state (the
-        labelled states must be closed under this search's steps), as a
-        bitset with bit ``label[x]`` for each state x reached."""
+    def reach(self, states: list[int], label: dict[int, int]) -> dict[int, int]:
+        """Reflexive-transitive successor set of every state in ``states``
+        (which must be closed under this search's steps), as a bitset with
+        bit ``label[x]`` for each labelled state x reached."""
         out: dict[int, int] = {}
         # a step removes strategies, so successors come first
-        for st in sorted(label, key=int.bit_count):
-            acc = 1 << label[st]
+        for st in sorted(states, key=int.bit_count):
+            acc = 1 << label[st] if st in label else 0
             for succ in self.successors(st):
                 acc |= out[succ]
             out[st] = acc
@@ -411,6 +411,11 @@ def normal_forms(
     ``unique`` means one normal form exactly, or one renaming class when
     ``up_to_renaming`` is set; in the non-unique case the report carries a
     witness pair of one-step reducts that cannot be joined again."""
+    return _report(game, spec, up_to_renaming, bound)
+
+
+def _report(game: Game, spec: RelationSpec, up_to_renaming: bool, bound: Optional[int]) -> ConfluenceReport:
+    """:func:`normal_forms`, found on the quotient search."""
     [search] = _searches(game, bound, spec)
     quotient = search.quotient()
     canonical = quotient.states()
@@ -426,42 +431,24 @@ def normal_forms(
     unique = (len(classes) == 1) if up_to_renaming else (len(nf_games) == 1)
     counterexample = None
     if not unique:
-        failure = _weak_confluence_failure(search, up_to_renaming)
-        if failure is not None:
-            counterexample = (search.game(failure[1]), search.game(failure[2]))
+        label = {nf_states[p]: k for k, cls in enumerate(classes) for p in cls} if up_to_renaming else position
+        counterexample = _first_unjoined(search, label)
     return ConfluenceReport(nf_games, classes, sum(map(quotient.orbit_size, canonical)), unique, counterexample)
 
 
-def _weak_confluence_failure(search: _Search, up_to_renaming: bool):
-    """The first (a, b, c), b and c one-step reducts of a reachable a, whose
-    reach sets share no state, or no renaming class when ``up_to_renaming``
-    is set; None when every such pair joins.
-
-    Up to renaming the quotient search decides: renaming classes are unions
-    of orbits, so the classes an orbit's reach sets meet are the same from
-    every member.  Only a failure is looked up on the full search, so that
-    it is the first one in full BFS order."""
-    if up_to_renaming:
-        quotient = search.quotient()
-        failure = _first_unjoined(quotient, True)
-        if failure is None or quotient is search:
-            return failure
-    return _first_unjoined(search, up_to_renaming)
-
-
-def _first_unjoined(search: _Search, up_to_renaming: bool):
-    """:func:`_weak_confluence_failure` on the states of ``search`` alone."""
+def _first_unjoined(search: _Search, label: dict[int, int]) -> tuple[Game, Game]:
+    """The first pair, in BFS order, of one-step reducts of a reachable state
+    whose reach sets share no label.  Every state reaches a normal form, and
+    renamings carry normal forms to normal forms, so labels on normal forms
+    alone decide joins; Newman's lemma gives a pair when they are not unique."""
     states = search.states()
-    label = {st: k for k, st in enumerate(states)}
-    if up_to_renaming:
-        for k, cls in enumerate(partition_by_equivalence(search.game(st) for st in states)):
-            label.update((states[idx], k) for idx in cls)
-    reached = search.reach(label)
-    for state in states:
-        for b, c in itertools.combinations(search.successors(state), 2):
-            if not reached[b] & reached[c]:
-                return (state, b, c)
-    return None
+    reached = search.reach(states, label)
+    return next(
+        (search.game(b), search.game(c))
+        for state in states
+        for b, c in itertools.combinations(search.successors(state), 2)
+        if not reached[b] & reached[c]
+    )
 
 
 def check_weak_confluence(
@@ -471,12 +458,13 @@ def check_weak_confluence(
     bound: Optional[int] = None,
 ) -> CheckOutcome:
     """Every pair of one-step reducts of every reachable game must rejoin
-    (possibly only up to renaming).  Counterexample: the first unjoinable pair."""
-    [search] = _searches(game, bound, spec)
-    failure = _weak_confluence_failure(search, up_to_renaming)
-    if failure is None:
-        return CheckOutcome(True)
-    return CheckOutcome(False, (search.game(failure[1]), search.game(failure[2])))
+    (possibly only up to renaming).  Counterexample: the first unjoinable pair.
+
+    Every step removes strategies, so by Newman's lemma this holds iff the
+    normal forms are unique (up to renaming, which every step commutes with),
+    as the :func:`normal_forms` report decides."""
+    report = _report(game, spec, up_to_renaming, bound)
+    return CheckOutcome(report.unique, report.counterexample)
 
 
 def check_one_step_closed(game: Game, spec: RelationSpec, bound: Optional[int] = None) -> CheckOutcome:
@@ -518,7 +506,7 @@ def check_left_commutes(
     s1, s2 = _searches(game, bound, spec1, spec2)
     states = s1.states(s2)
     label = {st: k for k, st in enumerate(states)}
-    reached = s1.reach(label)
+    reached = s1.reach(states, label)
     for a in states:
         joined = 0
         for d in s2.successors(a):

@@ -4,8 +4,8 @@ purely-reduced and fully-reduced constructions.
 Two games are equivalent when, player by player (player identities fixed,
 never permuted), the strategies can be renamed bijectively so every payoff of
 every player is preserved.  The search backtracks over per-player bijections,
-pruned by per-strategy payoff-multiset fingerprints; a found renaming is fully
-verified before it is returned, so the fingerprints only ever prune.
+pruned by per-strategy payoff-multiset fingerprints and by each profile as soon
+as it is mapped; a found renaming is fully verified before it is returned.
 """
 
 from __future__ import annotations
@@ -81,13 +81,18 @@ def _renaming(g1: Game, g2: Game, fp1, fp2) -> Optional[Renaming]:
     slots = [(i, s) for i in range(g1.n) for s in range(len(g1.strategies[i]))]
     maps = [[-1] * len(g1.strategies[i]) for i in range(g1.n)]
     used = [set() for _ in range(g1.n)]
+    last = g1.n - 1
+    cols = [col[:last] for col in g1.opponent_profiles(last)]
 
     def backtrack(pos: int) -> bool:
         if pos == len(slots):
             return _verify_renaming(g1, g2, maps)
         i, s = slots[pos]
         for t in candidates[i][s]:
-            if t in used[i]:
+            # players are mapped in order: the last one's s completes every profile with s
+            if t in used[i] or i == last and any(
+                g1._table[c + (s,)] != g2._table[tuple(maps[j][x] for j, x in enumerate(c)) + (t,)] for c in cols
+            ):
                 continue
             maps[i][s] = t
             used[i].add(t)
@@ -126,7 +131,7 @@ def purely_reduce(game: Game) -> Game:
     kept = [[c[0] for c in classes] for classes in clone_classes(game)]
     if tuple(map(len, kept)) == game.shape:
         return game
-    return restrict(game, kept)
+    return restrict(game, kept, allow_degenerate=game.degenerate)
 
 
 def fully_reduce(game: Game, bound: Optional[int] = None) -> Game:
@@ -143,7 +148,8 @@ def fully_reduce(game: Game, bound: Optional[int] = None) -> Game:
                 kept[i] = others
                 break
         else:
-            return game if tuple(map(len, kept)) == game.shape else restrict(game, kept)
+            full = tuple(map(len, kept)) == game.shape
+            return game if full else restrict(game, kept, allow_degenerate=game.degenerate)
 
 
 def partition_by_equivalence(games) -> list[list[int]]:

@@ -30,7 +30,7 @@ defined.  Every cheap "no" carries a certificate (the column, and for PEM
 the player) that is checked on the game's Fraction payoffs
 (:func:`certificate_holds`) before ``None`` leaves it.
 :func:`check_mixed_hereditary` builds each witness's masks once and answers
-every restriction from its kept-column bitset (:func:`pure._column_bits`).
+every restriction by its kept-column bitset in :func:`pure.is_hereditary`'s walk.
 A column set checked once (:class:`_Columns`, which the engine keeps per
 state's opponents and the inherent chain per link) carries its integer rows,
 picked from the game's on first use, so queries over it pick them once.
@@ -55,7 +55,7 @@ from .errors import (
 )
 from .game import Game
 from .lp import EQ, GE, ONE, ZERO
-from .pure import CheckOutcome, _check_bound, _column_bits, _masks, _met, restrictions
+from .pure import CheckOutcome, _first_unheld, _masks, _met
 from .relations import Relation
 
 # Count of witnesses that passed direct re-verification since import; a
@@ -566,17 +566,12 @@ def check_mixed_hereditary(game: Game, relation: Relation, bound=None) -> CheckO
     This tests the fixed witnesses the decision procedures produce; a reported
     counterexample is always genuine.  Each witness is judged as
     :func:`witness_holds` judges it, from masks over the root's columns."""
-    _check_bound(game, bound)
-    witnesses = []
-    for i, found in enumerate(mixed_dominated_set(game, relation)):
-        cols = game.opponent_profiles(i)
-        for w in found:
-            needed = set(w.dominator.support) | {w.dominated}
-            witnesses.append((w, needed, _masks(game, (w.relation,), i, w.dominated, w.dominator, cols)))
-    for kept in restrictions(game):
-        cols = [_column_bits(game, kept, i) for i in range(game.n)]
-        for w, needed, masks in witnesses:
-            if needed <= set(kept[w.player]) and not _met(masks, cols[w.player]):
-                return CheckOutcome(False, (kept, w))
-    return CheckOutcome(True)
 
+    def entries():
+        for i, found in enumerate(mixed_dominated_set(game, relation)):
+            cols = game.opponent_profiles(i)
+            for w in found:
+                masks = _masks(game, (w.relation,), i, w.dominated, w.dominator, cols)
+                yield i, {*w.dominator.support, w.dominated}, masks, w
+
+    return _first_unheld(game, bound, entries())

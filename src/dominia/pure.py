@@ -229,6 +229,20 @@ def is_strict_partial_order(game: Game, relation: Relation) -> bool:
     return True
 
 
+def _first_unheld(game: Game, bound: Optional[int], entries) -> CheckOutcome:
+    """The first (kept-sets, witness) over every restriction of the entries
+    (player, needed strategies, masks, witness) whose needed strategies are
+    kept and masks unmet over the kept profiles; read after the bound check."""
+    _check_bound(game, bound)
+    entries = list(entries)
+    for kept in restrictions(game):
+        cols = [_column_bits(game, kept, i) for i in range(game.n)]
+        for i, needed, masks, witness in entries:
+            if needed <= set(kept[i]) and not _met(masks, cols[i]):
+                return CheckOutcome(False, (kept, witness))
+    return CheckOutcome(True)
+
+
 def is_hereditary(game: Game, relation: Relation, bound: Optional[int] = None) -> CheckOutcome:
     """Does every dominance instance of this game survive into every
     restriction containing both strategies?
@@ -236,19 +250,15 @@ def is_hereditary(game: Game, relation: Relation, bound: Optional[int] = None) -
     Counterexample: (kept-sets, witness); the pair dominates in the full game
     but not in that restriction.
     """
-    _check_bound(game, bound)
-    every = [(1 << len(game.opponent_profiles(i))) - 1 for i in range(game.n)]
-    pairs = []
-    for (i, s, t), m in _pair_masks(game, relation.tags).items():
-        tag = _first_tag(relation.tags, m, every[i])
-        if tag is not None:
-            pairs.append((i, s, t, tag, m))
-    for kept in restrictions(game):
-        cols = [_column_bits(game, kept, i) for i in range(game.n)]
-        for (i, s, t, tag, m) in pairs:
-            if s in kept[i] and t in kept[i] and not _met(m, cols[i]):
-                return CheckOutcome(False, (kept, DominanceWitness(i, s, t, tag)))
-    return CheckOutcome(True)
+
+    def entries():
+        every = [(1 << len(game.opponent_profiles(i))) - 1 for i in range(game.n)]
+        for (i, s, t), m in _pair_masks(game, relation.tags).items():
+            tag = _first_tag(relation.tags, m, every[i])
+            if tag is not None:
+                yield i, {s, t}, m, DominanceWitness(i, s, t, tag)
+
+    return _first_unheld(game, bound, entries())
 
 
 def check_iiia(game: Game, relation: Relation) -> CheckOutcome:

@@ -532,10 +532,11 @@ def _reference_report(game, up_to_renaming, order, succ, reach):
 @settings(max_examples=40, deadline=None)
 @given(game=helpers.small_games())
 def test_bitmask_engine_matches_kept_tuple_bfs(relation, game):
-    # successors in order, BFS order, reach sets and normal forms of the
-    # bitmask engine against a BFS over kept tuples written here; the BFS
-    # asks every mixed and inherent question afresh, the engine reuses
-    # answers across states
+    # successors in order, BFS order, reach sets, normal forms and weak
+    # confluence of the bitmask engine against a BFS over kept tuples written
+    # here; the BFS asks every mixed and inherent question afresh, the engine
+    # reuses answers across states, and the reference pair scan labels every
+    # state where the engine decides from the normal forms
     for arrow, step in itertools.product((STRICT, LOOSE), (ANY, SINGLE)):
         spec = RelationSpec(relation, arrow, step)
         order, succ, reach = _kept_tuple_bfs(game, spec)
@@ -544,10 +545,12 @@ def test_bitmask_engine_matches_kept_tuple_bfs(relation, game):
         assert [search.key(st) for st in states] == order
         for st in states:
             assert [search.key(x) for x in search.successors(st)] == succ[search.key(st)]
-        reached = search.reach({st: k for k, st in enumerate(states)})
+        reached = search.reach(states, {st: k for k, st in enumerate(states)})
         for st in states:
             assert {search.key(x) for k, x in enumerate(states) if reached[st] >> k & 1} == reach[search.key(st)]
         assert normal_forms(game, spec) == _reference_report(game, False, order, succ, reach)
+        failure = _reference_failure(game, order, succ, reach, False)
+        assert check_weak_confluence(game, spec) == CheckOutcome(failure is None, failure)
 
 
 def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch):
@@ -700,9 +703,9 @@ def test_concurrent_calls_answer_as_alone(small_games):
 @settings(max_examples=25, deadline=None)
 @given(game=helpers.clone_games())
 def test_clone_quotient_matches_kept_tuple_bfs(relation, game):
-    # normal forms in both modes and weak confluence up to renaming explore
-    # one state per exact-clone orbit; every field of their results, the
-    # order and the counterexample included, must be the full search's
+    # normal forms and weak confluence, in both modes, explore one state per
+    # exact-clone orbit; every field of their results, the order and the
+    # counterexample included, must be the full search's
     for arrow, step in itertools.product((STRICT, LOOSE), (ANY, SINGLE)):
         spec = RelationSpec(relation, arrow, step)
         bfs = _kept_tuple_bfs(game, spec)
@@ -710,8 +713,9 @@ def test_clone_quotient_matches_kept_tuple_bfs(relation, game):
             assert normal_forms(game, spec, up_to_renaming=up_to_renaming) == _reference_report(
                 game, up_to_renaming, *bfs
             )
-        failure = _reference_failure(game, *bfs, True)
-        assert check_weak_confluence(game, spec, up_to_renaming=True) == CheckOutcome(failure is None, failure)
+            failure = _reference_failure(game, *bfs, up_to_renaming)
+            outcome = check_weak_confluence(game, spec, up_to_renaming=up_to_renaming)
+            assert outcome == CheckOutcome(failure is None, failure)
 
 
 def test_all_tie_7x7_payoff_equivalence_normal_forms_up_to_renaming():

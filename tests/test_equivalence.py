@@ -1,3 +1,5 @@
+import itertools
+
 from dominia import (
     PEM,
     PE,
@@ -9,11 +11,13 @@ from dominia import (
     equivalent,
     find_dominator,
     fully_reduce,
+    maximal_reduce,
     new_game,
     normal_forms,
     purely_reduce,
     restrict,
 )
+from dominia import equivalence
 from dominia.equivalence import partition_by_equivalence
 from dominia.gallery import nonconfluent_weak_2x2, redundant_middle_3x2
 
@@ -92,6 +96,43 @@ def test_signature_collision_does_not_fool_equivalent():
         {("c", "u"): (0, 0), ("c", "v"): (1, 0), ("d", "u"): (0, 0), ("d", "v"): (1, 0)},
     )
     assert equivalent(g1, g2) is None
+
+
+def _cycles(sizes):
+    """A two-player game with payoff (1,1) on the edges of one even cycle per
+    block of rows and columns (row r of a block of m meets its columns r and
+    r+1 mod m) and (0,0) elsewhere: every strategy meets two edges."""
+    block = [(b, m, r) for b, m in enumerate(sizes) for r in range(m)]
+    labels = [[f"r{k}" for k in range(len(block))], [f"c{k}" for k in range(len(block))]]
+    payoffs = {
+        (labels[0][x], labels[1][y]): (1, 1) if bx == by and ry in (rx, (rx + 1) % m) else (0, 0)
+        for (x, (bx, m, rx)), (y, (by, _, ry)) in itertools.product(enumerate(block), repeat=2)
+    }
+    return new_game(labels, payoffs)
+
+
+def test_cycle_games_refuted_before_any_full_renaming(monkeypatch):
+    # a 12-cycle against two 6-cycles: equal fingerprints, not equivalent;
+    # each profile is checked once mapped, so no full renaming is tried
+    # (720 * 720 of them are when only full renamings are verified)
+    calls = []
+    verify = equivalence._verify_renaming
+    monkeypatch.setattr(equivalence, "_verify_renaming", lambda *a: calls.append(a) or verify(*a))
+    one, two = _cycles([6]), _cycles([3, 3])
+    assert canonical_signature(one) == canonical_signature(two)
+    assert equivalent(one, two) is None and calls == []
+    assert equivalent(two, _cycles([3, 3])) is not None and len(calls) == 1
+
+
+def test_reductions_keep_a_degenerate_endpoint():
+    # PE removes both of the column player's strategies at once: 2x0
+    g = new_game(
+        [["T", "B"], ["L", "R"]],
+        {("T", "L"): (1, 0), ("T", "R"): (1, 0), ("B", "L"): (0, 0), ("B", "R"): (0, 0)},
+    )
+    end = maximal_reduce(g, PE).endpoint
+    assert end.shape == (2, 0)
+    assert purely_reduce(end).shape == (1, 0) and fully_reduce(end).shape == (1, 0)
 
 
 def test_purely_reduce_removes_pe_classes():
