@@ -25,23 +25,32 @@ of the root itself over the opponents' kept profiles: a bitset over the
 root's opponent profiles, from pure._column_bits once per (player,
 opponents' kept strategies).  Pure answers come from pure._masks, where
 every tag is defined: once per (player, s, t) it gives fail and need masks,
-and t dominates s in a state iff the kept profiles meet no fail bit and
-some need bit.  Mixed and inherent questions go to the root over the kept
+and t dominates s in a state iff the kept profiles meet no fail bit and some
+need bit.  Mixed and inherent questions go to the root over the kept
 columns, picked by that bitset from the root's columns, checked once; the
 root's integer payoff rows (:meth:`Game._int_rows`) are built once for all
 of them and picked once per column set, which carries them.  Their answers
-are kept per (player, s, opponents' kept strategies) and reused by
-monotonicity in the allowed support A: every relation here asks "is there a
-dominator of s with support inside A over these columns", so a support
-inside A answers yes, and a "no" for a superset of A answers no.  A reused
-support may differ from the one a fresh search would find; results depend
-only on verdicts, since :meth:`_Dominance.survives` asks again whenever the
-removal meets the support.  The layers of the last root any public call
-searched, compared by identity, outlive that call; a call on another game
-object drops them first, so the engine holds one root's layers at most.
-Each call reads that slot once, so concurrent calls on different games
-stay correct.  Reach sets are int bitsets, built bottom-up: every step
-removes strategies.
+are kept per (player, s) with the column bitset B and the allowed support A
+they were asked over.  Every relation here asks "is there a dominator of s
+with support inside A over these columns", so an answer is reused on columns
+C and allowed A' by monotonicity in A and by hereditarity (Apt 2004; for
+mixes the one-column case of Pearce 1984, Lemma 3): a strategy stays
+dominated in a restriction that keeps its dominator.  A support inside A'
+answers yes on C inside B, as it is when its witness's tag is pointwise (SM,
+VWM, PEM: defined column by column), and for WM and NWM, whose witness
+survives only if a strict column does, after a re-check on C with no LP: as
+:func:`mixed.witness_holds` judges it, by the witness's :func:`pure._masks`
+over the root's columns, built once when it is stored.  A "no" for A
+containing A' answers no on C = B and, when every tag of the relation is
+pointwise, on C containing B: a witness over C would restrict to one over B.
+Inherent answers are reused on C = B only.  A reused support may differ from
+the one a fresh search would find; results depend only on verdicts, since
+:meth:`_Dominance.survives` asks again whenever the removal meets the
+support.  The layers of the last root any public call searched, compared by
+identity, outlive that call; a call on another game object drops them first,
+so the engine holds one root's layers at most.  Each call reads that slot
+once, so concurrent calls on different games stay correct.  Reach sets are
+int bitsets, built bottom-up: every step removes strategies.
 
 Exact clones (strategies of one player with identical payoff vectors, for
 every player, in every opponent profile) are interchangeable: permuting them
@@ -81,6 +90,11 @@ STRICT, LOOSE = "strict", "loose"
 ANY, SINGLE = "any", "single"
 
 StateKey = tuple[tuple[int, ...], ...]
+
+# mixed tags defined column by column: a witness over some columns is one
+# over each subset of them, so its (fail, need) masks there are these
+_POINTWISE = {"SM", "VWM", "PEM"}
+_EVERYWHERE = ((0, -1),)
 
 
 @dataclass(frozen=True)
@@ -140,6 +154,7 @@ class _Dominance:
         self.root = root
         self.relation = relation
         self.pure = isinstance(relation, Relation) and not relation.mixed
+        self.pointwise = isinstance(relation, Relation) and set(relation.tags) <= _POINTWISE
         self.off = list(itertools.accumulate((len(s) for s in root.strategies), initial=0))
         self.full = [(1 << len(s)) - 1 for s in root.strategies]
         self.start = (1 << self.off[-1]) - 1
@@ -148,7 +163,9 @@ class _Dominance:
         self._games: dict[int, Game] = {self.start: root}
         self._columns: dict = {}
         self._pairs: dict = {}
-        # (player, s, opponents' kept strategies) -> [(allowed, support or None)]
+        # (player, s) -> [(column bitset, allowed, support or None, masks of
+        # the columns where the witness holds or None)]: reused across column
+        # sets by hereditarity
         self._answers: dict = {}
 
     @functools.cached_property
@@ -179,8 +196,9 @@ class _Dominance:
         of player i other than s, bit t for strategy t) as such a mask, or
         None.  Pure relations report every dominator in ``allowed``, mixed
         ones a witness's support and inherent ones the union of the supports
-        of a chain's dominators; the witness or chain may be one found for an
-        earlier question on the same columns."""
+        of a chain's dominators.  The answer may be one found for an earlier
+        question, on these columns or, by hereditarity, on others (module
+        docstring); a WM or NWM witness from more columns is re-checked."""
         if not allowed:
             return None
         others = state & ~(self.full[i] << self.off[i])
@@ -199,15 +217,17 @@ class _Dominance:
                 if _met(masks, bits):
                     found |= 1 << t
             return found or None
-        # the answer is monotone in ``allowed`` over fixed columns: a support
-        # inside it still dominates, and a "no" on a superset still refutes
-        past = self._answers.setdefault((i, s, others), [])
-        for a, support in past:
+        # an answer for s over columns b and allowed set a, asked again:
+        # monotone in ``allowed``, and hereditary in the columns
+        past = self._answers.setdefault((i, s), [])
+        for b, a, support, held in past:
             if support is None:
-                if not allowed & ~a:
+                # a pointwise witness over more columns restricts to one over b
+                if not allowed & ~a and (b == bits or self.pointwise and not b & ~bits):
                     return None
-            elif not support & ~allowed:
+            elif not support & ~allowed and (b == bits or held is not None and not bits & ~b and _met(held, bits)):
                 return support
+        held = None
         if isinstance(rel, Inherent):
             query = InherentQuery(rel.base, i, s, _bits(allowed))
             support = 0
@@ -217,7 +237,12 @@ class _Dominance:
         else:
             w = find_dominator(self.root, rel, i, s, _bits(allowed), columns=cols)
             support = None if w is None else sum(1 << t for t in w.dominator.support)
-        past.append((allowed, support))
+            if support:
+                # where the witness holds, as witness_holds judges it
+                held = _EVERYWHERE if w.relation in _POINTWISE else _masks(
+                    self.root, (w.relation,), i, s, w.dominator, self._profiles[i]
+                )
+        past.append((bits, allowed, support, held))
         return support
 
     def loose(self, state: int, i: int) -> dict[int, int]:
@@ -411,29 +436,29 @@ def normal_forms(
     ``unique`` means one normal form exactly, or one renaming class when
     ``up_to_renaming`` is set; in the non-unique case the report carries a
     witness pair of one-step reducts that cannot be joined again."""
-    return _report(game, spec, up_to_renaming, bound)
+    search, states, classes, explored, counterexample = _report(game, spec, up_to_renaming, bound)
+    return ConfluenceReport(tuple(map(search.game, states)), classes, explored, counterexample is None, counterexample)
 
 
-def _report(game: Game, spec: RelationSpec, up_to_renaming: bool, bound: Optional[int]) -> ConfluenceReport:
-    """:func:`normal_forms`, found on the quotient search."""
+def _report(game: Game, spec: RelationSpec, up_to_renaming: bool, bound: Optional[int]):
+    """:func:`normal_forms` on the quotient search, its normal forms as
+    states: (search, states, classes, explored_states, counterexample)."""
     [search] = _searches(game, bound, spec)
     quotient = search.quotient()
     canonical = quotient.states()
     canonical_nfs = [st for st in canonical if not quotient.successors(st)]
     nf_states = sorted((x for st in canonical_nfs for x in quotient.orbit(st)), key=search.key)
-    nf_games = tuple(search.game(st) for st in nf_states)
     # an orbit lies inside one renaming class
     position = {st: k for k, st in enumerate(nf_states)}
     classes = tuple(sorted(
         tuple(sorted(position[x] for c in cls for x in quotient.orbit(canonical_nfs[c])))
         for cls in partition_by_equivalence(quotient.game(st) for st in canonical_nfs)
     ))
-    unique = (len(classes) == 1) if up_to_renaming else (len(nf_games) == 1)
     counterexample = None
-    if not unique:
+    if len(classes if up_to_renaming else nf_states) > 1:
         label = {nf_states[p]: k for k, cls in enumerate(classes) for p in cls} if up_to_renaming else position
         counterexample = _first_unjoined(search, label)
-    return ConfluenceReport(nf_games, classes, sum(map(quotient.orbit_size, canonical)), unique, counterexample)
+    return search, nf_states, classes, sum(map(quotient.orbit_size, canonical)), counterexample
 
 
 def _first_unjoined(search: _Search, label: dict[int, int]) -> tuple[Game, Game]:
@@ -463,8 +488,8 @@ def check_weak_confluence(
     Every step removes strategies, so by Newman's lemma this holds iff the
     normal forms are unique (up to renaming, which every step commutes with),
     as the :func:`normal_forms` report decides."""
-    report = _report(game, spec, up_to_renaming, bound)
-    return CheckOutcome(report.unique, report.counterexample)
+    counterexample = _report(game, spec, up_to_renaming, bound)[-1]
+    return CheckOutcome(counterexample is None, counterexample)
 
 
 def check_one_step_closed(game: Game, spec: RelationSpec, bound: Optional[int] = None) -> CheckOutcome:

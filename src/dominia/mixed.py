@@ -16,8 +16,10 @@ the allowed support and A' = A minus the dominated strategy s:
   [min, max] over A' there;
 - "yes" by a pure dominator, for SM, VWM and PEM only: these tags are defined
   column by column, so the point mass is a witness in every restriction, as
-  any other witness is.  WM and NWM witnesses are the LP's, which callers
-  such as :func:`check_mixed_hereditary` re-check in restrictions.
+  any other witness is.  WM and NWM witnesses are the LP's, which
+  :func:`check_mixed_hereditary` and the engine's dominance layer re-check
+  in restrictions as :func:`witness_holds` judges them, from their masks
+  over the game's columns.
 
 VWM with s inside A (the point mass on s dominates) goes to the LP, which
 picks the witness.  The deciders hand the LP those integer rows as they are

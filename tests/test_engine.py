@@ -556,7 +556,9 @@ def test_bitmask_engine_matches_kept_tuple_bfs(relation, game):
 def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch):
     # over the same opponents' kept strategies, a "no" on allowed A refutes
     # every subset of A and a "yes" with support S answers every allowed set
-    # that contains S; only other questions reach find_dominator
+    # that contains S; a pointwise "yes" also answers on fewer columns, and a
+    # "no" of a relation whose tags are all pointwise on more columns; only
+    # other questions reach find_dominator
     game = new_game(
         [["T", "M", "B", "X"], ["L", "R"]],
         {
@@ -585,8 +587,42 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
     assert layer.witness(no_x, 0, 1, T | B) == T | B
     assert calls == [(0, 3), (0, 2)]
     assert layer.witness(start, 0, 1, B) is None
+    assert layer.witness(no_r, 0, 1, T | B) == T | B
     assert layer.witness(no_r, 0, 1, T) == T
     assert calls == [(0, 3), (0, 2), (2,), (0,)]
+    # M beats T and X at R alone, so no mix of them dominates it there
+    no_l = start & ~(1 << layer.off[1])
+    for relation, asked in ((PEM, [(0, 3)]), (union(NWM, PEM), [(0, 3), (0, 3)])):
+        del calls[:]
+        layer = engine._Dominance(game, relation)
+        assert layer.witness(no_l, 0, 1, T | X) is None
+        assert layer.witness(start, 0, 1, T | X) is None
+        assert calls == asked
+
+
+def _one_strict_column():
+    # T weakly dominates X for the row player, strictly at L alone
+    return new_game(
+        [["T", "X"], ["L", "R"]],
+        {("T", "L"): (1, 0), ("T", "R"): (0, 0), ("X", "L"): (0, 0), ("X", "R"): (0, 0)},
+    )
+
+
+def test_weak_mixed_yes_is_checked_again_on_fewer_columns():
+    # the WM witness over L and R is strict at L only: dropping L leaves a
+    # tie, so the stored answer must fail its check and not be reused
+    layer = engine._Dominance(_one_strict_column(), WM)
+    no_l = layer.start & ~(1 << layer.off[1])
+    assert layer.witness(layer.start, 0, 1, 1) == 1
+    assert layer.witness(no_l, 0, 1, 1) is None
+
+
+def test_weak_mixed_no_is_not_reused_on_more_columns():
+    # X ties T at R, and T beats it at L: "no" over R alone, "yes" over both
+    layer = engine._Dominance(_one_strict_column(), WM)
+    no_l = layer.start & ~(1 << layer.off[1])
+    assert layer.witness(no_l, 0, 1, 1) is None
+    assert layer.witness(layer.start, 0, 1, 1) == 1
 
 
 @pytest.mark.parametrize("relation", [SM, WM, NWM, PEM, union(NWM, PEM)], ids=str)
