@@ -27,7 +27,7 @@ opponents' kept strategies).  Pure answers come from pure._masks, where
 every tag is defined: once per (player, s, t) it gives fail and need masks,
 and t dominates s in a state iff the kept profiles meet no fail bit and some
 need bit.  Mixed and inherent questions go to the root over the kept
-columns, picked by that bitset from the root's columns, checked once; the
+columns, the :class:`pure._Columns` at that bitset, checked once; the
 root's integer payoff rows (:meth:`Game._int_rows`) are built once for all
 of them and picked once per column set, which carries them.  Their answers
 are kept per (player, s) with the column bitset B and the allowed support A
@@ -37,13 +37,14 @@ C and allowed A' by monotonicity in A and by hereditarity (Apt 2004; for
 mixes the one-column case of Pearce 1984, Lemma 3): a strategy stays
 dominated in a restriction that keeps its dominator.  A support inside A'
 answers yes on C inside B, as it is when its witness's tag is pointwise (SM,
-VWM, PEM: defined column by column), and for WM and NWM, whose witness
-survives only if a strict column does, after a re-check on C with no LP: as
+VWM, PEM: defined column by column) or it is an inherent chain's (which
+covers every subset of B), and for WM and NWM, whose witness survives only
+if a strict column does, after a re-check on C with no LP: as
 :func:`mixed.witness_holds` judges it, by the witness's :func:`pure._masks`
-over the root's columns, built once when it is stored.  A "no" for A
-containing A' answers no on C = B and, when every tag of the relation is
-pointwise, on C containing B: a witness over C would restrict to one over B.
-Inherent answers are reused on C = B only.  A reused support may differ from
+over B, built once when it is stored.  A "no" for A containing A' answers
+no on C = B and, when the relation is inherent or all its tags pointwise, on
+C containing B: a witness over C would restrict to one over B, and a failing
+subset of B lies in C.  A reused support may differ from
 the one a fresh search would find; results depend only on verdicts, since
 :meth:`_Dominance.survives` asks again whenever the removal meets the
 support.  The layers of the last root any public call searched, compared by
@@ -81,8 +82,8 @@ from typing import Optional, Union
 
 from .game import Game, restrict
 from .inherent import InherentQuery, is_inherently_dominated
-from .mixed import _checked_columns, find_dominator
-from .pure import CheckOutcome, _check_bound, _column_bits, _masks, _met
+from .mixed import find_dominator
+from .pure import CheckOutcome, _bits, _check_bound, _checked_columns, _column_bits, _masks, _met
 from .equivalence import clone_classes, partition_by_equivalence
 from .relations import Inherent, Relation, union
 
@@ -140,12 +141,6 @@ class ConfluenceReport:
     counterexample: Optional[tuple[Game, Game]]
 
 
-@functools.lru_cache(maxsize=1 << 14)  # every mask of one player at the default bound
-def _bits(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of ``mask``, ascending."""
-    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
-
-
 class _Dominance:
     """Dominance answers on the restrictions of one root game under one
     relation; the only place that tells pure, mixed and inherent apart."""
@@ -154,7 +149,8 @@ class _Dominance:
         self.root = root
         self.relation = relation
         self.pure = isinstance(relation, Relation) and not relation.mixed
-        self.pointwise = isinstance(relation, Relation) and set(relation.tags) <= _POINTWISE
+        # answers hereditary both ways in the columns (module docstring)
+        self.pointwise = isinstance(relation, Inherent) or set(relation.tags) <= _POINTWISE
         self.off = list(itertools.accumulate((len(s) for s in root.strategies), initial=0))
         self.full = [(1 << len(s)) - 1 for s in root.strategies]
         self.start = (1 << self.off[-1]) - 1
@@ -202,11 +198,10 @@ class _Dominance:
         if not allowed:
             return None
         others = state & ~(self.full[i] << self.off[i])
-        hit = self._columns.get((i, others))
-        if hit is None:
-            bits = _column_bits(self.root, self.key(state), i)
-            hit = self._columns[i, others] = (bits, self._profiles[i].subset(bits))
-        bits, cols = hit
+        cols = self._columns.get((i, others))
+        if cols is None:
+            cols = self._columns[i, others] = self._profiles[i].subset(_column_bits(self.root, self.key(state), i))
+        bits = cols.bits
         rel = self.relation
         if self.pure:
             found = 0
@@ -222,12 +217,12 @@ class _Dominance:
         past = self._answers.setdefault((i, s), [])
         for b, a, support, held in past:
             if support is None:
-                # a pointwise witness over more columns restricts to one over b
+                # a pointwise witness or a chain over more columns restricts to b
                 if not allowed & ~a and (b == bits or self.pointwise and not b & ~bits):
                     return None
-            elif not support & ~allowed and (b == bits or held is not None and not bits & ~b and _met(held, bits)):
+            elif not support & ~allowed and not bits & ~b and _met(held, bits):
                 return support
-        held = None
+        held = _EVERYWHERE  # where a yes holds, as witness_holds judges a witness
         if isinstance(rel, Inherent):
             query = InherentQuery(rel.base, i, s, _bits(allowed))
             support = 0
@@ -237,11 +232,8 @@ class _Dominance:
         else:
             w = find_dominator(self.root, rel, i, s, _bits(allowed), columns=cols)
             support = None if w is None else sum(1 << t for t in w.dominator.support)
-            if support:
-                # where the witness holds, as witness_holds judges it
-                held = _EVERYWHERE if w.relation in _POINTWISE else _masks(
-                    self.root, (w.relation,), i, s, w.dominator, self._profiles[i]
-                )
+            if support and w.relation not in _POINTWISE:
+                held = _masks(self.root, (w.relation,), i, s, w.dominator, cols)
         past.append((bits, allowed, support, held))
         return support
 
@@ -436,36 +428,41 @@ def normal_forms(
     ``unique`` means one normal form exactly, or one renaming class when
     ``up_to_renaming`` is set; in the non-unique case the report carries a
     witness pair of one-step reducts that cannot be joined again."""
-    search, states, classes, explored, counterexample = _report(game, spec, up_to_renaming, bound)
+    search, quotient, canonical_nfs, states, explored = _normal_forms(game, spec, bound)
+    classes = _classes(quotient, canonical_nfs, states)
+    counterexample = _first_unjoined(search, states, classes if up_to_renaming else None)
     return ConfluenceReport(tuple(map(search.game, states)), classes, explored, counterexample is None, counterexample)
 
 
-def _report(game: Game, spec: RelationSpec, up_to_renaming: bool, bound: Optional[int]):
-    """:func:`normal_forms` on the quotient search, its normal forms as
-    states: (search, states, classes, explored_states, counterexample)."""
+def _normal_forms(game: Game, spec: RelationSpec, bound: Optional[int]):
+    """(search, quotient, its normal forms, every normal form in report order, explored_states)."""
     [search] = _searches(game, bound, spec)
     quotient = search.quotient()
     canonical = quotient.states()
     canonical_nfs = [st for st in canonical if not quotient.successors(st)]
     nf_states = sorted((x for st in canonical_nfs for x in quotient.orbit(st)), key=search.key)
-    # an orbit lies inside one renaming class
+    return search, quotient, canonical_nfs, nf_states, sum(map(quotient.orbit_size, canonical))
+
+
+def _classes(quotient: _Search, canonical_nfs: list[int], nf_states: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The renaming classes of ``nf_states``, as sorted position tuples."""
     position = {st: k for k, st in enumerate(nf_states)}
-    classes = tuple(sorted(
+    # an orbit lies inside one renaming class
+    return tuple(sorted(
         tuple(sorted(position[x] for c in cls for x in quotient.orbit(canonical_nfs[c])))
         for cls in partition_by_equivalence(quotient.game(st) for st in canonical_nfs)
     ))
-    counterexample = None
-    if len(classes if up_to_renaming else nf_states) > 1:
-        label = {nf_states[p]: k for k, cls in enumerate(classes) for p in cls} if up_to_renaming else position
-        counterexample = _first_unjoined(search, label)
-    return search, nf_states, classes, sum(map(quotient.orbit_size, canonical)), counterexample
 
 
-def _first_unjoined(search: _Search, label: dict[int, int]) -> tuple[Game, Game]:
-    """The first pair, in BFS order, of one-step reducts of a reachable state
-    whose reach sets share no label.  Every state reaches a normal form, and
-    renamings carry normal forms to normal forms, so labels on normal forms
-    alone decide joins; Newman's lemma gives a pair when they are not unique."""
+def _first_unjoined(search: _Search, nf_states: list[int], classes) -> Optional[tuple[Game, Game]]:
+    """The first pair, in BFS order, of one-step reducts whose reach sets meet
+    no common class of ``nf_states`` (None: one each), or None for one class.
+    Every state reaches a normal form, and renamings carry normal forms to
+    normal forms, so classes alone decide joins (Newman's lemma)."""
+    classes = classes or [(k,) for k in range(len(nf_states))]
+    if len(classes) < 2:
+        return None
+    label = {nf_states[p]: k for k, cls in enumerate(classes) for p in cls}
     states = search.states()
     reached = search.reach(states, label)
     return next(
@@ -488,7 +485,9 @@ def check_weak_confluence(
     Every step removes strategies, so by Newman's lemma this holds iff the
     normal forms are unique (up to renaming, which every step commutes with),
     as the :func:`normal_forms` report decides."""
-    counterexample = _report(game, spec, up_to_renaming, bound)[-1]
+    search, quotient, canonical_nfs, states, _ = _normal_forms(game, spec, bound)
+    classes = _classes(quotient, canonical_nfs, states) if up_to_renaming else None
+    counterexample = _first_unjoined(search, states, classes)
     return CheckOutcome(counterexample is None, counterexample)
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .game import Game, restrict
-from .mixed import _checked_columns, find_dominator
-from .pure import _check_bound, _column_bits
+from .mixed import find_dominator
+from .pure import _check_bound, _checked_columns, _column_bits
 from .relations import PEM
 
 
@@ -140,10 +140,11 @@ def fully_reduce(game: Game, bound: Optional[int] = None) -> Game:
     until none remains; the least-index redundant strategy goes first."""
     _check_bound(game, bound)
     kept = [list(range(k)) for k in game.shape]
+    every = [_checked_columns(game, i) for i in range(game.n)]
     while True:
         for i, s in ((i, s) for i in range(game.n) if len(kept[i]) > 1 for s in kept[i]):
             others = [t for t in kept[i] if t != s]
-            cols = _checked_columns(game, i).subset(_column_bits(game, kept, i))
+            cols = every[i].subset(_column_bits(game, kept, i))
             if find_dominator(game, PEM, i, s, others, columns=cols) is not None:
                 kept[i] = others
                 break

@@ -19,6 +19,9 @@ as a need column below.  So one chain decides:
   defined;
 * C_{k+1} is C_k less d_k's need columns; stop when it is empty.
 
+Every C_k, and every fail and need column, is named as :mod:`pure` names
+columns, so a chain reads alike on every column set that holds it.
+
 Over no columns there is no non-empty subset, so every strategy is
 vacuously inherently dominated there, with an empty chain.
 
@@ -36,8 +39,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .game import Game
-from .mixed import MixedWitness, _checked_columns, find_dominator, point_mass
-from .pure import _masks, _met
+from .mixed import MixedWitness, find_dominator, point_mass
+from .pure import _checked_columns, _masks, _met
 from .relations import Relation
 
 
@@ -67,8 +70,9 @@ class InherentResult:
 def is_inherently_dominated(game: Game, query: InherentQuery, *, columns=None) -> InherentResult:
     """Decide inherent dominance by the chain of the module docstring.
 
-    ``columns`` restricts the opponents' joint profiles, and so the subsets,
-    quantified over; by default all of them."""
+    ``columns`` is the set of opponents' joint profiles, and so of subsets,
+    quantified over (order and repeats are ignored); by default all of them.
+    Chain sets and the failing subset list their profiles in ascending order."""
     base = query.base
     i, s = query.player, query.strategy
     game._check_strategy(i, s)
@@ -84,29 +88,27 @@ def is_inherently_dominated(game: Game, query: InherentQuery, *, columns=None) -
     full = _checked_columns(game, i, columns)
     masks = [(t, _masks(game, base.tags, i, s, t, full)) for t in allowed]
 
-    def dominator(subset, bits):
-        """A dominator of s over ``subset``, the columns ``bits`` (bit k for
-        ``full[k]``), with its need bits; or None."""
+    def dominator(cols):
+        """A dominator of s over ``cols`` with its need bits, or None."""
         for k, tag in enumerate(base.tags):
             for t, m in masks:
-                if _met(m[k : k + 1], bits):
+                if _met(m[k : k + 1], cols.bits):
                     return (MixedWitness(i, s, point_mass(i, t), tag) if base.mixed else t), m[k][1]
         if not base.mixed or not allowed:
             return None
-        w = find_dominator(game, base, i, s, allowed, columns=subset)
+        w = find_dominator(game, base, i, s, allowed, columns=cols)
         if w is None:
             return None
-        return w, _masks(game, (w.relation,), i, s, w.dominator, full)[0][1]
+        return w, _masks(game, (w.relation,), i, s, w.dominator, cols)[0][1]
 
     chain = []
-    left = (1 << len(full)) - 1
+    left = full
     while left:
-        subset = full.subset(left)
-        found = dominator(subset, left)
+        found = dominator(left)
         if found is None:
-            return InherentResult(False, failing_subset=subset)
-        chain.append((subset, found[0]))
-        left &= ~found[1]  # need -1 (pointwise): every column
+            return InherentResult(False, failing_subset=left)
+        chain.append((left, found[0]))
+        left = full.subset(left.bits & ~found[1])  # need -1 (pointwise): every column
     return InherentResult(True, chain=tuple(chain))
 
 

@@ -117,12 +117,7 @@ class _Tableau:
         cell.  Returns the reduced cost row, times ``d``, at optimality;
         raises _Unbounded with the entering column otherwise."""
         rows = self.rows
-        if not rows:
-            for j in range(len(cost) - 1):
-                if cost[j] < 0:
-                    raise _Unbounded(j)
-            return cost[:]
-        ncols = len(rows[0]) - 1
+        ncols = len(cost) - 1
         m = len(rows)
         # canonicalize: zero out the basic columns of the cost row
         red = [self.d * v for v in cost]

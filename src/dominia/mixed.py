@@ -33,9 +33,10 @@ the player) that is checked on the game's Fraction payoffs
 (:func:`certificate_holds`) before ``None`` leaves it.
 :func:`check_mixed_hereditary` builds each witness's masks once and answers
 every restriction by its kept-column bitset in :func:`pure.is_hereditary`'s walk.
-A column set checked once (:class:`_Columns`, which the engine keeps per
-state's opponents and the inherent chain per link) carries its integer rows,
-picked from the game's on first use, so queries over it pick them once.
+A ``columns=`` argument is a set (:class:`pure._Columns`; the engine keeps
+one per state's opponents, the inherent chain one per link): LP rows and a
+certificate's column index follow ascending order, and its integer rows are
+picked from the game's on first use, once per set.
 
 The ``allowed_support`` argument makes the loose/strict elimination
 distinction (dominators from the pre-step sets versus dominators that must
@@ -57,7 +58,7 @@ from .errors import (
 )
 from .game import Game
 from .lp import EQ, GE, ONE, ZERO
-from .pure import CheckOutcome, _first_unheld, _masks, _met
+from .pure import CheckOutcome, _bits, _checked_columns, _Columns, _first_unheld, _masks, _met
 from .relations import Relation
 
 # Count of witnesses that passed direct re-verification since import; a
@@ -172,7 +173,8 @@ def witness_holds(game: Game, tag: str, player: int, dominated: int, m: MixedStr
     """Direct evaluation of the defining quantified conditions for one witness
     on the game's Fraction payoffs (:func:`pure._masks`, the tag's pure
     analog on the mix's expected payoffs), with every index checked once, up
-    front.  PEM also needs s outside the support."""
+    front, over the set ``columns`` (default: all).  PEM also needs s outside
+    the support."""
     if tag not in _DECIDERS:
         raise ValueError(f"unknown mixed tag {tag!r}")
     game._check_strategy(player, dominated)
@@ -180,7 +182,7 @@ def witness_holds(game: Game, tag: str, player: int, dominated: int, m: MixedStr
     cols = _checked_columns(game, player, columns)
     if tag == "PEM" and dominated in m.support:
         return False
-    return _met(_masks(game, (tag,), player, dominated, m, cols), (1 << len(cols)) - 1)
+    return _met(_masks(game, (tag,), player, dominated, m, cols), cols.bits)
 
 
 def verify_witness(game: Game, tag: str, player: int, dominated: int, m: MixedStrategy, columns=None) -> None:
@@ -195,9 +197,10 @@ def verify_witness(game: Game, tag: str, player: int, dominated: int, m: MixedSt
 
 def certificate_holds(game: Game, tag: str, player: int, dominated: int, allowed, certificate, columns=None) -> bool:
     """Direct evaluation of a cheap "no" certificate ``(column, j)``: an index
-    into the quantified columns (None: all of them) and a player.  ``allowed``
-    is the support the tag's decider saw (without s for PEM); with A' =
-    ``allowed`` minus s, and u_j(x) player j's payoff at x and the column:
+    into the set ``columns`` in ascending order (None: all of them) and a
+    player.  ``allowed`` is the support the tag's decider saw (without s for
+    PEM); with A' = ``allowed`` minus s, and u_j(x) player j's payoff at x
+    and the column:
 
     - SM: u_i(s) >= u_i(t) for every t in A';
     - WM, NWM: u_i(s) > u_i(t) for every t in A', or, at every column (None),
@@ -238,62 +241,20 @@ def _weights_from_point(allowed, point) -> dict[int, Fraction]:
     return {t: v for t, v in zip(allowed, point) if v != 0}
 
 
-class _Columns(tuple):
-    """Opponent profiles of one player of one game (``game``, ``player``),
-    range-checked once when built, so that a caller that asks many questions
-    over the same columns pays for the check once.  ``rows``: their positions
-    in ``game.opponent_profiles(player)``, None when they are all, in order;
-    ``pay``: every player's integer rows there (a :class:`_Rows`), set by
-    the first query over them."""
-
-    pay = None
-
-    def subset(self, bits: int) -> _Columns:
-        """The columns at the set bits of ``bits`` (bit k for ``self[k]``),
-        unchecked: they are among these."""
-        if bits == (1 << len(self)) - 1:
-            return self
-        ks = [k for k in range(len(self)) if bits >> k & 1]
-        cols = _Columns(self[k] for k in ks)
-        cols.game, cols.player = self.game, self.player
-        cols.rows = ks if self.rows is None else [self.rows[k] for k in ks]
-        return cols
-
-
-def _checked_columns(game: Game, player: int, columns=None) -> _Columns:
-    """``columns`` (default: every opponent profile) as :class:`_Columns` of
-    ``game`` and ``player``; checked unless they already are.  The caller has
-    checked that ``player`` has a strategy."""
-    if isinstance(columns, _Columns) and columns.game is game and columns.player == player:
-        return columns
-    cols = _Columns(game.opponent_profiles(player) if columns is None else columns)
-    rows = None
-    if columns is not None:
-        for col in cols:
-            game._check_profile(Game.fill(col, player, 0))
-        position = {col: k for k, col in enumerate(game.opponent_profiles(player))}
-        rows = [position[Game.fill(col, player, -1)] for col in cols]
-        if rows == list(range(len(position))):
-            rows = None
-    cols.game, cols.player, cols.rows = game, player, rows
-    return cols
-
-
 class _Rows:
-    """Every player's :meth:`Game._int_rows` of player i's columns at the
-    positions ``positions`` (None: all, in order), ``rows[j]`` (the game's
-    list itself for all), each picked on first use: most queries are settled
-    by player i's rows alone."""
+    """Every player's :meth:`Game._int_rows` over a column set, ``rows[j]``
+    (the game's list itself for all columns), each picked on first use:
+    most queries are settled by player i's rows alone."""
 
-    def __init__(self, game: Game, i: int, positions):
-        self.game, self.i, self.positions = game, i, positions
-        self._rows: list = [None] * game.n
+    def __init__(self, cols: _Columns):
+        self.game, self.i, self.positions = cols.game, cols.player, _bits(cols.bits)
+        self._rows: list = [None] * cols.game.n
 
     def __getitem__(self, j: int) -> list[list[int]]:
         rows = self._rows[j]
         if rows is None:
             rows = self.game._int_rows(self.i, j)
-            if self.positions is not None:
+            if len(rows) != len(self.positions):
                 rows = [rows[k] for k in self.positions]
             self._rows[j] = rows
         return rows
@@ -468,9 +429,9 @@ def find_dominator(
     """Search for a mixed dominator of ``strategy`` with support inside
     ``allowed_support`` (PEM additionally excludes the strategy itself).
 
-    ``columns`` restricts the opponents' joint profiles quantified over; by
-    default all of them.  The first member relation of a union that yields a
-    witness wins.  Each member is put to the cheap test first and to its LP
+    ``columns`` is the set of opponents' joint profiles quantified over
+    (order and repeats are ignored); by default all of them.  The first
+    member relation of a union that yields a witness wins.  Each member is put to the cheap test first and to its LP
     decider only when that test settles nothing (module docstring): a "no"
     from the cheap test carries a one-column certificate, checked by direct
     evaluation, and SM, VWM and PEM witnesses may be point masses.  Every
@@ -506,7 +467,7 @@ def _query(game: Game, player: int, strategy: int, allowed_support, columns):
         game._check_strategy(player, t)
     cols = _checked_columns(game, player, columns)
     if cols.pay is None:
-        cols.pay = _Rows(game, player, cols.rows)
+        cols.pay = _Rows(cols)
     return allowed, cols, cols.pay
 
 
@@ -517,8 +478,9 @@ def _member_support(tag: str, allowed, strategy: int):
 
 def lp_dominator(game: Game, tag: str, player: int, strategy: int, allowed_support, columns=None):
     """The LP decider's own answer for one tag, with no cheap test in front:
-    dominator weights ``{t: w}``, or None.  The reference the acceptance suite
-    and the tests hold :func:`find_dominator`'s cheap tests against."""
+    dominator weights ``{t: w}``, or None.  ``columns`` is a set, as for
+    :func:`find_dominator`.  The reference the acceptance suite and the tests
+    hold :func:`find_dominator`'s cheap tests against."""
     allowed, _, pay = _query(game, player, strategy, allowed_support, columns)
     allowed = _member_support(tag, allowed, strategy)
     return _DECIDERS[tag](pay, player, strategy, allowed) if allowed else None
@@ -526,8 +488,9 @@ def lp_dominator(game: Game, tag: str, player: int, strategy: int, allowed_suppo
 
 def cheap_verdict(game: Game, tag: str, player: int, strategy: int, allowed_support, columns=None) -> Optional[bool]:
     """The cheap test's verdict for one tag: True for a pure dominator, False
-    for a refuting column, None when only the LP can tell.  Witness and
-    certificate are checked by direct evaluation, as in find_dominator."""
+    for a refuting column, None when only the LP can tell.  ``columns`` is a
+    set, as for :func:`find_dominator`.  Witness and certificate are checked
+    by direct evaluation, as in find_dominator."""
     allowed, cols, pay = _query(game, player, strategy, allowed_support, columns)
     allowed = _member_support(tag, allowed, strategy)
     weights, certificate = _settle(pay, tag, player, strategy, allowed)
@@ -571,7 +534,7 @@ def check_mixed_hereditary(game: Game, relation: Relation, bound=None) -> CheckO
 
     def entries():
         for i, found in enumerate(mixed_dominated_set(game, relation)):
-            cols = game.opponent_profiles(i)
+            cols = _checked_columns(game, i)
             for w in found:
                 masks = _masks(game, (w.relation,), i, w.dominated, w.dominator, cols)
                 yield i, {*w.dominator.support, w.dominated}, masks, w

@@ -10,10 +10,15 @@ hereditarity) enumerate every non-degenerate restriction and are bounded by
 :func:`dominia.config.max_total_strategies`; each restriction is answered
 from masks over the root's columns, by its kept-column bitset
 (:func:`_column_bits`), as the engine answers its states.
+
+Column sets of every layer are defined and checked here (:class:`_Columns`):
+bit k of player i's column bitsets is ``game.opponent_profiles(i)[k]`` in
+every set, and a ``columns=`` argument is a set, taken in ascending order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -46,14 +51,55 @@ class CheckOutcome:
         return self.ok
 
 
+@functools.lru_cache(maxsize=1 << 14)  # every strategy mask or column bitset of one player at the default bound
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of ``mask``, ascending."""
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+class _Columns(tuple):
+    """The opponent profiles of ``player`` in ``game`` at the set bits of
+    ``bits``, ascending, checked once for the many questions asked over
+    them.  ``pay``: every player's integer rows there (``mixed._Rows``), set
+    by the first mixed query over them."""
+
+    pay = None
+
+    def subset(self, bits: int) -> _Columns:
+        """The columns at the set bits of ``bits``, among these: unchecked."""
+        if bits == self.bits:
+            return self
+        cols = _Columns(col for k, col in zip(_bits(self.bits), self) if bits >> k & 1)
+        cols.game, cols.player, cols.bits = self.game, self.player, bits
+        return cols
+
+
+def _checked_columns(game: Game, player: int, columns=None) -> _Columns:
+    """The set ``columns`` (default: every opponent profile) as checked
+    :class:`_Columns` of ``game`` and ``player``.  The caller has checked
+    that ``player`` has a strategy."""
+    if isinstance(columns, _Columns) and columns.game is game and columns.player == player:
+        return columns
+    cols = _Columns(game.opponent_profiles(player))
+    cols.game, cols.player, cols.bits = game, player, (1 << len(cols)) - 1
+    if columns is None:
+        return cols
+    position = {col: k for k, col in enumerate(cols)}
+    bits = 0
+    for col in columns:
+        game._check_profile(Game.fill(col, player, 0))
+        bits |= 1 << position[Game.fill(col, player, -1)]
+    return cols.subset(bits)
+
+
 # the pure analog of each mixed tag: a mix TAG-dominates s as its pure
 # analog would, judged on the mix's expected payoffs
 PURE_OF = {"SM": "S", "WM": "W", "VWM": "VW", "NWM": "NW", "PEM": "PE"}
 
 
-def _masks(game: Game, tags, i: int, s: int, t, columns) -> tuple[tuple[int, int], ...]:
-    """Per tag, the (fail, need) bitsets over ``columns`` (bit k for
-    ``columns[k]``) that decide whether t TAG-dominates s for player i: over
+def _masks(game: Game, tags, i: int, s: int, t, cols: _Columns) -> tuple[tuple[int, int], ...]:
+    """Per tag, the (fail, need) bitsets over ``cols`` (bits as in
+    ``cols.bits``) that decide whether t TAG-dominates s for player i: over
     a subset C of the columns it does iff C meets no fail bit and some need
     bit (need -1: nothing needed).  t is a strategy of player i or a mix of
     them (a ``MixedStrategy``); a mix's payoffs for the other players are
@@ -61,7 +107,7 @@ def _masks(game: Game, tags, i: int, s: int, t, columns) -> tuple[tuple[int, int
     table = game._table
     mix = None if isinstance(t, int) else t.weights
     better = worse = split = 0  # u_i(t) > u_i(s); u_i(t) < u_i(s); tie in u_i only
-    for k, col in enumerate(columns):
+    for k, col in zip(_bits(cols.bits), cols):
         a = table[col[:i] + (s,) + col[i + 1 :]]
         if mix is None:
             b = table[col[:i] + (t,) + col[i + 1 :]]
@@ -102,17 +148,16 @@ def _pair_masks(game: Game, tags) -> dict[tuple[int, int, int], tuple[tuple[int,
     ordered pair s != t of each player i, keyed (i, s, t) in that order."""
     out = {}
     for i in range(game.n):
-        cols = game.opponent_profiles(i)
+        cols = _checked_columns(game, i)
         for s, t in itertools.permutations(range(len(game.strategies[i])), 2):
             out[i, s, t] = _masks(game, tags, i, s, t, cols)
     return out
 
 
 def _column_bits(game: Game, kept, i: int) -> int:
-    """The bitset of player i's opponent profiles (bit k for
-    ``game.opponent_profiles(i)[k]``) that use only the strategies in
-    ``kept`` (per player; player i's own entry is ignored): the columns a
-    question about the restriction ``kept`` asks of ``game``."""
+    """Player i's column bitset of the opponent profiles that use only the
+    strategies in ``kept`` (per player; player i's own entry is ignored):
+    the columns a question about the restriction ``kept`` asks of ``game``."""
     index = [0]
     for j, k in enumerate(game.shape):
         if j != i:
@@ -122,18 +167,12 @@ def _column_bits(game: Game, kept, i: int) -> int:
 
 def dominates(game: Game, relation: Relation, player: int, dominated: int, dominator: int, columns=None) -> bool:
     """Exact evaluation of the quantified payoff conditions; unions hold when
-    any member does.  ``columns`` restricts the opponents' joint profiles
-    quantified over; by default all of them."""
+    any member does.  ``columns`` is the set of opponents' joint profiles
+    quantified over (order and repeats are ignored); by default all of them."""
     game._check_strategy(player, dominated)
     game._check_strategy(player, dominator)
-    if columns is None:
-        columns = game.opponent_profiles(player)
-    else:
-        columns = list(columns)
-        for col in columns:
-            game._check_profile(Game.fill(col, player, dominated))
-    masks = _masks(game, relation.tags, player, dominated, dominator, columns)
-    return _met(masks, (1 << len(columns)) - 1)
+    cols = _checked_columns(game, player, columns)
+    return _met(_masks(game, relation.tags, player, dominated, dominator, cols), cols.bits)
 
 
 def compatible(game: Game, player: int, s: int, t: int) -> bool:
@@ -220,7 +259,7 @@ def is_strict_partial_order(game: Game, relation: Relation) -> bool:
     """Irreflexivity and transitivity of the relation's instance on this game."""
     for i in range(game.n):
         k = len(game.strategies[i])
-        cols = game.opponent_profiles(i)
+        cols = _checked_columns(game, i)
         edge = [[dominates(game, relation, i, s, t, cols) for t in range(k)] for s in range(k)]
         if any(edge[s][s] for s in range(k)) or any(
             edge[s][t] and edge[t][u] and not edge[s][u] for s, t, u in itertools.product(range(k), repeat=3)

@@ -598,6 +598,21 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
         assert layer.witness(no_l, 0, 1, T | X) is None
         assert layer.witness(start, 0, 1, T | X) is None
         assert calls == asked
+    # inherent answers are hereditary both ways: a yes (a chain with support
+    # T and B) answers on fewer columns, a no (failing at R) on more
+    chains = []
+
+    def counted_chain(*args, **kwargs):
+        chains.append(args[1].must_survive)
+        return is_inherently_dominated(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "is_inherently_dominated", counted_chain)
+    layer = engine._Dominance(game, Inherent(WM))
+    assert layer.witness(start, 0, 1, T | B) == T | B
+    assert layer.witness(no_r, 0, 1, T | B) == T | B
+    assert layer.witness(no_l, 0, 1, T | X) is None
+    assert layer.witness(start, 0, 1, T | X) is None
+    assert chains == [(0, 2), (0, 3)]
 
 
 def _one_strict_column():
@@ -752,6 +767,29 @@ def test_clone_quotient_matches_kept_tuple_bfs(relation, game):
             failure = _reference_failure(game, *bfs, up_to_renaming)
             outcome = check_weak_confluence(game, spec, up_to_renaming=up_to_renaming)
             assert outcome == CheckOutcome(failure is None, failure)
+
+
+def test_renaming_classes_are_partitioned_only_where_read(monkeypatch, small_games):
+    # a report carries its classes and up-to-renaming confluence reads them,
+    # once per call; plain weak confluence reads none
+    calls = []
+
+    def counted(games):
+        calls.append(1)
+        return partition_by_equivalence(games)
+
+    monkeypatch.setattr(engine, "partition_by_equivalence", counted)
+    for g in small_games[:10]:
+        for spec in (RelationSpec(NW, STRICT, ANY), RelationSpec(PE, LOOSE, SINGLE)):
+            for call, count in (
+                (lambda: check_weak_confluence(g, spec), 0),
+                (lambda: check_weak_confluence(g, spec, up_to_renaming=True), 1),
+                (lambda: normal_forms(g, spec), 1),
+                (lambda: normal_forms(g, spec, up_to_renaming=True), 1),
+            ):
+                del calls[:]
+                call()
+                assert len(calls) == count
 
 
 def test_all_tie_7x7_payoff_equivalence_normal_forms_up_to_renaming():

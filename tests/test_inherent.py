@@ -103,6 +103,9 @@ def test_chain_matches_enumeration(g, data):
     res = is_inherently_dominated(g, query, columns=columns)
     assert res.dominated == _enumerated(g, query, columns)
     full = every if columns is None else columns
+    # a column set: another order, with a repeat, gives the same chain
+    scrambled = data.draw(st.permutations(full + full[:1]))
+    assert is_inherently_dominated(g, query, columns=scrambled) == res
     allowed = [t for t in (range(k) if survive is None else sorted(set(survive))) if t != s]
     if not res.dominated:
         assert set(res.failing_subset) <= set(full)

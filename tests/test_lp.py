@@ -45,6 +45,19 @@ def test_unbounded():
     assert out.status == "unbounded"
 
 
+@pytest.mark.parametrize(
+    "objective, status",
+    [([1], "unbounded"), ([-1], "optimal"), ([0, 2], "unbounded"), ([0, -3], "optimal"), ([], "optimal")],
+)
+def test_problems_without_rows(objective, status):
+    # with no rows the simplex only reads the cost row: the first column
+    # that can grow the objective is unbounded, else 0 is optimal
+    out = lp.solve(lp.LpProblem([], [], objective))
+    assert out.status == status
+    if out.optimal:
+        assert out.value == 0 and out.point == (0,) * len(objective)
+
+
 def _feasible(constraints, num_vars):
     """Phase one alone: maximize 0 over the constraints."""
     return solve(constraints, [0] * num_vars)

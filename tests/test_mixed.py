@@ -59,6 +59,13 @@ def _draw_query(g, data):
     return i, s, allowed, cols
 
 
+def _scrambled(g, i, cols, data):
+    """The column set ``cols`` (None: every opponent profile of player i)
+    listed in a drawn order with one column repeated."""
+    cols = g.opponent_profiles(i) if cols is None else cols
+    return data.draw(st.permutations(cols + [data.draw(st.sampled_from(cols))])) if cols else cols
+
+
 def _nwm_by_enumeration(pay, i, s, allowed):
     """Nice weak mixed dominance by enumerating tie sets, the reference for
     the package's implicit-equality decider.  Columns where no allowed t
@@ -233,8 +240,10 @@ class TestFindDominator:
             rests = list(helpers.others(g, i))
         else:
             rests = [col[:i] + col[i + 1 :] for col in cols]
+        scrambled = _scrambled(g, i, cols, data)
         for tag in ("SM", "WM", "VWM", "NWM", "PEM"):
             assert witness_holds(g, tag, i, s, m, cols) == helpers.naive_mixed(g, tag, i, s, weights, rests)
+            assert witness_holds(g, tag, i, s, m, scrambled) == witness_holds(g, tag, i, s, m, cols)
 
     @settings(max_examples=150, deadline=None)
     @given(helpers.small_games(fractional=True), st.data())
@@ -349,13 +358,28 @@ class TestCheapTests:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(helpers.small_games(), helpers.small_games(fractional=True)), st.data())
     def test_cheap_tests_agree_with_the_lp_deciders(self, g, data):
+        # and a column set answers alike in any order, with repeats: the
+        # witness, the LP's point, the verdict and the certificate's index
         i, s, allowed, cols = _draw_query(g, data)
+        scrambled = _scrambled(g, i, cols, data)
+        member = tuple(sorted(allowed))  # as find_dominator sees it
         for rel in (SM, WM, VWM, NWM, PEM):
             (tag,) = rel.tags
             w = find_dominator(g, rel, i, s, allowed, columns=cols)
             reference = lp_dominator(g, tag, i, s, allowed, columns=cols)
             assert (w is None) == (reference is None)
-            assert cheap_verdict(g, tag, i, s, allowed, columns=cols) in (None, w is not None)
+            verdict = cheap_verdict(g, tag, i, s, allowed, columns=cols)
+            assert verdict in (None, w is not None)
+            assert find_dominator(g, rel, i, s, allowed, columns=scrambled) == w
+            assert lp_dominator(g, tag, i, s, allowed, columns=scrambled) == reference
+            assert cheap_verdict(g, tag, i, s, allowed, columns=scrambled) == verdict
+            seen = mixed._member_support(tag, member, s)
+            if seen:
+                pays = [mixed._query(g, i, s, allowed, c)[2] for c in (cols, scrambled)]
+                weights, certificate = mixed._settle(pays[0], tag, i, s, seen)
+                assert mixed._settle(pays[1], tag, i, s, seen) == (weights, certificate)
+                if certificate is not None:
+                    assert certificate_holds(g, tag, i, s, seen, certificate, scrambled)
             if w is not None:
                 assert witness_holds(g, tag, i, s, w.dominator, cols)
                 if tag in ("WM", "NWM"):

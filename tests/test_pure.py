@@ -32,7 +32,7 @@ from dominia.gallery import (
     nonconfluent_weak_2x2,
     trivial_1x1,
 )
-from dominia.pure import CheckOutcome, DominanceWitness, _column_bits, restrictions
+from dominia.pure import CheckOutcome, DominanceWitness, _checked_columns, _column_bits, _masks, restrictions
 
 G11 = nonconfluent_weak_2x2()
 
@@ -290,16 +290,28 @@ def test_columns_on_root_match_restriction(small_games):
                         on_root = dominates(g, rel, i, s, t, columns=cols)
                         assert on_root == dominates(sub, rel, i, ls, lt)
                         seen.add(on_root)
+                    # the same column set, in another order and with a repeat
+                    assert on_root == dominates(g, rel, i, s, t, columns=cols[::-1] + cols[:1])
     assert seen == {True, False}
 
 
 def test_column_bits_pick_the_kept_profiles(small_games):
+    # and a column keeps its bit in every set: masks over the kept profiles
+    # are those over all of them, on the kept bits
+    def on(bits, masks):
+        return [(fail & bits, need if need < 0 else need & bits) for fail, need in masks]
+
     for g in small_games[:10]:
         for kept in restrictions(g):
             for i in range(g.n):
                 bits = _column_bits(g, kept, i)
                 picked = [col for k, col in enumerate(g.opponent_profiles(i)) if bits >> k & 1]
                 assert picked == list(itertools.product(*kept[:i], (-1,), *kept[i + 1 :]))
+                every = _checked_columns(g, i)
+                assert every.subset(bits) == tuple(picked) and _checked_columns(g, i, picked[::-1]).bits == bits
+                for s, t in itertools.permutations(range(len(g.strategies[i])), 2):
+                    tags = ("S", "W", "NW", "PE")
+                    assert on(bits, _masks(g, tags, i, s, t, every.subset(bits))) == on(bits, _masks(g, tags, i, s, t, every))
 
 
 def _first_in_materialized(g, tag, fails):
