@@ -71,7 +71,6 @@ from .pure import (
     check_tdi,
     check_tdi_plus,
     check_tdi_plus_plus,
-    compatible,
     dominates,
     is_hereditary,
     is_strict_partial_order,

@@ -59,25 +59,27 @@ def _load_game(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+def _one_game(args):
+    if len(args.game) != 1:
+        raise InvalidParams(f"{args.command} needs exactly one --game file")
+    return _load_game(args.game[0])
+
+
 def _emit(doc) -> None:
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
 
 
 def _cmd_eliminate(args) -> int:
-    game = _load_game(args.game[0])
+    game = _one_game(args)
     relation = parse_relation(args.relation)
     spec = RelationSpec(relation, STRICT if args.arrow == "strict" else LOOSE, ANY)
     if args.mode == "maximal":
-        path = maximal_reduce(game, relation)
-        _emit(path_to_dict(path))
-        return EXIT_OK
-    if args.mode == "single":
-        path = single_step_trace(game, spec)
-        _emit(path_to_dict(path))
-        return EXIT_OK
-    report = normal_forms(game, spec, up_to_renaming=args.up_to_renaming)
-    _emit(confluence_report_to_dict(report))
+        _emit(path_to_dict(maximal_reduce(game, relation)))
+    elif args.mode == "single":
+        _emit(path_to_dict(single_step_trace(game, spec)))
+    else:
+        _emit(confluence_report_to_dict(normal_forms(game, spec, up_to_renaming=args.up_to_renaming)))
     return EXIT_OK
 
 
@@ -92,7 +94,7 @@ _PROPS = {
 
 
 def _cmd_check(args) -> int:
-    game = _load_game(args.game[0])
+    game = _one_game(args)
     relation = parse_relation(args.relation) if args.relation else None
     if args.property in ("hereditary", "iiia", "spo"):
         if relation is None:
@@ -113,7 +115,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_confluence(args) -> int:
-    game = _load_game(args.game[0])
+    game = _one_game(args)
     relation = parse_relation(args.relation)
     spec = RelationSpec(relation, STRICT, ANY)
     out = check_weak_confluence(game, spec, up_to_renaming=args.up_to_renaming)

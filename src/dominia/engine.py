@@ -20,38 +20,38 @@ for games, the columns of mixed and inherent queries, trace labels and the
 sort key that fixes the order of successors.  Everything exhaustive here
 raises SizeBoundExceeded past the configured total strategy bound.
 
-One _Dominance layer per (root, relation) answers every dominance question,
-of the root itself over the opponents' kept profiles: a bitset over the
-root's opponent profiles, from pure._column_bits once per (player,
-opponents' kept strategies).  Pure answers come from pure._masks, where
-every tag is defined: once per (player, s, t) it gives fail and need masks,
-and t dominates s in a state iff the kept profiles meet no fail bit and some
-need bit.  Mixed and inherent questions go to the root over the kept
-columns, the :class:`pure._Columns` at that bitset, checked once; the
-root's integer payoff rows (:meth:`Game._int_rows`) are built once for all
-of them and picked once per column set, which carries them.  Their answers
-are kept per (player, s) with the column bitset B and the allowed support A
-they were asked over.  Every relation here asks "is there a dominator of s
-with support inside A over these columns", so an answer is reused on columns
-C and allowed A' by monotonicity in A and by hereditarity (Apt 2004; for
-mixes the one-column case of Pearce 1984, Lemma 3): a strategy stays
-dominated in a restriction that keeps its dominator.  A support inside A'
-answers yes on C inside B, as it is when its witness's tag is pointwise (SM,
-VWM, PEM: defined column by column) or it is an inherent chain's (which
-covers every subset of B), and for WM and NWM, whose witness survives only
-if a strict column does, after a re-check on C with no LP: as
-:func:`mixed.witness_holds` judges it, by the witness's :func:`pure._masks`
-over B, built once when it is stored.  A "no" for A containing A' answers
-no on C = B and, when the relation is inherent or all its tags pointwise, on
-C containing B: a witness over C would restrict to one over B, and a failing
-subset of B lies in C.  A reused support may differ from
-the one a fresh search would find; results depend only on verdicts, since
-:meth:`_Dominance.survives` asks again whenever the removal meets the
-support.  The layers of the last root any public call searched, compared by
-identity, outlive that call; a call on another game object drops them first,
-so the engine holds one root's layers at most.  Each call reads that slot
-once, so concurrent calls on different games stay correct.  Reach sets are
-int bitsets, built bottom-up: every step removes strategies.
+One _Dominance layer per root answers every question of every relation, of
+the root itself over the opponents' kept profiles: a bitset over the root's
+opponent profiles, from pure._column_bits once per (player, opponents' kept
+strategies).  State keys, games, column sets and clone classes depend on the
+root alone, and so do pure answers: pure._masks, where every tag is defined,
+gives once per (player, s, t) every pure tag's fail and need masks, and t
+dominates s in a state under a relation iff the kept profiles meet no fail
+bit and some need bit of one of its tags.  Mixed and inherent questions go
+to the root over the kept columns, the :class:`pure._Columns` at that bitset,
+which carries the root's integer payoff rows (:meth:`Game._int_rows`) picked
+there once.  Their answers are kept per (relation, player, s) with the column
+bitset B and the allowed support A they were asked over; no relation reads
+another's.  Every relation asks "is there a dominator of s with support
+inside A over these columns", so an answer is reused on columns C and
+allowed A' by monotonicity in A and by hereditarity (Apt 2004; for mixes the
+one-column case of Pearce 1984, Lemma 3): a strategy stays dominated in a
+restriction that keeps its dominator.  A support inside A' answers yes on C
+inside B, as it is when its witness's tag is pointwise (SM, VWM, PEM: defined
+column by column) or it is an inherent chain's (which covers every subset of
+B), and for WM and NWM, whose witness survives only if a strict column does,
+after a re-check on C with no LP: as :func:`mixed.witness_holds` judges it,
+by the witness's :func:`pure._masks` over B, built once when it is stored.  A
+"no" for A containing A' answers no on C = B and, when the relation is
+inherent or all its tags pointwise, on C containing B: a witness over C would
+restrict to one over B, and a failing subset of B lies in C.  A reused
+support may differ from the one a fresh search would find; results depend
+only on verdicts, since :meth:`_Dominance.survives` asks again whenever the
+removal meets the support.  The last root any public call searched keeps its
+layer, compared by identity, for the next call on that game object, whatever
+its relations; a call on another game object replaces it.  Each call reads
+that slot once, so concurrent calls on different games stay correct.  Reach
+sets are int bitsets, built bottom-up: every step removes strategies.
 
 Exact clones (strategies of one player with identical payoff vectors, for
 every player, in every opponent profile) are interchangeable: permuting them
@@ -85,7 +85,7 @@ from .inherent import InherentQuery, is_inherently_dominated
 from .mixed import find_dominator
 from .pure import CheckOutcome, _bits, _check_bound, _checked_columns, _column_bits, _masks, _met
 from .equivalence import clone_classes, partition_by_equivalence
-from .relations import Inherent, Relation, union
+from .relations import PURE_TAGS, Inherent, Relation, union
 
 STRICT, LOOSE = "strict", "loose"
 ANY, SINGLE = "any", "single"
@@ -142,15 +142,11 @@ class ConfluenceReport:
 
 
 class _Dominance:
-    """Dominance answers on the restrictions of one root game under one
+    """Dominance answers on the restrictions of one root game under every
     relation; the only place that tells pure, mixed and inherent apart."""
 
-    def __init__(self, root: Game, relation: Union[Relation, Inherent]):
+    def __init__(self, root: Game):
         self.root = root
-        self.relation = relation
-        self.pure = isinstance(relation, Relation) and not relation.mixed
-        # answers hereditary both ways in the columns (module docstring)
-        self.pointwise = isinstance(relation, Inherent) or set(relation.tags) <= _POINTWISE
         self.off = list(itertools.accumulate((len(s) for s in root.strategies), initial=0))
         self.full = [(1 << len(s)) - 1 for s in root.strategies]
         self.start = (1 << self.off[-1]) - 1
@@ -158,10 +154,11 @@ class _Dominance:
         self._keys: dict[int, StateKey] = {}
         self._games: dict[int, Game] = {self.start: root}
         self._columns: dict = {}
+        # (player, s, t) -> every pure tag's masks, by tag
         self._pairs: dict = {}
-        # (player, s) -> [(column bitset, allowed, support or None, masks of
-        # the columns where the witness holds or None)]: reused across column
-        # sets by hereditarity
+        # (relation, player, s) -> [(column bitset, allowed, support or None,
+        # masks of the columns where the witness holds or None)]: reused
+        # across column sets by hereditarity
         self._answers: dict = {}
 
     @functools.cached_property
@@ -187,13 +184,13 @@ class _Dominance:
             self._games[state] = restrict(self.root, self.key(state), allow_degenerate=True)
         return self._games[state]
 
-    def witness(self, state: int, i: int, s: int, allowed: int) -> Optional[int]:
-        """Support of a dominator of s drawn from ``allowed`` (kept strategies
-        of player i other than s, bit t for strategy t) as such a mask, or
-        None.  Pure relations report every dominator in ``allowed``, mixed
-        ones a witness's support and inherent ones the union of the supports
-        of a chain's dominators.  The answer may be one found for an earlier
-        question, on these columns or, by hereditarity, on others (module
+    def witness(self, rel: Union[Relation, Inherent], state: int, i: int, s: int, allowed: int) -> Optional[int]:
+        """Support of a ``rel``-dominator of s drawn from ``allowed`` (kept
+        strategies of player i other than s, bit t for strategy t) as such a
+        mask, or None.  Pure relations report every dominator in ``allowed``,
+        mixed ones a witness's support and inherent ones the union of the
+        supports of a chain's dominators.  An earlier answer under ``rel`` may
+        answer, on these columns or, by hereditarity, on others (module
         docstring); a WM or NWM witness from more columns is re-checked."""
         if not allowed:
             return None
@@ -202,23 +199,23 @@ class _Dominance:
         if cols is None:
             cols = self._columns[i, others] = self._profiles[i].subset(_column_bits(self.root, self.key(state), i))
         bits = cols.bits
-        rel = self.relation
-        if self.pure:
+        if isinstance(rel, Relation) and not rel.mixed:
             found = 0
             for t in _bits(allowed):
                 masks = self._pairs.get((i, s, t))
                 if masks is None:
-                    masks = self._pairs[i, s, t] = _masks(self.root, rel.tags, i, s, t, self._profiles[i])
-                if _met(masks, bits):
+                    masks = _masks(self.root, PURE_TAGS, i, s, t, self._profiles[i])
+                    masks = self._pairs[i, s, t] = dict(zip(PURE_TAGS, masks))
+                if _met([masks[tag] for tag in rel.tags], bits):
                     found |= 1 << t
             return found or None
         # an answer for s over columns b and allowed set a, asked again:
         # monotone in ``allowed``, and hereditary in the columns
-        past = self._answers.setdefault((i, s), [])
+        past = self._answers.setdefault((rel, i, s), [])
         for b, a, support, held in past:
             if support is None:
                 # a pointwise witness or a chain over more columns restricts to b
-                if not allowed & ~a and (b == bits or self.pointwise and not b & ~bits):
+                if not allowed & ~a and (b == bits or not b & ~bits and _pointwise(rel)):
                     return None
             elif not support & ~allowed and not bits & ~b and _met(held, bits):
                 return support
@@ -237,24 +234,29 @@ class _Dominance:
         past.append((bits, allowed, support, held))
         return support
 
-    def loose(self, state: int, i: int) -> dict[int, int]:
-        """Player i's dominated strategies, each with its :meth:`witness`
+    def loose(self, rel: Union[Relation, Inherent], state: int, i: int) -> dict[int, int]:
+        """Player i's ``rel``-dominated strategies, each with its :meth:`witness`
         support drawn from the player's other kept strategies."""
         kept = self.kept(state, i)
         found = {}
         for s in _bits(kept):
-            support = self.witness(state, i, s, kept & ~(1 << s))
+            support = self.witness(rel, state, i, s, kept & ~(1 << s))
             if support is not None:
                 found[s] = support
         return found
 
-    def survives(self, state: int, i: int, s: int, removed: int, support: int) -> bool:
-        """Is s still dominated by strategies outside ``removed``?  Its loose
-        support answers when that survives (or, for a pure relation, when any
-        dominator does); otherwise ask with the survivors."""
-        if self.pure:
+    def survives(self, rel: Union[Relation, Inherent], state: int, i: int, s: int, removed: int, support: int) -> bool:
+        """Is s still ``rel``-dominated by strategies outside ``removed``?  Its
+        loose support answers when that survives (or, for a pure relation,
+        when any dominator does); otherwise ask with the survivors."""
+        if isinstance(rel, Relation) and not rel.mixed:
             return bool(support & ~removed)
-        return not removed & support or self.witness(state, i, s, self.kept(state, i) & ~removed) is not None
+        return not removed & support or self.witness(rel, state, i, s, self.kept(state, i) & ~removed) is not None
+
+
+def _pointwise(rel: Union[Relation, Inherent]) -> bool:
+    # are rel's answers hereditary both ways in the columns (module docstring)
+    return isinstance(rel, Inherent) or set(rel.tags) <= _POINTWISE
 
 
 class _Search:
@@ -312,7 +314,7 @@ class _Search:
         """Valid removal masks for player i (non-empty), per the spec's arrow
         and step mode; [] when the player cannot lose anything.  A choice
         removes some number of each class's highest-indexed kept members."""
-        layer = self.layer
+        layer, rel = self.layer, self.spec.relation
         kept = layer.kept(state, i)
         # (removal, per class it draws on: the highest kept member and its
         # support); a class's kept members are all dominated or none is
@@ -322,7 +324,7 @@ class _Search:
             if not members:
                 continue
             top = members.bit_length() - 1
-            support = layer.witness(state, i, top, kept & ~(1 << top))
+            support = layer.witness(rel, state, i, top, kept & ~(1 << top))
             if support is None:
                 continue
             rep = ((top, support),)
@@ -342,7 +344,7 @@ class _Search:
             removed << layer.off[i]
             for removed, reps in removals[1:]
             if removed != kept
-            and (not strict or all(layer.survives(state, i, top, removed, support) for top, support in reps))
+            and (not strict or all(layer.survives(rel, state, i, top, removed, support) for top, support in reps))
         ]
 
     def successors(self, state: int) -> tuple[int, ...]:
@@ -391,23 +393,20 @@ class _Search:
         return out
 
 
-# the root of the last public call, by identity, and its layers by relation
-_last: tuple[Optional[Game], dict] = (None, {})
+# the layer of the last public call's root, compared by identity
+_last: Optional[_Dominance] = None
 
 
 def _searches(game: Game, bound: Optional[int], *specs: RelationSpec) -> list[_Search]:
-    """One search per spec; specs with the same relation share one layer,
-    the last call's when it searched this very game object."""
+    """One search per spec, all on one layer: the last call's when it
+    searched this very game object.  What the layer builds from the root
+    serves every relation; its mixed and inherent answers are per relation."""
     global _last
     _check_bound(game, bound)
-    root, layers = _last  # read once: a concurrent call may replace it
-    if root is not game:
-        layers = {}
-        _last = (game, layers)
-    for spec in specs:
-        if spec.relation not in layers:
-            layers[spec.relation] = _Dominance(game, spec.relation)
-    return [_Search(layers[spec.relation], spec) for spec in specs]
+    layer = _last  # read once: a concurrent call may replace it
+    if layer is None or layer.root is not game:
+        layer = _last = _Dominance(game)
+    return [_Search(layer, spec) for spec in specs]
 
 
 def successors(game: Game, spec: RelationSpec, bound: Optional[int] = None) -> tuple[Game, ...]:
@@ -512,9 +511,7 @@ def check_one_at_a_time(
 ) -> bool:
     """Do single-strategy eliminations reach exactly the same games as bulk
     eliminations (transitive closures compared as reachable-state sets)?"""
-    bulk, single = _searches(
-        game, bound, RelationSpec(relation, STRICT, ANY), RelationSpec(relation, STRICT, SINGLE)
-    )
+    bulk, single = _searches(game, bound, *(RelationSpec(relation, STRICT, step) for step in (ANY, SINGLE)))
     return set(bulk.states()) == set(single.states())
 
 
@@ -553,13 +550,13 @@ def maximal_reduce(game: Game, relation: Union[Relation, Inherent], bound: Optio
     steps: list[ReductionStep] = []
     state = layer.start
     while True:
-        support = [layer.loose(state, i) for i in range(game.n)]
+        support = [layer.loose(relation, state, i) for i in range(game.n)]
         if not any(support):
             break
         removal = [sum(1 << s for s in found) for found in support]
         kept = state & ~sum(r << layer.off[i] for i, r in enumerate(removal))
         strict_valid = all(
-            layer.survives(state, i, s, removal[i], sup)
+            layer.survives(relation, state, i, s, removal[i], sup)
             for i, found in enumerate(support)
             for s, sup in found.items()
         )

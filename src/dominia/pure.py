@@ -26,7 +26,7 @@ from typing import Iterator, Optional
 from . import config
 from .errors import SizeBoundExceeded
 from .game import Game
-from .relations import COMPAT, Relation
+from .relations import Relation
 
 
 @dataclass(frozen=True)
@@ -80,16 +80,23 @@ def _checked_columns(game: Game, player: int, columns=None) -> _Columns:
     that ``player`` has a strategy."""
     if isinstance(columns, _Columns) and columns.game is game and columns.player == player:
         return columns
-    cols = _Columns(game.opponent_profiles(player))
-    cols.game, cols.player, cols.bits = game, player, (1 << len(cols)) - 1
     if columns is None:
-        return cols
-    position = {col: k for k, col in enumerate(cols)}
-    bits = 0
-    for col in columns:
-        game._check_profile(Game.fill(col, player, 0))
-        bits |= 1 << position[Game.fill(col, player, -1)]
-    return cols.subset(bits)
+        cols = _Columns(game.opponent_profiles(player))
+        bits = (1 << len(cols)) - 1
+    else:
+        shape = game.shape
+        at = {}  # position among the opponent profiles -> column
+        for col in columns:
+            game._check_profile(Game.fill(col, player, 0))
+            k = 0
+            for j, c in enumerate(col):
+                if j != player:
+                    k = k * shape[j] + c
+            at[k] = Game.fill(col, player, -1)
+        cols = _Columns(at[k] for k in sorted(at))
+        bits = sum(1 << k for k in at)
+    cols.game, cols.player, cols.bits = game, player, bits
+    return cols
 
 
 # the pure analog of each mixed tag: a mix TAG-dominates s as its pure
@@ -173,12 +180,6 @@ def dominates(game: Game, relation: Relation, player: int, dominated: int, domin
     game._check_strategy(player, dominator)
     cols = _checked_columns(game, player, columns)
     return _met(_masks(game, relation.tags, player, dominated, dominator, cols), cols.bits)
-
-
-def compatible(game: Game, player: int, s: int, t: int) -> bool:
-    """Whenever s and t tie in player's own payoff at some opponents' profile,
-    they tie for every player there."""
-    return dominates(game, COMPAT, player, s, t)
 
 
 # -- TDI family ------------------------------------------------------------

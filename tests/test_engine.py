@@ -575,28 +575,28 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
         return find_dominator(*args, **kwargs)
 
     monkeypatch.setattr(engine, "find_dominator", counted)
-    layer = engine._Dominance(game, SM)
+    layer = engine._Dominance(game)
     T, B, X = 1 << 0, 1 << 2, 1 << 3
     start = layer.start
     no_x = start & ~(1 << layer.off[0] + 3)  # same opponents' kept strategies
     no_r = start & ~(1 << layer.off[1] + 1)  # other columns
-    assert layer.witness(start, 0, 1, T | X) is None
-    assert layer.witness(start, 0, 1, T) is None
-    assert layer.witness(start, 0, 1, T | B) == T | B
-    assert layer.witness(start, 0, 1, T | B | X) == T | B
-    assert layer.witness(no_x, 0, 1, T | B) == T | B
+    assert layer.witness(SM, start, 0, 1, T | X) is None
+    assert layer.witness(SM, start, 0, 1, T) is None
+    assert layer.witness(SM, start, 0, 1, T | B) == T | B
+    assert layer.witness(SM, start, 0, 1, T | B | X) == T | B
+    assert layer.witness(SM, no_x, 0, 1, T | B) == T | B
     assert calls == [(0, 3), (0, 2)]
-    assert layer.witness(start, 0, 1, B) is None
-    assert layer.witness(no_r, 0, 1, T | B) == T | B
-    assert layer.witness(no_r, 0, 1, T) == T
+    assert layer.witness(SM, start, 0, 1, B) is None
+    assert layer.witness(SM, no_r, 0, 1, T | B) == T | B
+    assert layer.witness(SM, no_r, 0, 1, T) == T
     assert calls == [(0, 3), (0, 2), (2,), (0,)]
     # M beats T and X at R alone, so no mix of them dominates it there
     no_l = start & ~(1 << layer.off[1])
     for relation, asked in ((PEM, [(0, 3)]), (union(NWM, PEM), [(0, 3), (0, 3)])):
         del calls[:]
-        layer = engine._Dominance(game, relation)
-        assert layer.witness(no_l, 0, 1, T | X) is None
-        assert layer.witness(start, 0, 1, T | X) is None
+        layer = engine._Dominance(game)
+        assert layer.witness(relation, no_l, 0, 1, T | X) is None
+        assert layer.witness(relation, start, 0, 1, T | X) is None
         assert calls == asked
     # inherent answers are hereditary both ways: a yes (a chain with support
     # T and B) answers on fewer columns, a no (failing at R) on more
@@ -607,11 +607,11 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
         return is_inherently_dominated(*args, **kwargs)
 
     monkeypatch.setattr(engine, "is_inherently_dominated", counted_chain)
-    layer = engine._Dominance(game, Inherent(WM))
-    assert layer.witness(start, 0, 1, T | B) == T | B
-    assert layer.witness(no_r, 0, 1, T | B) == T | B
-    assert layer.witness(no_l, 0, 1, T | X) is None
-    assert layer.witness(start, 0, 1, T | X) is None
+    layer = engine._Dominance(game)
+    assert layer.witness(Inherent(WM), start, 0, 1, T | B) == T | B
+    assert layer.witness(Inherent(WM), no_r, 0, 1, T | B) == T | B
+    assert layer.witness(Inherent(WM), no_l, 0, 1, T | X) is None
+    assert layer.witness(Inherent(WM), start, 0, 1, T | X) is None
     assert chains == [(0, 2), (0, 3)]
 
 
@@ -626,18 +626,49 @@ def _one_strict_column():
 def test_weak_mixed_yes_is_checked_again_on_fewer_columns():
     # the WM witness over L and R is strict at L only: dropping L leaves a
     # tie, so the stored answer must fail its check and not be reused
-    layer = engine._Dominance(_one_strict_column(), WM)
+    layer = engine._Dominance(_one_strict_column())
     no_l = layer.start & ~(1 << layer.off[1])
-    assert layer.witness(layer.start, 0, 1, 1) == 1
-    assert layer.witness(no_l, 0, 1, 1) is None
+    assert layer.witness(WM, layer.start, 0, 1, 1) == 1
+    assert layer.witness(WM, no_l, 0, 1, 1) is None
 
 
 def test_weak_mixed_no_is_not_reused_on_more_columns():
     # X ties T at R, and T beats it at L: "no" over R alone, "yes" over both
-    layer = engine._Dominance(_one_strict_column(), WM)
+    layer = engine._Dominance(_one_strict_column())
     no_l = layer.start & ~(1 << layer.off[1])
-    assert layer.witness(no_l, 0, 1, 1) is None
-    assert layer.witness(layer.start, 0, 1, 1) == 1
+    assert layer.witness(WM, no_l, 0, 1, 1) is None
+    assert layer.witness(WM, layer.start, 0, 1, 1) == 1
+
+
+def test_one_layer_keeps_answers_per_relation():
+    # T weakly dominates X, strictly at L alone: over the same columns a weak
+    # "yes" does not answer the strict question, nor a strict "no" the weak
+    # one, for mixed answers and for the pure masks alike
+    for weak, strict in ((WM, SM), (W, S)):
+        layer = engine._Dominance(_one_strict_column())
+        assert layer.witness(weak, layer.start, 0, 1, 1) == 1
+        assert layer.witness(strict, layer.start, 0, 1, 1) is None
+        layer = engine._Dominance(_one_strict_column())
+        assert layer.witness(strict, layer.start, 0, 1, 1) is None
+        assert layer.witness(weak, layer.start, 0, 1, 1) == 1
+
+
+def test_relations_on_one_game_object_build_each_game_once(monkeypatch):
+    # normal forms under PE, then under S+PE, on one game object: the second
+    # call reads the games of the states the first one built
+    built = []
+
+    def counted(game, kept, **kwargs):
+        built.append(kept)
+        return restrict(game, kept, **kwargs)
+
+    monkeypatch.setattr(engine, "restrict", counted)
+    game = new_game([["T", "B"], ["L", "R"]], {p: (0, 0) for p in itertools.product(range(2), repeat=2)})
+    pe = normal_forms(game, RelationSpec(PE, STRICT, ANY))
+    first = list(built)
+    both = normal_forms(game, RelationSpec(union(S, PE), STRICT, ANY))
+    assert len(pe.normal_forms) == 4 and all(a is b for a, b in zip(pe.normal_forms, both.normal_forms))
+    assert built == first and len(set(built)) == len(built)
 
 
 @pytest.mark.parametrize("relation", [SM, WM, NWM, PEM, union(NWM, PEM)], ids=str)
@@ -646,7 +677,7 @@ def test_weak_mixed_no_is_not_reused_on_more_columns():
 def test_dominance_layer_answers_as_the_public_search(relation, game, data):
     # a fresh layer's witness support is that of find_dominator on the root
     # over the state's kept columns, listed here without the layer's bitsets
-    layer = engine._Dominance(game, relation)
+    layer = engine._Dominance(game)
     i = data.draw(st.sampled_from(range(game.n)))
     kept = [
         data.draw(st.sets(st.sampled_from(range(k)), min_size=2 if j == i else 1)) for j, k in enumerate(game.shape)
@@ -655,7 +686,7 @@ def test_dominance_layer_answers_as_the_public_search(relation, game, data):
     s = data.draw(st.sampled_from(sorted(kept[i])))
     allowed = data.draw(st.sets(st.sampled_from(sorted(kept[i] - {s})), min_size=1))
     cols = [col for col in game.opponent_profiles(i) if all(col[j] in kept[j] for j in range(game.n) if j != i)]
-    support = layer.witness(state, i, s, sum(1 << t for t in allowed))
+    support = layer.witness(relation, state, i, s, sum(1 << t for t in allowed))
     w = find_dominator(game, relation, i, s, allowed, columns=cols)
     assert support == (None if w is None else sum(1 << t for t in w.dominator.support))
 

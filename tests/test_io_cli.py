@@ -330,6 +330,23 @@ class TestCli:
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eliminate", "--relation", "S"],
+            ["check", "--property", "tdi"],
+            ["confluence", "--relation", "S"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_one_game_commands_refuse_a_second_game(self, tmp_path, capsys, argv):
+        # a further --game is refused before any file is read, not ignored
+        path = self._write_game(tmp_path, G11)
+        missing = str(tmp_path / "missing.json")
+        assert main(argv[:1] + ["--game", path, "--game", missing] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {argv[0]} needs exactly one --game file\n" and captured.out == ""
+
     def test_nested_inherent_relation_exit_code(self, tmp_path, capsys):
         path = self._write_game(tmp_path, G11)
         assert main(["eliminate", "--game", path, "--relation", "inh-inh-W"]) == 2

@@ -17,7 +17,6 @@ from dominia import (
     check_tdi,
     check_tdi_plus,
     check_tdi_plus_plus,
-    compatible,
     dominates,
     generator_params,
     is_hereditary,
@@ -130,15 +129,15 @@ class TestDominates:
 class TestCompatible:
     def test_reference_columns_compatible(self):
         # equality only at the top row, where the row player also ties
-        assert compatible(G11, 1, 0, 1)
+        assert dominates(G11, COMPAT, 1, 0, 1)
 
     def test_uniform_game_all_compatible(self):
         g = new_game([["T", "B"], ["L"]], {("T", "L"): (1, 1), ("B", "L"): (1, 1)})
-        assert compatible(g, 0, 0, 1)
+        assert dominates(g, COMPAT, 0, 0, 1)
 
     def test_violation_in_2x1_game(self):
         g = new_game([["T", "B"], ["L"]], {("T", "L"): (0, 1), ("B", "L"): (0, 0)})
-        assert not compatible(g, 0, 0, 1)
+        assert not dominates(g, COMPAT, 0, 0, 1)
 
 
 class TestTdiFamily:
@@ -164,7 +163,7 @@ class TestTdiFamily:
         for seed in range(400):
             g = seeded_game(seed, 2, (3, 2))
             top_ok = all(
-                not dominates(g, W, i, a, b) or compatible(g, i, a, b)
+                not dominates(g, W, i, a, b) or dominates(g, COMPAT, i, a, b)
                 for i in range(g.n)
                 for a in range(len(g.strategies[i]))
                 for b in range(len(g.strategies[i]))
@@ -179,7 +178,7 @@ class TestTdiFamily:
         assert sub.shape != g.shape
         a, b = kept[witness.player].index(witness.dominated), kept[witness.player].index(witness.dominator)
         assert dominates(sub, W, witness.player, a, b)
-        assert not compatible(sub, witness.player, a, b)
+        assert not dominates(sub, COMPAT, witness.player, a, b)
 
     def test_tdi_plus_plus_counterexample(self):
         g = new_game([["T", "B"], ["L"]], {("T", "L"): (0, 1), ("B", "L"): (0, 0)})
@@ -211,7 +210,7 @@ class TestTdiFamily:
     def test_tdi_iff_all_pairs_compatible(self, small_games):
         for g in small_games:
             all_compat = all(
-                compatible(g, i, a, b)
+                dominates(g, COMPAT, i, a, b)
                 for i in range(g.n)
                 for a in range(len(g.strategies[i]))
                 for b in range(len(g.strategies[i]))
