@@ -30,9 +30,16 @@ dominates s in a state under a relation iff the kept profiles meet no fail
 bit and some need bit of one of its tags.  Mixed and inherent questions go
 to the root over the kept columns, the :class:`pure._Columns` at that bitset,
 which carries the root's integer payoff rows (:meth:`Game._int_rows`) picked
-there once.  Their answers are kept per (relation, player, s) with the column
-bitset B and the allowed support A they were asked over; no relation reads
-another's.  Every relation asks "is there a dominator of s with support
+there once.  A mixed union asks its tags one at a time, in order, and says
+yes at the first that does.  Answers are kept per (player, s), each labelled
+by its mixed tag or inherent relation, with the column bitset B and the
+allowed support A it was asked over.  By their definitions the tags nest over
+a non-empty column set, SM ⊆ NWM ⊆ WM ⊆ VWM and PEM ⊆ VWM, so a yes answers
+every tag its own implies and a "no" every tag that implies its own; SM holds
+vacuously on no columns and WM does not, so an answer crosses tags only when
+both column sets are non-empty.  An inherent relation implies only itself:
+inherent WM = SM (Pearce 1984) is a theorem the suite checks, not a
+definition.  Every question asks "is there a dominator of s with support
 inside A over these columns", so an answer is reused on columns C and
 allowed A' by monotonicity in A and by hereditarity (Apt 2004; for mixes the
 one-column case of Pearce 1984, Lemma 3): a strategy stays dominated in a
@@ -42,8 +49,8 @@ column by column) or it is an inherent chain's (which covers every subset of
 B), and for WM and NWM, whose witness survives only if a strict column does,
 after a re-check on C with no LP: as :func:`mixed.witness_holds` judges it,
 by the witness's :func:`pure._masks` over B, built once when it is stored.  A
-"no" for A containing A' answers no on C = B and, when the relation is
-inherent or all its tags pointwise, on C containing B: a witness over C would
+"no" for A containing A' answers no on C = B and, when the asked tag is
+pointwise or the relation inherent, on C containing B: a witness over C would
 restrict to one over B, and a failing subset of B lies in C.  A reused
 support may differ from the one a fresh search would find; results depend
 only on verdicts, since :meth:`_Dominance.survives` asks again whenever the
@@ -96,6 +103,15 @@ StateKey = tuple[tuple[int, ...], ...]
 # over each subset of them, so its (fail, need) masks there are these
 _POINTWISE = {"SM", "VWM", "PEM"}
 _EVERYWHERE = ((0, -1),)
+# mixed tag -> the tags it implies over a non-empty column set (module docstring)
+_IMPLIES = {
+    "SM": ("SM", "NWM", "WM", "VWM"),
+    "NWM": ("NWM", "WM", "VWM"),
+    "WM": ("WM", "VWM"),
+    "PEM": ("PEM", "VWM"),
+    "VWM": ("VWM",),
+}
+_ONE_TAG = {tag: Relation((tag,), True) for tag in _IMPLIES}
 
 
 @dataclass(frozen=True)
@@ -156,9 +172,9 @@ class _Dominance:
         self._columns: dict = {}
         # (player, s, t) -> every pure tag's masks, by tag
         self._pairs: dict = {}
-        # (relation, player, s) -> [(column bitset, allowed, support or None,
-        # masks of the columns where the witness holds or None)]: reused
-        # across column sets by hereditarity
+        # (player, s) -> [(mixed tag or inherent relation, column bitset,
+        # allowed, support or None, masks of the columns where the witness
+        # holds)]: reused across column sets and tags
         self._answers: dict = {}
 
     @functools.cached_property
@@ -189,16 +205,17 @@ class _Dominance:
         strategies of player i other than s, bit t for strategy t) as such a
         mask, or None.  Pure relations report every dominator in ``allowed``,
         mixed ones a witness's support and inherent ones the union of the
-        supports of a chain's dominators.  An earlier answer under ``rel`` may
-        answer, on these columns or, by hereditarity, on others (module
-        docstring); a WM or NWM witness from more columns is re-checked."""
+        supports of a chain's dominators.  A mixed union asks its tags in
+        order and says yes at the first that does.  An earlier answer may
+        answer, under a tag it implies or is implied by, on these columns or,
+        by hereditarity, on others (module docstring); a WM or NWM witness
+        from more columns is re-checked."""
         if not allowed:
             return None
         others = state & ~(self.full[i] << self.off[i])
         cols = self._columns.get((i, others))
         if cols is None:
             cols = self._columns[i, others] = self._profiles[i].subset(_column_bits(self.root, self.key(state), i))
-        bits = cols.bits
         if isinstance(rel, Relation) and not rel.mixed:
             found = 0
             for t in _bits(allowed):
@@ -206,32 +223,45 @@ class _Dominance:
                 if masks is None:
                     masks = _masks(self.root, PURE_TAGS, i, s, t, self._profiles[i])
                     masks = self._pairs[i, s, t] = dict(zip(PURE_TAGS, masks))
-                if _met([masks[tag] for tag in rel.tags], bits):
+                if _met([masks[tag] for tag in rel.tags], cols.bits):
                     found |= 1 << t
             return found or None
-        # an answer for s over columns b and allowed set a, asked again:
-        # monotone in ``allowed``, and hereditary in the columns
-        past = self._answers.setdefault((rel, i, s), [])
-        for b, a, support, held in past:
+        for label in (rel,) if isinstance(rel, Inherent) else rel.tags:
+            support = self._answer(label, i, s, cols, allowed)
+            if support is not None:
+                return support
+        return None
+
+    def _answer(self, label: Union[str, Inherent], i: int, s: int, cols, allowed: int) -> Optional[int]:
+        """:meth:`witness` for one mixed tag or one inherent relation."""
+        bits = cols.bits
+        # an answer for s under tag x over columns b and allowed set a, asked
+        # again: monotone in ``allowed``, hereditary in the columns, and a yes
+        # answers every tag x implies, a "no" every tag implying x
+        past = self._answers.setdefault((i, s), [])
+        for x, b, a, support, held in past:
+            if x != label and not (b and bits):
+                continue  # SM holds on no columns, where WM and NWM fail
             if support is None:
                 # a pointwise witness or a chain over more columns restricts to b
-                if not allowed & ~a and (b == bits or not b & ~bits and _pointwise(rel)):
-                    return None
-            elif not support & ~allowed and not bits & ~b and _met(held, bits):
+                if x in _IMPLIES.get(label, (label,)) and not allowed & ~a:
+                    if b == bits or not b & ~bits and (label in _POINTWISE or isinstance(label, Inherent)):
+                        return None
+            elif label in _IMPLIES.get(x, (x,)) and not support & ~allowed and not bits & ~b and _met(held, bits):
                 return support
         held = _EVERYWHERE  # where a yes holds, as witness_holds judges a witness
-        if isinstance(rel, Inherent):
-            query = InherentQuery(rel.base, i, s, _bits(allowed))
+        if isinstance(label, Inherent):
+            query = InherentQuery(label.base, i, s, _bits(allowed))
             support = 0
             for _, d in is_inherently_dominated(self.root, query, columns=cols).chain:
-                support |= sum(1 << t for t in d.dominator.support) if rel.base.mixed else 1 << d
+                support |= sum(1 << t for t in d.dominator.support) if label.base.mixed else 1 << d
             support = support or None
         else:
-            w = find_dominator(self.root, rel, i, s, _bits(allowed), columns=cols)
+            w = find_dominator(self.root, _ONE_TAG[label], i, s, _bits(allowed), columns=cols)
             support = None if w is None else sum(1 << t for t in w.dominator.support)
-            if support and w.relation not in _POINTWISE:
-                held = _masks(self.root, (w.relation,), i, s, w.dominator, cols)
-        past.append((bits, allowed, support, held))
+            if support and label not in _POINTWISE:
+                held = _masks(self.root, (label,), i, s, w.dominator, cols)
+        past.append((label, bits, allowed, support, held))
         return support
 
     def loose(self, rel: Union[Relation, Inherent], state: int, i: int) -> dict[int, int]:
@@ -252,11 +282,6 @@ class _Dominance:
         if isinstance(rel, Relation) and not rel.mixed:
             return bool(support & ~removed)
         return not removed & support or self.witness(rel, state, i, s, self.kept(state, i) & ~removed) is not None
-
-
-def _pointwise(rel: Union[Relation, Inherent]) -> bool:
-    # are rel's answers hereditary both ways in the columns (module docstring)
-    return isinstance(rel, Inherent) or set(rel.tags) <= _POINTWISE
 
 
 class _Search:
@@ -399,8 +424,8 @@ _last: Optional[_Dominance] = None
 
 def _searches(game: Game, bound: Optional[int], *specs: RelationSpec) -> list[_Search]:
     """One search per spec, all on one layer: the last call's when it
-    searched this very game object.  What the layer builds from the root
-    serves every relation; its mixed and inherent answers are per relation."""
+    searched this very game object.  What the layer builds from the root,
+    and every answer it keeps, serves every relation."""
     global _last
     _check_bound(game, bound)
     layer = _last  # read once: a concurrent call may replace it

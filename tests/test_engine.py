@@ -557,8 +557,8 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
     # over the same opponents' kept strategies, a "no" on allowed A refutes
     # every subset of A and a "yes" with support S answers every allowed set
     # that contains S; a pointwise "yes" also answers on fewer columns, and a
-    # "no" of a relation whose tags are all pointwise on more columns; only
-    # other questions reach find_dominator
+    # pointwise "no" on more columns; only other questions reach
+    # find_dominator, one tag at a time
     game = new_game(
         [["T", "M", "B", "X"], ["L", "R"]],
         {
@@ -571,7 +571,7 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[4])
+        calls.append((str(args[1]), args[4]))
         return find_dominator(*args, **kwargs)
 
     monkeypatch.setattr(engine, "find_dominator", counted)
@@ -585,14 +585,17 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
     assert layer.witness(SM, start, 0, 1, T | B) == T | B
     assert layer.witness(SM, start, 0, 1, T | B | X) == T | B
     assert layer.witness(SM, no_x, 0, 1, T | B) == T | B
-    assert calls == [(0, 3), (0, 2)]
+    assert calls == [("SM", (0, 3)), ("SM", (0, 2))]
     assert layer.witness(SM, start, 0, 1, B) is None
     assert layer.witness(SM, no_r, 0, 1, T | B) == T | B
     assert layer.witness(SM, no_r, 0, 1, T) == T
-    assert calls == [(0, 3), (0, 2), (2,), (0,)]
-    # M beats T and X at R alone, so no mix of them dominates it there
+    assert calls == [("SM", (0, 3)), ("SM", (0, 2)), ("SM", (2,)), ("SM", (0,))]
+    # M beats T and X at R alone, so no mix of them dominates it there; a
+    # union asks its tags one at a time, and only PEM is pointwise, so its
+    # "no" answers on more columns and NWM's is asked again
     no_l = start & ~(1 << layer.off[1])
-    for relation, asked in ((PEM, [(0, 3)]), (union(NWM, PEM), [(0, 3), (0, 3)])):
+    pem, nwm = ("PEM", (0, 3)), ("NWM", (0, 3))
+    for relation, asked in ((PEM, [pem]), (union(NWM, PEM), [nwm, pem, nwm])):
         del calls[:]
         layer = engine._Dominance(game)
         assert layer.witness(relation, no_l, 0, 1, T | X) is None
@@ -615,12 +618,18 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
     assert chains == [(0, 2), (0, 3)]
 
 
-def _one_strict_column():
-    # T weakly dominates X for the row player, strictly at L alone
+def _row_game(t, x):
+    # the row player's payoffs from T and from X at L and at R; the column
+    # player gets 0 throughout, so every tie of the row player is compatible
     return new_game(
         [["T", "X"], ["L", "R"]],
-        {("T", "L"): (1, 0), ("T", "R"): (0, 0), ("X", "L"): (0, 0), ("X", "R"): (0, 0)},
+        {("T", "L"): (t[0], 0), ("T", "R"): (t[1], 0), ("X", "L"): (x[0], 0), ("X", "R"): (x[1], 0)},
     )
+
+
+def _one_strict_column():
+    # T weakly dominates X for the row player, strictly at L alone
+    return _row_game((1, 0), (0, 0))
 
 
 def test_weak_mixed_yes_is_checked_again_on_fewer_columns():
@@ -651,6 +660,50 @@ def test_one_layer_keeps_answers_per_relation():
         layer = engine._Dominance(_one_strict_column())
         assert layer.witness(strict, layer.start, 0, 1, 1) is None
         assert layer.witness(weak, layer.start, 0, 1, 1) == 1
+
+
+def test_mixed_answers_are_reused_across_implied_tags(monkeypatch):
+    # SM ⊆ NWM ⊆ WM ⊆ VWM and PEM ⊆ VWM over non-empty columns: a yes
+    # answers every larger tag and a "no" every smaller one, with no
+    # further find_dominator call
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(str(args[1]))
+        return find_dominator(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "find_dominator", counted)
+    for t, x, first, answer, implied in (
+        ((1, 1), (0, 0), SM, 1, (NWM, WM, VWM)),
+        ((1, 0), (0, 0), NWM, 1, (WM,)),
+        ((1, 0), (0, 1), WM, None, (NWM, SM)),
+        ((0, 0), (0, 0), PEM, 1, (VWM,)),
+    ):
+        del calls[:]
+        layer = engine._Dominance(_row_game(t, x))
+        assert layer.witness(first, layer.start, 0, 1, 1) == answer
+        assert [layer.witness(rel, layer.start, 0, 1, 1) for rel in implied] == [answer] * len(implied)
+        assert calls == [str(first)]
+
+
+def test_mixed_answers_are_not_reused_against_the_inclusions():
+    # X is payoff-equivalent to T: VWM-dominated but not WM-dominated, so a
+    # WM "no" does not answer VWM, nor a VWM yes WM
+    for order in ((WM, VWM), (VWM, WM)):
+        layer = engine._Dominance(_row_game((0, 0), (0, 0)))
+        assert {rel: layer.witness(rel, layer.start, 0, 1, 1) for rel in order} == {WM: None, VWM: 1}
+
+
+def test_vacuous_strict_yes_answers_no_weak_tag():
+    # once the column player keeps nothing, SM holds vacuously while WM and
+    # NWM fail, each needing a strict column: an SM yes, there or over more
+    # columns, must not answer them
+    layer = engine._Dominance(_row_game((1, 1), (0, 0)))
+    empty = layer.start & ~(layer.full[1] << layer.off[1])
+    for first in (empty, layer.start):
+        layer = engine._Dominance(layer.root)
+        assert layer.witness(SM, first, 0, 1, 1) == 1
+        assert [layer.witness(rel, empty, 0, 1, 1) for rel in (WM, NWM, SM)] == [None, None, 1]
 
 
 def test_relations_on_one_game_object_build_each_game_once(monkeypatch):
@@ -723,7 +776,9 @@ def _copy(game):
 
 
 @pytest.mark.parametrize(
-    "relation", [SM, WM, NWM, PEM, union(NWM, PEM), Inherent(WM), PE, union(NW, PE)], ids=str
+    "relation",
+    [SM, WM, NWM, VWM, PEM, union(NWM, PEM), union(WM, PEM), union(SM, VWM), Inherent(WM), PE, union(NW, PE)],
+    ids=str,
 )
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(game=helpers.small_games(), arrow=st.sampled_from((STRICT, LOOSE)), step=st.sampled_from((ANY, SINGLE)))
@@ -747,6 +802,24 @@ def test_warm_layers_answer_as_cold_ones(relation, game, arrow, step):
     forward, backward = _copy(game), _copy(game)
     assert [call(forward) for call in calls] == cold
     assert [call(backward) for call in reversed(calls)] == cold[::-1]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(game=helpers.small_games(), arrow=st.sampled_from((STRICT, LOOSE)), step=st.sampled_from((ANY, SINGLE)))
+def test_mixed_relations_on_one_game_object_answer_as_cold_ones(game, arrow, step):
+    # every mixed tag and union asked of one game object, forward and in
+    # reverse, reads the answers the others left on its one layer; each
+    # result, counterexamples included, must be the one a fresh copy gives
+    relations = [SM, NWM, WM, VWM, PEM, union(NWM, PEM), union(WM, PEM), union(SM, VWM)]
+
+    def results(g, relation):
+        spec = RelationSpec(relation, arrow, step)
+        return normal_forms(g, spec), check_one_step_closed(g, spec), maximal_reduce(g, relation)
+
+    cold = [results(_copy(game), relation) for relation in relations]
+    forward, backward = _copy(game), _copy(game)
+    assert [results(forward, relation) for relation in relations] == cold
+    assert [results(backward, relation) for relation in reversed(relations)] == cold[::-1]
 
 
 def test_concurrent_calls_answer_as_alone(small_games):
