@@ -205,7 +205,8 @@ class _Dominance:
         strategies of player i other than s, bit t for strategy t) as such a
         mask, or None.  Pure relations report every dominator in ``allowed``,
         mixed ones a witness's support and inherent ones the union of the
-        supports of a chain's dominators.  A mixed union asks its tags in
+        supports of a chain's dominators (0 for the empty chain over no
+        columns).  A mixed union asks its tags in
         order and says yes at the first that does.  An earlier answer may
         answer, under a tag it implies or is implied by, on these columns or,
         by hereditarity, on others (module docstring); a WM or NWM witness
@@ -252,10 +253,10 @@ class _Dominance:
         held = _EVERYWHERE  # where a yes holds, as witness_holds judges a witness
         if isinstance(label, Inherent):
             query = InherentQuery(label.base, i, s, _bits(allowed))
-            support = 0
-            for _, d in is_inherently_dominated(self.root, query, columns=cols).chain:
+            result = is_inherently_dominated(self.root, query, columns=cols)
+            support = 0 if result.dominated else None
+            for _, d in result.chain:
                 support |= sum(1 << t for t in d.dominator.support) if label.base.mixed else 1 << d
-            support = support or None
         else:
             w = find_dominator(self.root, _ONE_TAG[label], i, s, _bits(allowed), columns=cols)
             support = None if w is None else sum(1 << t for t in w.dominator.support)

@@ -169,14 +169,18 @@ def shrink_self_weight(strategy: int, m: MixedStrategy) -> MixedStrategy:
 # -- decision procedures -----------------------------------------------------
 
 
+def _check_tag(tag: str) -> None:
+    if tag not in _DECIDERS:
+        raise ValueError(f"unknown mixed tag {tag!r}")
+
+
 def witness_holds(game: Game, tag: str, player: int, dominated: int, m: MixedStrategy, columns=None) -> bool:
     """Direct evaluation of the defining quantified conditions for one witness
     on the game's Fraction payoffs (:func:`pure._masks`, the tag's pure
     analog on the mix's expected payoffs), with every index checked once, up
     front, over the set ``columns`` (default: all).  PEM also needs s outside
     the support."""
-    if tag not in _DECIDERS:
-        raise ValueError(f"unknown mixed tag {tag!r}")
+    _check_tag(tag)
     game._check_strategy(player, dominated)
     _check_mixed(game, m, player)
     cols = _checked_columns(game, player, columns)
@@ -207,9 +211,24 @@ def certificate_holds(game: Game, tag: str, player: int, dominated: int, allowed
       u_i(s) >= u_i(t);
     - VWM: s is not allowed and u_i(s) > u_i(t) for every t in A';
     - PEM: s is not allowed and u_j(s) lies above, or below, every u_j(t).
+
+    The query's own player and strategies must be in range; a certificate
+    naming a column or player that is not there does not hold.
     """
-    column, j = certificate
+    _check_tag(tag)
+    game._check_strategy(player, dominated)
+    for t in allowed:
+        game._check_strategy(player, t)
     cols = _checked_columns(game, player, columns)
+    return _certificate_holds(game, tag, player, dominated, allowed, certificate, cols)
+
+
+def _certificate_holds(game: Game, tag: str, player: int, dominated: int, allowed, certificate, cols) -> bool:
+    """:func:`certificate_holds` on a query whose tag, indices and columns
+    are checked, as :func:`find_dominator`'s are."""
+    column, j = certificate
+    if not 0 <= j < game.n or column is not None and not 0 <= column < len(cols):
+        return False
     rest = [t for t in allowed if t != dominated]
     if (tag != "PEM" and j != player) or (tag in ("VWM", "PEM") and len(rest) < len(allowed)):
         return False
@@ -231,7 +250,7 @@ def certificate_holds(game: Game, tag: str, player: int, dominated: int, allowed
 
 
 def _verify_certificate(game: Game, tag: str, player: int, dominated: int, allowed, certificate, cols) -> None:
-    if not certificate_holds(game, tag, player, dominated, allowed, certificate, cols):
+    if not _certificate_holds(game, tag, player, dominated, allowed, certificate, cols):
         raise WitnessVerificationError(
             f"{tag} certificate {certificate} for player {player}, strategy {dominated} failed re-verification"
         )
@@ -375,7 +394,7 @@ def _decide_pem(pay, i, s, allowed):
 
 def _decide_nwm(pay, i, s, allowed):
     """Nice weak mixed dominance by implicit equalities (Schrijver 1986,
-    §8.2), after the WM pre-check.
+    §8.2).
 
     P_T is the set of mixes that give every player s's payoff on the columns
     T and give player i at least s's payoff elsewhere.  Every witness lies
@@ -389,8 +408,6 @@ def _decide_nwm(pay, i, s, allowed):
     has optimum 0 joins T.  The added columns follow the forced ties in
     ascending order, so the witness does not depend on when a column joined.
     """
-    if _decide_wm(pay, i, s, allowed) is None:
-        return None
     mine = pay[i]
     every = range(len(mine))
     ties = [c for c in every if max([mine[c][t] for t in allowed]) == mine[c][s]]
@@ -481,6 +498,7 @@ def lp_dominator(game: Game, tag: str, player: int, strategy: int, allowed_suppo
     dominator weights ``{t: w}``, or None.  ``columns`` is a set, as for
     :func:`find_dominator`.  The reference the acceptance suite and the tests
     hold :func:`find_dominator`'s cheap tests against."""
+    _check_tag(tag)
     allowed, _, pay = _query(game, player, strategy, allowed_support, columns)
     allowed = _member_support(tag, allowed, strategy)
     return _DECIDERS[tag](pay, player, strategy, allowed) if allowed else None
@@ -491,6 +509,7 @@ def cheap_verdict(game: Game, tag: str, player: int, strategy: int, allowed_supp
     for a refuting column, None when only the LP can tell.  ``columns`` is a
     set, as for :func:`find_dominator`.  Witness and certificate are checked
     by direct evaluation, as in find_dominator."""
+    _check_tag(tag)
     allowed, cols, pay = _query(game, player, strategy, allowed_support, columns)
     allowed = _member_support(tag, allowed, strategy)
     weights, certificate = _settle(pay, tag, player, strategy, allowed)

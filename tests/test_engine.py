@@ -36,6 +36,7 @@ from dominia import (
     dominates,
     equivalent,
     find_dominator,
+    inherent_dominated_set,
     is_inherently_dominated,
     maximal_reduce,
     new_game,
@@ -397,6 +398,22 @@ class TestMaximalReduce:
         path = maximal_reduce(g, PE)
         assert path.steps[-1].degenerate
         assert path.endpoint.degenerate
+
+    @pytest.mark.parametrize("base", [S, W, SM, WM], ids=str)
+    def test_inherent_over_no_columns_removes_every_strategy(self, base):
+        # the column player has no strategies left, so player 0 has no
+        # columns: every strategy is vacuously inherently dominated, by an
+        # empty chain, and one step removes them all
+        d = restrict(
+            new_game([["a", "b"], ["x"]], {("a", "x"): (1, 0), ("b", "x"): (0, 0)}),
+            [[0, 1], []],
+            allow_degenerate=True,
+        )
+        dominated = inherent_dominated_set(d, base)
+        assert dominated == [[0, 1], []]
+        [step] = maximal_reduce(d, Inherent(base)).steps
+        assert step.removed == tuple(tuple(d.strategies[i][s] for s in found) for i, found in enumerate(dominated))
+        assert step.strict_valid and step.degenerate
 
 
 class TestSingleStepTrace:

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import helpers
 from dominia import (
@@ -34,6 +34,7 @@ from dominia.gallery import (
     trivial_1x1,
 )
 from dominia import lp, mixed
+from dominia.engine import _IMPLIES, _ONE_TAG
 from dominia.pure import CheckOutcome, restrictions
 from dominia.mixed import (
     WitnessVerificationError,
@@ -317,6 +318,41 @@ class TestFindDominator:
         assert w is not None
         assert dict(w.dominator.weights) == {0: F(3, 4), 2: F(1, 4)}
 
+    def test_nwm_is_decided_by_its_margin_loop_alone(self, monkeypatch):
+        # on the game above, one margin LP (ties on C) gives the witness; no
+        # WM LP runs first
+        g = new_game(
+            [["T", "M", "B"], ["L", "C", "R"]],
+            {
+                ("T", "L"): (4, 0), ("T", "C"): (1, 0), ("T", "R"): (3, 0),
+                ("M", "L"): (2, 0), ("M", "C"): (1, 1), ("M", "R"): (2, 0),
+                ("B", "L"): (0, 0), ("B", "C"): (1, 4), ("B", "R"): (3, 0),
+            },
+        )
+        problems = []
+        solve = lp.solve
+        monkeypatch.setattr(lp, "solve", lambda problem: problems.append(problem) or solve(problem))
+        assert find_dominator(g, NWM, 0, 1, [0, 2]) is not None
+        assert len(problems) == 1
+
+    def test_every_mix_tying_everywhere_is_no_weak_dominator(self):
+        # a mix of a = (2, 0) and b = (0, 2) is at least s = (1, 1) only at
+        # the half-half mix, which ties s on both columns: the margin loop's
+        # optimum is 0, both columns are implicit equalities, and no column
+        # is left to be strict
+        g = new_game(
+            [["a", "b", "s"], ["L", "R"]],
+            {
+                ("a", "L"): (2, 0), ("a", "R"): (0, 0),
+                ("b", "L"): (0, 0), ("b", "R"): (2, 0),
+                ("s", "L"): (1, 0), ("s", "R"): (1, 0),
+            },
+        )
+        for rel in (NWM, WM):
+            (tag,) = rel.tags
+            assert find_dominator(g, rel, 0, 2, [0, 1]) is None
+            assert lp_dominator(g, tag, 0, 2, [0, 1]) is None
+
     @pytest.mark.parametrize("rel, dominated", [(SM, True), (VWM, True), (PEM, True), (WM, False), (NWM, False)])
     def test_over_no_columns(self, rel, dominated):
         # every mix dominates vacuously under SM, VWM and PEM; WM and NWM
@@ -385,6 +421,22 @@ class TestCheapTests:
                 if tag in ("WM", "NWM"):
                     assert dict(w.dominator.weights) == reference
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(helpers.small_games(), helpers.small_games(0, 1)), st.data())
+    def test_deciders_respect_the_inclusions(self, g, data):
+        # over a non-empty column set a yes under a tag is a yes under every
+        # tag it implies, and its witness is one there: the engine's layer
+        # reuses answers across tags by exactly these inclusions
+        i, s, allowed, cols = _draw_query(g, data)
+        assume(cols != [])
+        for tag, implied in _IMPLIES.items():
+            w = find_dominator(g, _ONE_TAG[tag], i, s, allowed, columns=cols)
+            if w is None:
+                continue
+            for other in implied:
+                assert find_dominator(g, _ONE_TAG[other], i, s, allowed, columns=cols) is not None
+                assert witness_holds(g, other, i, s, w.dominator, cols)
+
     # player 0's payoffs by row (s) and column (L, R), then player 1's
     CERTIFICATE_GAME = new_game(
         [["r0", "r1", "r2"], ["L", "R"]],
@@ -435,6 +487,30 @@ class TestCheapTests:
     )
     def test_corrupted_certificates_rejected(self, tag, s, allowed, certificate):
         assert not certificate_holds(self.CERTIFICATE_GAME, tag, 0, s, allowed, certificate)
+
+    @pytest.mark.parametrize(
+        "check, args, expected",
+        [
+            pytest.param(certificate_holds, ("XX", 0, 1, (0,), (1, 0)), ValueError, id="certificate-tag"),
+            pytest.param(cheap_verdict, ("XX", 0, 1, (0,)), ValueError, id="cheap-tag"),
+            pytest.param(lp_dominator, ("XX", 0, 1, (0,)), ValueError, id="lp-tag"),
+            # R, read as Python's last column, would hold
+            pytest.param(certificate_holds, ("WM", 0, 1, (0,), (-1, 0)), False, id="column-negative"),
+            pytest.param(certificate_holds, ("WM", 0, 1, (0,), (2, 0)), False, id="column-past-end"),
+            # player 1, read as Python's last player, would hold
+            pytest.param(certificate_holds, ("PEM", 0, 1, (0, 2), (0, -1)), False, id="player-negative"),
+            pytest.param(certificate_holds, ("PEM", 0, 1, (0, 2), (0, 2)), False, id="player-past-end"),
+            pytest.param(certificate_holds, ("WM", 2, 1, (0,), (1, 0)), IndexOutOfRange, id="query-player"),
+            pytest.param(certificate_holds, ("WM", 0, 3, (0,), (1, 0)), IndexOutOfRange, id="dominated"),
+            pytest.param(certificate_holds, ("WM", 0, 1, (0, 3), (1, 0)), IndexOutOfRange, id="allowed"),
+        ],
+    )
+    def test_mixed_checkers_reject_bad_arguments(self, check, args, expected):
+        if isinstance(expected, bool):
+            assert check(self.CERTIFICATE_GAME, *args) is expected
+        else:
+            with pytest.raises(expected):
+                check(self.CERTIFICATE_GAME, *args)
 
     def test_find_dominator_checks_the_certificate(self, monkeypatch):
         monkeypatch.setattr(mixed, "_settle", lambda *query: (None, (1, 0)))
