@@ -21,6 +21,7 @@ from .engine import (
     check_one_at_a_time,
     check_one_step_closed,
     check_weak_confluence,
+    fully_reduce,
     maximal_reduce,
     normal_forms,
     single_step_trace,
@@ -31,7 +32,6 @@ from .equivalence import (
     Renaming,
     canonical_signature,
     equivalent,
-    fully_reduce,
     partition_by_equivalence,
     purely_reduce,
 )

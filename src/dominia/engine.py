@@ -77,6 +77,8 @@ whether two reach sets share a state, which orbits do not decide, and
 states; these, one-at-a-time and one-step closure stay on the full search.
 So does every counterexample: it is the first failure in full BFS order,
 which the quotient does not follow, found on reach sets of normal forms.
+``fully_reduce`` runs no search: it follows one path of single PEM removals
+on the layer, least (player, index) first.
 """
 
 from __future__ import annotations
@@ -90,9 +92,9 @@ from typing import Optional, Union
 from .game import Game, restrict
 from .inherent import InherentQuery, is_inherently_dominated
 from .mixed import find_dominator
-from .pure import CheckOutcome, _bits, _check_bound, _checked_columns, _column_bits, _masks, _met
+from .pure import _EVERYWHERE, CheckOutcome, _bits, _check_bound, _checked_columns, _column_bits, _masks, _met
 from .equivalence import clone_classes, partition_by_equivalence
-from .relations import PURE_TAGS, Inherent, Relation, union
+from .relations import PEM, PURE_TAGS, Inherent, Relation, union
 
 STRICT, LOOSE = "strict", "loose"
 ANY, SINGLE = "any", "single"
@@ -102,7 +104,6 @@ StateKey = tuple[tuple[int, ...], ...]
 # mixed tags defined column by column: a witness over some columns is one
 # over each subset of them, so its (fail, need) masks there are these
 _POINTWISE = {"SM", "VWM", "PEM"}
-_EVERYWHERE = ((0, -1),)
 # mixed tag -> the tags it implies over a non-empty column set (module docstring)
 _IMPLIES = {
     "SM": ("SM", "NWM", "WM", "VWM"),
@@ -618,6 +619,21 @@ def single_step_trace(game: Game, spec: RelationSpec, bound: Optional[int] = Non
         steps.append(ReductionStep(removed, search.game(nxt), True, False))
         state = nxt
     return ReductionPath(game, tuple(steps))
+
+
+def fully_reduce(game: Game, bound: Optional[int] = None) -> Game:
+    """Iterate single-strategy removal of randomized-redundant strategies
+    (payoff equivalent, for every player, to a mix of surviving strategies)
+    until none remains; the least-index redundant strategy goes first."""
+    layer = _searches(game, bound, RelationSpec(PEM))[0].layer
+    state = layer.start
+    while True:
+        for i, s in ((i, s) for i in range(game.n) for s in _bits(layer.kept(state, i))):
+            if layer.witness(PEM, state, i, s, layer.kept(state, i) & ~(1 << s)) is not None:
+                state &= ~(1 << layer.off[i] + s)
+                break
+        else:
+            return layer.game(state)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Game equivalence up to per-player strategy renaming, plus the one-shot
-purely-reduced and fully-reduced constructions.
+purely-reduced construction.
 
 Two games are equivalent when, player by player (player identities fixed,
 never permuted), the strategies can be renamed bijectively so every payoff of
@@ -14,9 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .game import Game, restrict
-from .mixed import find_dominator
-from .pure import _check_bound, _checked_columns, _column_bits
-from .relations import PEM
 
 
 @dataclass(frozen=True)
@@ -132,25 +129,6 @@ def purely_reduce(game: Game) -> Game:
     if tuple(map(len, kept)) == game.shape:
         return game
     return restrict(game, kept, allow_degenerate=game.degenerate)
-
-
-def fully_reduce(game: Game, bound: Optional[int] = None) -> Game:
-    """Iterate single-strategy removal of randomized-redundant strategies
-    (payoff equivalent, for every player, to a mix of surviving strategies)
-    until none remains; the least-index redundant strategy goes first."""
-    _check_bound(game, bound)
-    kept = [list(range(k)) for k in game.shape]
-    every = [_checked_columns(game, i) for i in range(game.n)]
-    while True:
-        for i, s in ((i, s) for i in range(game.n) if len(kept[i]) > 1 for s in kept[i]):
-            others = [t for t in kept[i] if t != s]
-            cols = every[i].subset(_column_bits(game, kept, i))
-            if find_dominator(game, PEM, i, s, others, columns=cols) is not None:
-                kept[i] = others
-                break
-        else:
-            full = tuple(map(len, kept)) == game.shape
-            return game if full else restrict(game, kept, allow_degenerate=game.degenerate)
 
 
 def partition_by_equivalence(games) -> list[list[int]]:

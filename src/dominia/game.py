@@ -21,6 +21,7 @@ from .errors import (
     EmptyStrategySet,
     IndexOutOfRange,
     MissingPayoff,
+    ParseError,
 )
 
 Profile = tuple[int, ...]
@@ -28,13 +29,24 @@ PayoffVector = tuple[Fraction, ...]
 
 
 def _as_fraction(value) -> Fraction:
+    """``value`` as an exact rational: a Fraction, an int or a rational string
+    such as "-1/2".  Anything else raises ParseError: booleans, floats, bad
+    strings, and exponent notation, which Fraction reads in time growing with
+    the exponent ("1e10000000" alone takes seconds)."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise ParseError("booleans are not payoffs")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    if not isinstance(value, str):
+        raise ParseError(f"payoffs must be integers, Fractions or rational strings, got {type(value).__name__}")
+    if "e" in value.lower():
+        raise ParseError(f"exponent notation is not accepted, got {value!r}")
+    try:
         return Fraction(value)
-    raise TypeError(f"payoffs must be exact rationals, got {type(value).__name__}")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {value!r} ({exc})") from None
 
 
 class Game:
@@ -195,7 +207,8 @@ def new_game(labels: Sequence[Sequence[str]], payoffs: Mapping) -> Game:
 
     ``payoffs`` maps joint profiles to per-player payoff sequences; profiles
     may be given as label tuples or index tuples.  Payoff entries may be ints,
-    Fractions, or rational strings like "-1/2".
+    Fractions, or rational strings like "-1/2"; anything else raises
+    ParseError.
     """
     strats = tuple(tuple(s) for s in labels)
     index_of: dict[str, tuple[int, int]] = {}

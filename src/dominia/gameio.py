@@ -23,23 +23,14 @@ from typing import Any
 from .engine import ConfluenceReport, ReductionPath
 from .equivalence import Renaming
 from .errors import DuplicateLabel, EmptyStrategySet, ParseError
-from .game import Game, new_game
+from .game import Game, _as_fraction, new_game
 
 
 def _parse_rational(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ParseError(f"{where}: booleans are not payoffs")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        # Fraction reads exponents, and "1e10000000" alone takes seconds
-        if "e" in value.lower():
-            raise ParseError(f"{where}: exponent notation is not accepted, got {value!r}")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: bad rational {value!r} ({exc})") from None
-    raise ParseError(f"{where}: payoffs must be rational strings or integers, got {type(value).__name__}")
+    try:
+        return _as_fraction(value)
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def parse_game(text: str) -> Game:

@@ -58,7 +58,7 @@ from .errors import (
 )
 from .game import Game
 from .lp import EQ, GE, ONE, ZERO
-from .pure import CheckOutcome, _bits, _checked_columns, _Columns, _first_unheld, _masks, _met
+from .pure import _EVERYWHERE, CheckOutcome, _bits, _checked_columns, _Columns, _first_unheld, _masks, _met
 from .relations import Relation
 
 # Count of witnesses that passed direct re-verification since import; a
@@ -556,6 +556,6 @@ def check_mixed_hereditary(game: Game, relation: Relation, bound=None) -> CheckO
             cols = _checked_columns(game, i)
             for w in found:
                 masks = _masks(game, (w.relation,), i, w.dominated, w.dominator, cols)
-                yield i, {*w.dominator.support, w.dominated}, masks, w
+                yield i, sum(1 << t for t in w.dominator.support) | 1 << w.dominated, _EVERYWHERE, masks, w
 
     return _first_unheld(game, bound, entries())

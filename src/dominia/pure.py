@@ -5,11 +5,13 @@ order-independence results lean on.
 Everything here is an exact quantifier evaluation over the finite payoff
 table, except IIIA, which every pure relation has (:func:`check_iiia`).
 Every tag, pure or mixed, is defined in :func:`_masks` alone, for a pure
-dominator and for a mix.  The restriction-quantified checks (TDI+, TDI++,
-hereditarity) enumerate every non-degenerate restriction and are bounded by
-:func:`dominia.config.max_total_strategies`; each restriction is answered
-from masks over the root's columns, by its kept-column bitset
-(:func:`_column_bits`), as the engine answers its states.
+dominator and for a mix.  The restriction-quantified checks share one walk
+over every non-degenerate restriction, :func:`_first_unheld`, bounded by
+:func:`dominia.config.max_total_strategies`: an entry fails in a restriction
+that keeps its strategies where, over the kept-column bitset
+(:func:`_column_bits`, as the engine answers its states), its premise masks
+hold and its conclusion masks do not.  TDI+ is W => COMPAT, TDI++ is VW => W
+or PE, and hereditarity's premise holds everywhere.
 
 Column sets of every layer are defined and checked here (:class:`_Columns`):
 bit k of player i's column bitsets is ``game.opponent_profiles(i)[k]`` in
@@ -136,18 +138,16 @@ def _masks(game: Game, tags, i: int, s: int, t, cols: _Columns) -> tuple[tuple[i
         raise ValueError(f"unknown tag {err.args[0]!r}") from None
 
 
+# (fail, need) masks that every column bitset meets
+_EVERYWHERE = ((0, -1),)
+
+
 def _met(masks, cols: int) -> bool:
     """Does some tag's (fail, need) pair hold over the column bitset ``cols``?"""
     for fail, need in masks:
         if not fail & cols and (need & cols or need < 0):
             return True
     return False
-
-
-def _first_tag(tags, masks, cols: int) -> Optional[str]:
-    """The first of ``tags`` whose (fail, need) pair in ``masks`` holds over
-    the column bitset ``cols``, or None."""
-    return next((tag for tag, m in zip(tags, masks) if _met((m,), cols)), None)
 
 
 def _pair_masks(game: Game, tags) -> dict[tuple[int, int, int], tuple[tuple[int, int], ...]]:
@@ -222,20 +222,32 @@ def restrictions(game: Game) -> Iterator[tuple[tuple[int, ...], ...]]:
     ))
 
 
-def _first_in_restrictions(game: Game, bound: Optional[int], tag: str, fails) -> CheckOutcome:
-    """Over every restriction and ordered pair r != t of one player's kept
-    strategies, the first (kept-sets, witness) where r is TAG-dominated by t
-    and under no tag of ``fails``, asked of the root over the kept profiles."""
+def _first_unheld(game: Game, bound: Optional[int], entries) -> CheckOutcome:
+    """The first (kept-sets, witness) over every restriction of the entries
+    (player, needed strategies as a mask, premise, masks, witness) whose
+    needed strategies are kept and, over the kept profiles, premise met and
+    masks unmet; read after the bound check."""
     _check_bound(game, bound)
-    masks = _pair_masks(game, (tag,) + fails)
+    entries = list(entries)
     for kept in restrictions(game):
-        for i in range(game.n):
-            cols = _column_bits(game, kept, i)
-            for r, t in itertools.permutations(kept[i], 2):
-                m = masks[i, r, t]
-                if _met(m[:1], cols) and not _met(m[1:], cols):
-                    return CheckOutcome(False, (kept, DominanceWitness(i, r, t, tag)))
+        cols = [_column_bits(game, kept, i) for i in range(game.n)]
+        held = [sum(1 << s for s in k) for k in kept]
+        for i, needed, premise, masks, witness in entries:
+            if not needed & ~held[i] and _met(premise, cols[i]) and not _met(masks, cols[i]):
+                return CheckOutcome(False, (kept, witness))
     return CheckOutcome(True)
+
+
+def _first_unimplied(game: Game, bound: Optional[int], tag: str, implied) -> CheckOutcome:
+    """:func:`_first_unheld` of every ordered pair s != t of one player, with
+    premise "t TAG-dominates s" and conclusion "some tag of ``implied``
+    holds"."""
+
+    def entries():
+        for (i, s, t), m in _pair_masks(game, (tag,) + implied).items():
+            yield i, 1 << s | 1 << t, m[:1], m[1:], DominanceWitness(i, s, t, tag)
+
+    return _first_unheld(game, bound, entries())
 
 
 def check_tdi_plus(game: Game, bound: Optional[int] = None) -> CheckOutcome:
@@ -244,13 +256,13 @@ def check_tdi_plus(game: Game, bound: Optional[int] = None) -> CheckOutcome:
     A counterexample is (kept-sets, witness) for the first restriction where
     some weakly dominating pair is incompatible.
     """
-    return _first_in_restrictions(game, bound, "W", ("COMPAT",))
+    return _first_unimplied(game, bound, "W", ("COMPAT",))
 
 
 def check_tdi_plus_plus(game: Game, bound: Optional[int] = None) -> CheckOutcome:
     """TDI++ : in every restriction, very weak dominance is weak dominance or
     payoff equivalence."""
-    return _first_in_restrictions(game, bound, "VW", ("W", "PE"))
+    return _first_unimplied(game, bound, "VW", ("W", "PE"))
 
 
 # -- structural properties ---------------------------------------------------
@@ -269,20 +281,6 @@ def is_strict_partial_order(game: Game, relation: Relation) -> bool:
     return True
 
 
-def _first_unheld(game: Game, bound: Optional[int], entries) -> CheckOutcome:
-    """The first (kept-sets, witness) over every restriction of the entries
-    (player, needed strategies, masks, witness) whose needed strategies are
-    kept and masks unmet over the kept profiles; read after the bound check."""
-    _check_bound(game, bound)
-    entries = list(entries)
-    for kept in restrictions(game):
-        cols = [_column_bits(game, kept, i) for i in range(game.n)]
-        for i, needed, masks, witness in entries:
-            if needed <= set(kept[i]) and not _met(masks, cols[i]):
-                return CheckOutcome(False, (kept, witness))
-    return CheckOutcome(True)
-
-
 def is_hereditary(game: Game, relation: Relation, bound: Optional[int] = None) -> CheckOutcome:
     """Does every dominance instance of this game survive into every
     restriction containing both strategies?
@@ -294,9 +292,9 @@ def is_hereditary(game: Game, relation: Relation, bound: Optional[int] = None) -
     def entries():
         every = [(1 << len(game.opponent_profiles(i))) - 1 for i in range(game.n)]
         for (i, s, t), m in _pair_masks(game, relation.tags).items():
-            tag = _first_tag(relation.tags, m, every[i])
+            tag = next((tag for tag, mask in zip(relation.tags, m) if _met((mask,), every[i])), None)
             if tag is not None:
-                yield i, {s, t}, m, DominanceWitness(i, s, t, tag)
+                yield i, 1 << s | 1 << t, _EVERYWHERE, m, DominanceWitness(i, s, t, tag)
 
     return _first_unheld(game, bound, entries())
 

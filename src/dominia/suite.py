@@ -26,12 +26,13 @@ from .engine import (
     check_one_at_a_time,
     check_one_step_closed,
     check_weak_confluence,
+    fully_reduce,
     maximal_reduce,
     normal_forms,
     structured_elimination_scenario,
     successors,
 )
-from .equivalence import equivalent, fully_reduce, purely_reduce
+from .equivalence import equivalent, purely_reduce
 from .game import Game
 from .generator import SplitMix64, generator_params, random_game
 from .inherent import InherentQuery, inherent_dominated_set, is_inherently_dominated

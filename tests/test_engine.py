@@ -32,16 +32,21 @@ from dominia import (
     check_left_commutes,
     check_one_at_a_time,
     check_one_step_closed,
+    check_tdi_plus,
+    check_tdi_plus_plus,
     check_weak_confluence,
     dominates,
     equivalent,
     find_dominator,
+    fully_reduce,
     inherent_dominated_set,
+    is_hereditary,
     is_inherently_dominated,
     maximal_reduce,
     new_game,
     normal_forms,
     partition_by_equivalence,
+    purely_reduce,
     restrict,
     single_step_trace,
     structured_elimination_scenario,
@@ -51,6 +56,7 @@ from dominia import (
 from dominia import engine
 from dominia.engine import _searches
 from dominia.errors import SizeBoundExceeded
+from dominia.mixed import check_mixed_hereditary
 from dominia.gallery import (
     mixable_middle_3x2,
     nonconfluent_weak_2x2,
@@ -971,3 +977,56 @@ def test_arrows_agree_on_single_steps(game):
 def test_maximal_strict_endpoint_is_the_unique_normal_form(game):
     [nf] = normal_forms(game, RelationSpec(S, STRICT, ANY)).normal_forms
     assert maximal_reduce(game, S).endpoint == nf
+
+
+def test_fully_reduce_removes_the_least_redundant_index_first():
+    # a and b are exact clones, so each is PEM-redundant; fully_reduce drops
+    # the least index, purely_reduce keeps it, and the single-step trace's
+    # first successor drops player 0's highest removable index
+    g = new_game(
+        [["a", "b", "c"], ["x", "y"]],
+        {
+            ("a", "x"): (1, 0), ("a", "y"): (0, 1),
+            ("b", "x"): (1, 0), ("b", "y"): (0, 1),
+            ("c", "x"): (0, 2), ("c", "y"): (1, 0),
+        },
+    )
+    assert fully_reduce(g).strategies == (("b", "c"), ("x", "y"))
+    assert purely_reduce(g).strategies == (("a", "c"), ("x", "y"))
+    assert single_step_trace(g, RelationSpec(PEM, STRICT, SINGLE)).endpoint.strategies == (("a", "c"), ("x", "y"))
+
+
+# every public entry point that takes bound=: the engine's, fully_reduce and
+# the restriction-quantified checks
+_BOUNDED = {
+    "successors": lambda g, **kw: successors(g, NW_STRICT_ANY, **kw),
+    "normal_forms": lambda g, **kw: normal_forms(g, NW_STRICT_ANY, **kw),
+    "check_weak_confluence": lambda g, **kw: check_weak_confluence(g, NW_STRICT_ANY, **kw),
+    "check_one_step_closed": lambda g, **kw: check_one_step_closed(g, NW_STRICT_ANY, **kw),
+    "check_one_at_a_time": lambda g, **kw: check_one_at_a_time(g, NW, **kw),
+    "check_left_commutes": lambda g, **kw: check_left_commutes(g, RelationSpec(PE), NW_STRICT_ANY, **kw),
+    "maximal_reduce": lambda g, **kw: maximal_reduce(g, NW, **kw),
+    "single_step_trace": lambda g, **kw: single_step_trace(g, NW_STRICT_SINGLE, **kw),
+    "structured_elimination_scenario": lambda g, **kw: structured_elimination_scenario(g, W, PE, **kw),
+    "fully_reduce": lambda g, **kw: fully_reduce(g, **kw),
+    "check_tdi_plus": lambda g, **kw: check_tdi_plus(g, **kw),
+    "check_tdi_plus_plus": lambda g, **kw: check_tdi_plus_plus(g, **kw),
+    "is_hereditary": lambda g, **kw: is_hereditary(g, W, **kw),
+    "check_mixed_hereditary": lambda g, **kw: check_mixed_hereditary(g, WM, **kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUNDED))
+def test_every_bounded_entry_point_refuses_a_game_past_its_bound(name):
+    with pytest.raises(SizeBoundExceeded):
+        _BOUNDED[name](nonconfluent_weak_2x2(), bound=3)
+
+
+@pytest.mark.parametrize("name", ["normal_forms", "is_hereditary"])
+def test_the_strategy_bound_is_read_from_the_environment(name, monkeypatch):
+    # one engine entry point and one restriction-quantified check
+    monkeypatch.setenv("DOMINIA_MAX_STRATEGIES", "3")
+    with pytest.raises(SizeBoundExceeded):
+        _BOUNDED[name](nonconfluent_weak_2x2())
+    monkeypatch.setenv("DOMINIA_MAX_STRATEGIES", "4")
+    _BOUNDED[name](nonconfluent_weak_2x2())

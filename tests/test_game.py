@@ -9,6 +9,7 @@ from dominia import (
     Game,
     IndexOutOfRange,
     MissingPayoff,
+    ParseError,
     new_game,
     restrict,
 )
@@ -58,6 +59,14 @@ def test_empty_strategy_set_rejected_without_flag():
         Game((("T",), ()), {})
     g = Game((("T",), ()), {}, allow_degenerate=True)
     assert g.degenerate
+
+
+@pytest.mark.parametrize("value", [True, False, "1/0", "abc", "1e1000000", "2E-3", 1.5, None], ids=repr)
+def test_new_game_refuses_payoffs_that_parse_game_refuses(value):
+    # booleans, zero denominators, malformed strings, exponent notation (read
+    # in time that grows with the exponent) and floats are not exact payoffs
+    with pytest.raises(ParseError):
+        new_game([["a", "b"], ["x"]], {("a", "x"): (value, 0), ("b", "x"): (0, 0)})
 
 
 def test_payoff_bounds_checked():

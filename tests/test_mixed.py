@@ -11,6 +11,9 @@ from dominia import (
     SM,
     VWM,
     WM,
+    Game,
+    RelationSpec,
+    check_left_commutes,
     check_tdi,
     find_dominator,
     generator_params,
@@ -18,6 +21,7 @@ from dominia import (
     mixed_dominated_set,
     mixed_strategy,
     new_game,
+    normal_forms,
     point_mass,
     random_game,
     restrict,
@@ -543,6 +547,20 @@ class TestMixedDominatedSet:
         # dominator is one of the player's other strategies
         per = mixed_dominated_set(mixable_middle_3x2(), VWM)
         assert [[w.dominated for w in found] for found in per] == [[1], [0, 1]]
+
+    def test_witnesses_do_not_depend_on_earlier_searches(self, small_games):
+        # witnesses are output: they come from find_dominator on the game,
+        # never from the answers an engine search left on the game's layer,
+        # which may be another tag's or another allowed set's
+        def copy(g):
+            return Game(g.strategies, {p: g.payoff_vector(p) for p in g.profiles()})
+
+        for g in small_games[:12] + [mixable_middle_3x2(), G11]:
+            searched = copy(g)
+            normal_forms(searched, RelationSpec(SM))
+            check_left_commutes(searched, RelationSpec(PEM), RelationSpec(WM))
+            for rel in (SM, WM, NWM, VWM, PEM):
+                assert mixed_dominated_set(searched, rel) == mixed_dominated_set(copy(g), rel)
 
     def test_sets_match_inherent_dominance(self, small_games):
         # for pointwise tags every subset of columns has the full game's
