@@ -71,10 +71,11 @@ is the same code with singleton classes.  The quotient is used only where it
 is exact: ``normal_forms`` in both modes (each canonical normal form is
 expanded over its orbit, ``explored_states`` sums orbit sizes, and renaming
 classes are unions of orbits), and so weak confluence in both modes, which
-by Newman's lemma is uniqueness of the normal forms.  Left commutation asks
-whether two reach sets share a state, which orbits do not decide, and
-``successors``, ``single_step_trace`` and ``maximal_reduce`` report single
-states; these, one-at-a-time and one-step closure stay on the full search.
+by Newman's lemma is uniqueness of the normal forms, and one-at-a-time, whose
+reachable sets are unions of orbits.  Left commutation asks whether two reach
+sets share a state, which orbits do not decide, and ``successors``,
+``single_step_trace`` and ``maximal_reduce`` report single states; these and
+one-step closure stay on the full search.
 So does every counterexample: it is the first failure in full BFS order,
 which the quotient does not follow, found on reach sets of normal forms.
 ``fully_reduce`` runs no search: it follows one path of single PEM removals
@@ -537,9 +538,10 @@ def check_one_at_a_time(
     bound: Optional[int] = None,
 ) -> bool:
     """Do single-strategy eliminations reach exactly the same games as bulk
-    eliminations (transitive closures compared as reachable-state sets)?"""
+    eliminations?  Both reachable sets are unions of exact-clone orbits, so
+    comparing their canonical states decides."""
     bulk, single = _searches(game, bound, *(RelationSpec(relation, STRICT, step) for step in (ANY, SINGLE)))
-    return set(bulk.states()) == set(single.states())
+    return set(bulk.quotient().states()) == set(single.quotient().states())
 
 
 def check_left_commutes(

@@ -22,15 +22,15 @@ the allowed support and A' = A minus the dominated strategy s:
   over the game's columns.
 
 VWM with s inside A (the point mass on s dominates) goes to the LP, which
-picks the witness.  The deciders hand the LP those integer rows as they are
-(:class:`lp.LpProblem`), with no rescaling.  Strictness is always decided by
-maximizing an exact margin and testing it against zero, never by tolerance.
-Every witness, point mass or LP point, is re-verified before it leaves this
-module by :func:`witness_holds`: the tag's pure analog evaluated on the
-mix's expected Fraction payoffs by :func:`pure._masks`, where every tag is
-defined.  Every cheap "no" carries a certificate (the column, and for PEM
-the player) that is checked on the game's Fraction payoffs
-(:func:`certificate_holds`) before ``None`` leaves it.
+picks the witness.  Every decider's LP takes its rows from one builder,
+:func:`_constraints`, which lays out those integer rows as they are, with no
+rescaling.  Strictness is always decided by maximizing an exact margin and
+testing it against zero, never by tolerance.  Every witness, point mass or LP
+point, is re-verified before it leaves this module by :func:`witness_holds`:
+the tag's pure analog evaluated on the mix's expected Fraction payoffs by
+:func:`pure._masks`, where every tag is defined.  Every cheap "no" carries a
+certificate (the column, and for PEM the player) that is checked on the
+game's Fraction payoffs (:func:`certificate_holds`) before ``None`` leaves it.
 :func:`check_mixed_hereditary` builds each witness's masks once and answers
 every restriction by its kept-column bitset in :func:`pure.is_hereditary`'s walk.
 A ``columns=`` argument is a set (:class:`pure._Columns`; the engine keeps
@@ -56,7 +56,7 @@ from .errors import (
     EmptySupport,
     IndexOutOfRange,
 )
-from .game import Game
+from .game import Game, _as_fraction
 from .lp import EQ, GE, ONE, ZERO
 from .pure import _EVERYWHERE, CheckOutcome, _bits, _checked_columns, _Columns, _first_unheld, _masks, _met
 from .relations import Relation
@@ -77,7 +77,8 @@ class MixedStrategy:
     """Exact probability distribution over one player's strategies.
 
     ``weights`` holds only the strictly positive atoms, sorted by strategy
-    index, and sums to exactly 1.
+    index (an int), and sums to exactly 1.  A weight is an int or a Fraction:
+    a float's rounding would decide exact comparisons.
     """
 
     player: int
@@ -87,6 +88,8 @@ class MixedStrategy:
         total = ZERO
         last = -1
         for s, w in self.weights:
+            if type(s) is not int or type(w) not in (int, Fraction):
+                raise DominiaError(f"atom ({s!r}, {w!r}) is not an int strategy with an exact weight")
             if s <= last:
                 raise IndexOutOfRange("mixed strategy atoms must be sorted and distinct")
             if w <= 0:
@@ -108,9 +111,12 @@ class MixedStrategy:
 
 
 def mixed_strategy(player: int, weights) -> MixedStrategy:
-    """Normalize a {strategy: weight} mapping into a MixedStrategy (drops zeros)."""
-    pairs = tuple(sorted((int(s), Fraction(w)) for s, w in dict(weights).items() if Fraction(w) != 0))
-    return MixedStrategy(player, pairs)
+    """Normalize a {strategy: weight} mapping into a MixedStrategy (drops
+    zeros).  Weights are read as payoffs are (:func:`game._as_fraction`);
+    an atom that is not an int sorts first, for MixedStrategy to refuse."""
+    pairs = [(s, _as_fraction(w)) for s, w in dict(weights).items()]
+    pairs.sort(key=lambda p: p[0] if type(p[0]) is int else -1)
+    return MixedStrategy(player, tuple(p for p in pairs if p[1] != 0))
 
 
 def point_mass(player: int, strategy: int) -> MixedStrategy:
@@ -326,42 +332,36 @@ def _settle(pay, tag, i, s, allowed):
     return None, None
 
 
-def _margin_lp(pay, i, s, allowed, ties, margin) -> lp.LpOutcome:
-    """Maximize a margin z over the weights on ``allowed`` (summing to 1):
-    every player's payoff equals s's on the columns ``ties`` (in that order),
-    and player i's payoff is at least s's on every other column, less z on
-    the columns in ``margin``.  z may be negative, and the LP's variables are
-    not, so z is stated as z+ - z-, two columns after the weights; the
-    point's leading entries are the weights."""
-    k = len(allowed)
-    tied = set(ties)
-    rows = [[*(player[c][t] for t in allowed), 0, 0, player[c][s]] for c in ties for player in pay]
+def _constraints(pay, i, s, allowed, ties, margin):
+    """The rows and ops of every mixed LP, over the weights on ``allowed``
+    (summing to 1): every player's payoff equals s's on the columns ``ties``
+    (in that order), and player i's payoff is at least s's on every other
+    column, less a margin z on the columns in ``margin``.  z may be
+    negative, and the LP's variables are not, so z is stated as z+ - z-, two
+    columns after the weights, which only a non-empty ``margin`` adds."""
+    z = [0, 0] if margin else []
+    rows = [[*(player[c][t] for t in allowed), *z, player[c][s]] for c in ties for player in pay]
     ops = [EQ] * len(rows)
     for c, row in enumerate(pay[i]):
-        if c not in tied:
-            z = int(c in margin)
-            rows.append([*(row[t] for t in allowed), -z, z, row[s]])
+        if c not in ties:
+            rows.append([*(row[t] for t in allowed), *([-1, 1] if c in margin else z), row[s]])
             ops.append(GE)
-    rows.append([1] * k + [0, 0, 1])
+    rows.append([1] * len(allowed) + z + [1])
     ops.append(EQ)
-    return lp.solve(lp.LpProblem(rows, ops, [0] * k + [1, -1]))
+    return rows, ops
+
+
+def _margin_lp(pay, i, s, allowed, ties, margin) -> lp.LpOutcome:
+    """Maximize the margin z of :func:`_constraints` (``margin`` not empty);
+    the point's leading entries are the weights."""
+    return lp.solve(lp.LpProblem(*_constraints(pay, i, s, allowed, ties, margin), [0] * len(allowed) + [1, -1]))
 
 
 def _decide_sm(pay, i, s, allowed):
-    out = _margin_lp(pay, i, s, allowed, (), range(len(pay[i])))
-    if out.status == "unbounded":  # no columns: every mix dominates vacuously
+    if not pay[i]:  # no columns: every mix dominates vacuously
         return {allowed[0]: ONE}
-    if out.value > 0:
-        return _weights_from_point(allowed, out.point)
-    return None
-
-
-def _wm_rows(pay, i, s, allowed):
-    """Player i's payoff at least s's on every column, weights summing to 1:
-    the rows and their ops."""
-    rows = [[*(row[t] for t in allowed), row[s]] for row in pay[i]]
-    rows.append([1] * (len(allowed) + 1))
-    return rows, [GE] * (len(rows) - 1) + [EQ]
+    out = _margin_lp(pay, i, s, allowed, (), range(len(pay[i])))
+    return _weights_from_point(allowed, out.point) if out.value > 0 else None
 
 
 def _decide_wm(pay, i, s, allowed):
@@ -369,27 +369,22 @@ def _decide_wm(pay, i, s, allowed):
     # inequality can be made strict
     obj = [sum(row[t] for row in pay[i]) for t in allowed]
     base = sum(row[s] for row in pay[i])
-    out = lp.solve(lp.LpProblem(*_wm_rows(pay, i, s, allowed), obj))
-    if out.optimal and out.value > base:
-        return _weights_from_point(allowed, out.point)
-    return None
+    out = lp.solve(lp.LpProblem(*_constraints(pay, i, s, allowed, (), ()), obj))
+    return _weights_from_point(allowed, out.point) if out.optimal and out.value > base else None
+
+
+def _feasible(pay, i, s, allowed, ties):
+    """The weights of some point of :func:`_constraints` with no margin, or None."""
+    out = lp.solve(lp.LpProblem(*_constraints(pay, i, s, allowed, ties, ()), [0] * len(allowed)))
+    return _weights_from_point(allowed, out.point) if out.optimal else None
 
 
 def _decide_vwm(pay, i, s, allowed):
-    out = lp.solve(lp.LpProblem(*_wm_rows(pay, i, s, allowed), [0] * len(allowed)))
-    if out.optimal:
-        return _weights_from_point(allowed, out.point)
-    return None
+    return _feasible(pay, i, s, allowed, ())
 
 
 def _decide_pem(pay, i, s, allowed):
-    k = len(allowed)
-    rows = [[*(row[t] for t in allowed), row[s]] for column in zip(*pay) for row in column]
-    rows.append([1] * (k + 1))
-    out = lp.solve(lp.LpProblem(rows, [EQ] * len(rows), [0] * k))
-    if out.optimal:
-        return _weights_from_point(allowed, out.point)
-    return None
+    return _feasible(pay, i, s, allowed, range(len(pay[i])))
 
 
 def _decide_nwm(pay, i, s, allowed):

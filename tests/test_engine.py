@@ -883,10 +883,13 @@ def test_concurrent_calls_answer_as_alone(small_games):
 def test_clone_quotient_matches_kept_tuple_bfs(relation, game):
     # normal forms and weak confluence, in both modes, explore one state per
     # exact-clone orbit; every field of their results, the order and the
-    # counterexample included, must be the full search's
+    # counterexample included, must be the full search's; one-at-a-time
+    # compares canonical states, the full search's reachable sets here
+    reached = {}
     for arrow, step in itertools.product((STRICT, LOOSE), (ANY, SINGLE)):
         spec = RelationSpec(relation, arrow, step)
         bfs = _kept_tuple_bfs(game, spec)
+        reached[arrow, step] = set(bfs[0])
         for up_to_renaming in (False, True):
             assert normal_forms(game, spec, up_to_renaming=up_to_renaming) == _reference_report(
                 game, up_to_renaming, *bfs
@@ -894,6 +897,7 @@ def test_clone_quotient_matches_kept_tuple_bfs(relation, game):
             failure = _reference_failure(game, *bfs, up_to_renaming)
             outcome = check_weak_confluence(game, spec, up_to_renaming=up_to_renaming)
             assert outcome == CheckOutcome(failure is None, failure)
+    assert check_one_at_a_time(game, relation) == (reached[STRICT, ANY] == reached[STRICT, SINGLE])
 
 
 def test_renaming_classes_are_partitioned_only_where_read(monkeypatch, small_games):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dominia import lp, mixed
-from dominia.errors import DimensionMismatch
+from dominia.errors import DimensionMismatch, PivotLimitExceeded
 from dominia.game import new_game
 
 
@@ -234,6 +234,12 @@ def test_pivot_counter_stays_reasonable():
     cons.append(([1] * n, "==", Fraction(3)))
     out = solve(cons, [1] * n)
     assert out.optimal and out.value == 3
+
+
+def test_pivot_cap(monkeypatch):
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 0)
+    with pytest.raises(PivotLimitExceeded):
+        lp.solve(lp.LpProblem([[1, 1]], [lp.EQ], [1]))
 
 
 def test_post_solve_check_rejects_a_point_off_by_one_over_d():

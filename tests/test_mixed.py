@@ -30,7 +30,7 @@ from dominia import (
     union,
     witness_holds,
 )
-from dominia.errors import DegenerateSubstitution, EmptySupport, IndexOutOfRange
+from dominia.errors import DegenerateSubstitution, DominiaError, EmptySupport, IndexOutOfRange
 from dominia.gallery import (
     mixable_middle_3x2,
     nonconfluent_weak_2x2,
@@ -41,6 +41,7 @@ from dominia import lp, mixed
 from dominia.engine import _IMPLIES, _ONE_TAG
 from dominia.pure import CheckOutcome, restrictions
 from dominia.mixed import (
+    MixedStrategy,
     WitnessVerificationError,
     certificate_holds,
     cheap_verdict,
@@ -120,6 +121,43 @@ class TestMixedStrategy:
     def test_bad_mass_rejected(self):
         with pytest.raises(Exception):
             mixed_strategy(0, {0: F(1, 2)})
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # 0.1 + 0.9 == 1.0 in floats, and the float 0.1 exceeds 1/10: in
+            # a 3x1 game paying 1, 0 and 1/10, witness_holds said this mix of
+            # the first two SM-dominates the third, which it only matches
+            pytest.param(lambda: MixedStrategy(0, ((0, 0.1), (1, 0.9))), id="float-weights"),
+            pytest.param(lambda: MixedStrategy(0, ((0, True),)), id="bool-weight"),
+            pytest.param(lambda: MixedStrategy(0, ((True, F(1)),)), id="bool-atom"),
+            pytest.param(lambda: mixed_strategy(0, {0: 0.5, 1: 0.5}), id="read-float"),
+            pytest.param(lambda: mixed_strategy(0, {0: True}), id="read-bool"),
+            pytest.param(lambda: mixed_strategy(0, {0: "abc"}), id="read-bad-string"),
+            pytest.param(lambda: mixed_strategy(0, {0: "1/0"}), id="read-zero-denominator"),
+            pytest.param(lambda: mixed_strategy(0, {1.7: 1}), id="float-atom"),
+            pytest.param(lambda: mixed_strategy(0, {True: 1}), id="bool-atom-read"),
+            pytest.param(lambda: mixed_strategy(0, {"1": 1}), id="string-atom"),
+            pytest.param(lambda: mixed_strategy(0, {"1": F(1, 2), 0: F(1, 2)}), id="string-beside-int-atom"),
+        ],
+    )
+    def test_inexact_input_refused(self, make):
+        with pytest.raises(DominiaError):
+            make()
+
+    @pytest.mark.parametrize(
+        "weights, error",
+        [
+            (((1, F(1, 2)), (0, F(1, 2))), IndexOutOfRange),
+            (((0, F(1, 2)), (0, F(1, 2))), IndexOutOfRange),
+            (((0, F(0)), (1, F(1))), DominiaError),
+            (((0, F(-1)), (1, F(2))), DominiaError),
+        ],
+        ids=["unsorted", "repeated", "zero", "negative"],
+    )
+    def test_stored_form_checked(self, weights, error):
+        with pytest.raises(error):
+            MixedStrategy(0, weights)
 
 
 class TestSubstitution:
@@ -520,6 +558,20 @@ class TestCheapTests:
         monkeypatch.setattr(mixed, "_settle", lambda *query: (None, (1, 0)))
         with pytest.raises(WitnessVerificationError):
             find_dominator(self.CERTIFICATE_GAME, SM, 0, 0, [1, 2])
+
+    def test_find_dominator_checks_the_pure_dominator(self, monkeypatch):
+        # r1 ties r0 at L, so it does not SM-dominate it
+        monkeypatch.setattr(mixed, "_settle", lambda *query: ({1: F(1)}, None))
+        with pytest.raises(WitnessVerificationError):
+            find_dominator(self.CERTIFICATE_GAME, SM, 0, 0, [1, 2])
+
+    def test_find_dominator_checks_the_lp_witness(self, monkeypatch):
+        # the cheap test leaves this WM query to the decider; r2 is worse
+        # than r0 at L
+        assert cheap_verdict(self.CERTIFICATE_GAME, "WM", 0, 0, [1, 2]) is None
+        monkeypatch.setitem(mixed._DECIDERS, "WM", lambda *query: {2: F(1)})
+        with pytest.raises(WitnessVerificationError):
+            find_dominator(self.CERTIFICATE_GAME, WM, 0, 0, [1, 2])
 
     def test_weak_witnesses_stay_hereditary(self):
         # point-mass WM witnesses (r1 over r0 for player 1) would fail here
