@@ -73,13 +73,13 @@ expanded over its orbit, ``explored_states`` sums orbit sizes, and renaming
 classes are unions of orbits), and so weak confluence in both modes, which
 by Newman's lemma is uniqueness of the normal forms, and one-at-a-time, whose
 reachable sets are unions of orbits.  Left commutation asks whether two reach
-sets share a state, which orbits do not decide, and ``successors``,
-``single_step_trace`` and ``maximal_reduce`` report single states; these and
-one-step closure stay on the full search.
-So does every counterexample: it is the first failure in full BFS order,
-which the quotient does not follow, found on reach sets of normal forms.
-``fully_reduce`` runs no search: it follows one path of single PEM removals
-on the layer, least (player, index) first.
+sets share a state, which orbits do not decide, and ``successors`` and
+``single_step_trace`` report single states; these and one-step closure stay
+on the full search.  So does every counterexample: it is the first failure
+in full BFS order, which the quotient does not follow, found on reach sets of
+normal forms.  ``maximal_reduce`` and ``fully_reduce`` run no search: each
+follows one path on the root's layer (:func:`_layer`), ``fully_reduce`` by
+single PEM removals, least (player, index) first.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ _IMPLIES = {
     "PEM": ("PEM", "VWM"),
     "VWM": ("VWM",),
 }
-_ONE_TAG = {tag: Relation((tag,), True) for tag in _IMPLIES}
+_ONE_TAG = {tag: Relation((tag,)) for tag in _IMPLIES}
 
 
 @dataclass(frozen=True)
@@ -425,8 +425,8 @@ class _Search:
 _last: Optional[_Dominance] = None
 
 
-def _searches(game: Game, bound: Optional[int], *specs: RelationSpec) -> list[_Search]:
-    """One search per spec, all on one layer: the last call's when it
+def _layer(game: Game, bound: Optional[int]) -> _Dominance:
+    """The root's layer, after the bound check: the last call's when it
     searched this very game object.  What the layer builds from the root,
     and every answer it keeps, serves every relation."""
     global _last
@@ -434,6 +434,12 @@ def _searches(game: Game, bound: Optional[int], *specs: RelationSpec) -> list[_S
     layer = _last  # read once: a concurrent call may replace it
     if layer is None or layer.root is not game:
         layer = _last = _Dominance(game)
+    return layer
+
+
+def _searches(game: Game, bound: Optional[int], *specs: RelationSpec) -> list[_Search]:
+    """One search per spec, all on the root's :func:`_layer`."""
+    layer = _layer(game, bound)
     return [_Search(layer, spec) for spec in specs]
 
 
@@ -575,7 +581,7 @@ def maximal_reduce(game: Game, relation: Union[Relation, Inherent], bound: Optio
     Each step records whether it was also valid with surviving dominators and
     whether it emptied some player's strategy set; a degenerate result ends
     the path."""
-    layer = _searches(game, bound, RelationSpec(relation))[0].layer
+    layer = _layer(game, bound)
     steps: list[ReductionStep] = []
     state = layer.start
     while True:
@@ -627,7 +633,7 @@ def fully_reduce(game: Game, bound: Optional[int] = None) -> Game:
     """Iterate single-strategy removal of randomized-redundant strategies
     (payoff equivalent, for every player, to a mix of surviving strategies)
     until none remains; the least-index redundant strategy goes first."""
-    layer = _searches(game, bound, RelationSpec(PEM))[0].layer
+    layer = _layer(game, bound)
     state = layer.start
     while True:
         for i, s in ((i, s) for i in range(game.n) for s in _bits(layer.kept(state, i))):

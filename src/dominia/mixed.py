@@ -16,10 +16,10 @@ the allowed support and A' = A minus the dominated strategy s:
   [min, max] over A' there;
 - "yes" by a pure dominator, for SM, VWM and PEM only: these tags are defined
   column by column, so the point mass is a witness in every restriction, as
-  any other witness is.  WM and NWM witnesses are the LP's, which
-  :func:`check_mixed_hereditary` and the engine's dominance layer re-check
-  in restrictions as :func:`witness_holds` judges them, from their masks
-  over the game's columns.
+  any other witness is.  WM and NWM witnesses are the LP's, which the
+  engine's dominance layer re-checks on fewer columns as
+  :func:`witness_holds` judges them, from their masks over the game's
+  columns.
 
 VWM with s inside A (the point mass on s dominates) goes to the LP, which
 picks the witness.  Every decider's LP takes its rows from one builder,
@@ -31,8 +31,6 @@ the tag's pure analog evaluated on the mix's expected Fraction payoffs by
 :func:`pure._masks`, where every tag is defined.  Every cheap "no" carries a
 certificate (the column, and for PEM the player) that is checked on the
 game's Fraction payoffs (:func:`certificate_holds`) before ``None`` leaves it.
-:func:`check_mixed_hereditary` builds each witness's masks once and answers
-every restriction by its kept-column bitset in :func:`pure.is_hereditary`'s walk.
 A ``columns=`` argument is a set (:class:`pure._Columns`; the engine keeps
 one per state's opponents, the inherent chain one per link): LP rows and a
 certificate's column index follow ascending order, and its integer rows are
@@ -55,10 +53,11 @@ from .errors import (
     DominiaError,
     EmptySupport,
     IndexOutOfRange,
+    ParseError,
 )
 from .game import Game, _as_fraction
 from .lp import EQ, GE, ONE, ZERO
-from .pure import _EVERYWHERE, CheckOutcome, _bits, _checked_columns, _Columns, _first_unheld, _masks, _met
+from .pure import _bits, _checked_columns, _Columns, _masks, _met
 from .relations import Relation
 
 # Count of witnesses that passed direct re-verification since import; a
@@ -88,12 +87,12 @@ class MixedStrategy:
         total = ZERO
         last = -1
         for s, w in self.weights:
-            if type(s) is not int or type(w) not in (int, Fraction):
-                raise DominiaError(f"atom ({s!r}, {w!r}) is not an int strategy with an exact weight")
+            if type(s) is not int or s < 0:
+                raise IndexOutOfRange(f"atom {s!r} is not a strategy index")
+            if type(w) not in (int, Fraction) or w <= 0:
+                raise DominiaError(f"weight {w!r} of atom {s} is not an exact positive number")
             if s <= last:
                 raise IndexOutOfRange("mixed strategy atoms must be sorted and distinct")
-            if w <= 0:
-                raise DominiaError("stored weights must be strictly positive")
             total += w
             last = s
         if total != 1:
@@ -112,9 +111,14 @@ class MixedStrategy:
 
 def mixed_strategy(player: int, weights) -> MixedStrategy:
     """Normalize a {strategy: weight} mapping into a MixedStrategy (drops
-    zeros).  Weights are read as payoffs are (:func:`game._as_fraction`);
-    an atom that is not an int sorts first, for MixedStrategy to refuse."""
-    pairs = [(s, _as_fraction(w)) for s, w in dict(weights).items()]
+    zeros).  A weight is an int, a Fraction or a rational string, read as
+    :func:`game._as_fraction` reads payoffs; an atom that is not an int sorts
+    first, for MixedStrategy to refuse."""
+    weights = dict(weights)
+    for s, w in weights.items():
+        if isinstance(w, bool) or not isinstance(w, (int, Fraction, str)):
+            raise ParseError(f"weight {w!r} of strategy {s!r} is not an int, a Fraction or a rational string")
+    pairs = [(s, _as_fraction(w)) for s, w in weights.items()]
     pairs.sort(key=lambda p: p[0] if type(p[0]) is int else -1)
     return MixedStrategy(player, tuple(p for p in pairs if p[1] != 0))
 
@@ -536,21 +540,3 @@ def mixed_dominated_set(game: Game, relation: Relation) -> list[list[MixedWitnes
         out.append(found)
     return out
 
-
-def check_mixed_hereditary(game: Game, relation: Relation, bound=None) -> CheckOutcome:
-    """Re-check each full-game witness of :func:`mixed_dominated_set`,
-    unchanged, over the kept profiles of every restriction that contains the
-    dominated strategy and the witness support.
-
-    This tests the fixed witnesses the decision procedures produce; a reported
-    counterexample is always genuine.  Each witness is judged as
-    :func:`witness_holds` judges it, from masks over the root's columns."""
-
-    def entries():
-        for i, found in enumerate(mixed_dominated_set(game, relation)):
-            cols = _checked_columns(game, i)
-            for w in found:
-                masks = _masks(game, (w.relation,), i, w.dominated, w.dominator, cols)
-                yield i, sum(1 << t for t in w.dominator.support) | 1 << w.dominated, _EVERYWHERE, masks, w
-
-    return _first_unheld(game, bound, entries())

@@ -7,11 +7,12 @@ table, except IIIA, which every pure relation has (:func:`check_iiia`).
 Every tag, pure or mixed, is defined in :func:`_masks` alone, for a pure
 dominator and for a mix.  The restriction-quantified checks share one walk
 over every non-degenerate restriction, :func:`_first_unheld`, bounded by
-:func:`dominia.config.max_total_strategies`: an entry fails in a restriction
-that keeps its strategies where, over the kept-column bitset
-(:func:`_column_bits`, as the engine answers its states), its premise masks
-hold and its conclusion masks do not.  TDI+ is W => COMPAT, TDI++ is VW => W
-or PE, and hereditarity's premise holds everywhere.
+:func:`dominia.config.max_total_strategies`.  Its entries are pure pairs
+(:class:`DominanceWitness`): one fails in a restriction that keeps both its
+strategies where, over the kept-column bitset (:func:`_column_bits`, as the
+engine answers its states), its premise masks hold and its conclusion masks
+do not.  TDI+ is W => COMPAT, TDI++ is VW => W or PE, and hereditarity's
+premise holds everywhere.
 
 Column sets of every layer are defined and checked here (:class:`_Columns`):
 bit k of player i's column bitsets is ``game.opponent_profiles(i)[k]`` in
@@ -224,17 +225,17 @@ def restrictions(game: Game) -> Iterator[tuple[tuple[int, ...], ...]]:
 
 def _first_unheld(game: Game, bound: Optional[int], entries) -> CheckOutcome:
     """The first (kept-sets, witness) over every restriction of the entries
-    (player, needed strategies as a mask, premise, masks, witness) whose
-    needed strategies are kept and, over the kept profiles, premise met and
-    masks unmet; read after the bound check."""
+    (premise, masks, :class:`DominanceWitness`) whose witness pair is kept
+    and, over the kept profiles, premise met and masks unmet; read after the
+    bound check."""
     _check_bound(game, bound)
     entries = list(entries)
     for kept in restrictions(game):
         cols = [_column_bits(game, kept, i) for i in range(game.n)]
-        held = [sum(1 << s for s in k) for k in kept]
-        for i, needed, premise, masks, witness in entries:
-            if not needed & ~held[i] and _met(premise, cols[i]) and not _met(masks, cols[i]):
-                return CheckOutcome(False, (kept, witness))
+        for premise, masks, w in entries:
+            i, pair = w.player, {w.dominated, w.dominator}
+            if pair.issubset(kept[i]) and _met(premise, cols[i]) and not _met(masks, cols[i]):
+                return CheckOutcome(False, (kept, w))
     return CheckOutcome(True)
 
 
@@ -245,7 +246,7 @@ def _first_unimplied(game: Game, bound: Optional[int], tag: str, implied) -> Che
 
     def entries():
         for (i, s, t), m in _pair_masks(game, (tag,) + implied).items():
-            yield i, 1 << s | 1 << t, m[:1], m[1:], DominanceWitness(i, s, t, tag)
+            yield m[:1], m[1:], DominanceWitness(i, s, t, tag)
 
     return _first_unheld(game, bound, entries())
 
@@ -294,7 +295,7 @@ def is_hereditary(game: Game, relation: Relation, bound: Optional[int] = None) -
         for (i, s, t), m in _pair_masks(game, relation.tags).items():
             tag = next((tag for tag, mask in zip(relation.tags, m) if _met((mask,), every[i])), None)
             if tag is not None:
-                yield i, 1 << s | 1 << t, _EVERYWHERE, m, DominanceWitness(i, s, t, tag)
+                yield _EVERYWHERE, m, DominanceWitness(i, s, t, tag)
 
     return _first_unheld(game, bound, entries())
 

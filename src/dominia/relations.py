@@ -9,7 +9,7 @@ relation into its unary for-every-opponent-subset form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ParseError
 
@@ -19,20 +19,24 @@ MIXED_TAGS = ("SM", "WM", "VWM", "NWM", "PEM")
 
 @dataclass(frozen=True)
 class Relation:
-    """A dominance relation or a duplicate-free union of same-kind relations."""
+    """A dominance relation or a duplicate-free union of same-kind relations;
+    ``mixed`` is read off the tags."""
 
     tags: tuple[str, ...]
-    mixed: bool
+    mixed: bool = field(init=False, compare=False)
 
     def __post_init__(self):
         if not self.tags:
             raise ParseError("a relation needs at least one member")
+        for tag in self.tags:
+            if tag not in PURE_TAGS and tag not in MIXED_TAGS:
+                raise ParseError(f"unknown relation {tag!r}")
+        mixed = [tag in MIXED_TAGS for tag in self.tags]
+        if any(mixed) and not all(mixed):
+            raise ParseError(f"cannot union pure and mixed relations: {str(self)!r}")
         if len(set(self.tags)) != len(self.tags):
             raise ParseError(f"duplicate members in union {self.tags}")
-        universe = MIXED_TAGS if self.mixed else PURE_TAGS
-        for tag in self.tags:
-            if tag not in universe:
-                raise ParseError(f"unknown {'mixed' if self.mixed else 'pure'} relation {tag!r}")
+        object.__setattr__(self, "mixed", mixed[0])
 
     def __str__(self) -> str:
         return "+".join(self.tags)
@@ -48,32 +52,24 @@ class Inherent:
         return f"inh-{self.base}"
 
 
-S = Relation(("S",), False)
-W = Relation(("W",), False)
-VW = Relation(("VW",), False)
-NW = Relation(("NW",), False)
-PE = Relation(("PE",), False)
-COMPAT = Relation(("COMPAT",), False)
-SM = Relation(("SM",), True)
-WM = Relation(("WM",), True)
-VWM = Relation(("VWM",), True)
-NWM = Relation(("NWM",), True)
-PEM = Relation(("PEM",), True)
+S = Relation(("S",))
+W = Relation(("W",))
+VW = Relation(("VW",))
+NW = Relation(("NW",))
+PE = Relation(("PE",))
+COMPAT = Relation(("COMPAT",))
+SM = Relation(("SM",))
+WM = Relation(("WM",))
+VWM = Relation(("VWM",))
+NWM = Relation(("NWM",))
+PEM = Relation(("PEM",))
 
 
 def union(*relations: Relation) -> Relation:
     """Union of same-kind relations; member order is preserved."""
     if not relations:
         raise ParseError("empty union")
-    mixed = relations[0].mixed
-    tags: list[str] = []
-    for rel in relations:
-        if rel.mixed != mixed:
-            raise ParseError("cannot union pure and mixed relations")
-        for tag in rel.tags:
-            if tag not in tags:
-                tags.append(tag)
-    return Relation(tuple(tags), mixed)
+    return Relation(tuple(dict.fromkeys(tag for rel in relations for tag in rel.tags)))
 
 
 def parse_relation(text: str):
@@ -86,11 +82,4 @@ def parse_relation(text: str):
         if isinstance(base, Inherent):
             raise ParseError(f"inherent relations do not nest: {text!r}")
         return Inherent(base)
-    tags = [t.strip().upper() for t in text.split("+")]
-    mixed_members = [t in MIXED_TAGS for t in tags]
-    for t, is_mixed in zip(tags, mixed_members):
-        if t not in PURE_TAGS and t not in MIXED_TAGS:
-            raise ParseError(f"unknown relation {t!r}")
-    if any(mixed_members) and not all(mixed_members):
-        raise ParseError(f"cannot union pure and mixed relations: {text!r}")
-    return Relation(tuple(tags), all(mixed_members))
+    return Relation(tuple(t.strip().upper() for t in text.split("+")))

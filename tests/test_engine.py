@@ -56,7 +56,6 @@ from dominia import (
 from dominia import engine
 from dominia.engine import _searches
 from dominia.errors import SizeBoundExceeded
-from dominia.mixed import check_mixed_hereditary
 from dominia.gallery import (
     mixable_middle_3x2,
     nonconfluent_weak_2x2,
@@ -1016,7 +1015,6 @@ _BOUNDED = {
     "check_tdi_plus": lambda g, **kw: check_tdi_plus(g, **kw),
     "check_tdi_plus_plus": lambda g, **kw: check_tdi_plus_plus(g, **kw),
     "is_hereditary": lambda g, **kw: is_hereditary(g, W, **kw),
-    "check_mixed_hereditary": lambda g, **kw: check_mixed_hereditary(g, WM, **kw),
 }
 
 

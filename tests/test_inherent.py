@@ -75,7 +75,7 @@ def _need(game, base, i, s, d, columns):
     if base.mixed:
         tag, weights = d.relation, dict(d.dominator.weights)
     else:
-        tag = next(tg for tg in base.tags if dominates(game, Relation((tg,), False), i, s, d, columns))
+        tag = next(tg for tg in base.tags if dominates(game, Relation((tg,)), i, s, d, columns))
         weights = {d: 1}
     if tag not in ("W", "NW", "WM", "NWM"):
         return set(columns)

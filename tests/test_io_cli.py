@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -20,7 +21,7 @@ from dominia import (
 from dominia.cli import main
 from dominia.errors import InvalidParams, ParseError
 from dominia.gallery import nonconfluent_weak_2x2
-from dominia.relations import Inherent, W, parse_relation
+from dominia.relations import NWM, PEM, SM, Inherent, Relation, W, parse_relation, union
 
 G11 = nonconfluent_weak_2x2()
 
@@ -151,6 +152,25 @@ class TestRelationParsing:
     def test_nested_inherent_rejected(self, text):
         with pytest.raises(ParseError):
             parse_relation(text)
+
+    def test_kind_is_read_off_the_tags(self):
+        assert Relation(("SM",)) == SM and hash(Relation(("SM",))) == hash(SM)
+        assert parse_relation("nwm+pem") == union(NWM, PEM) and union(NWM, PEM).mixed
+        assert not parse_relation("NW+PE").mixed
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("S+SM", "cannot union pure and mixed relations: 'S+SM'"),
+            ("S+FOO", "unknown relation 'FOO'"),
+            ("S+S", "duplicate members in union ('S', 'S')"),
+        ],
+    )
+    def test_bad_union_rejected(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_relation(text)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            Relation(tuple(text.split("+")))
 
 
 class TestCli:

@@ -27,7 +27,6 @@ from dominia import (
     restrict,
     shrink_self_weight,
     substitute,
-    union,
     witness_holds,
 )
 from dominia.errors import DegenerateSubstitution, DominiaError, EmptySupport, IndexOutOfRange
@@ -39,13 +38,12 @@ from dominia.gallery import (
 )
 from dominia import lp, mixed
 from dominia.engine import _IMPLIES, _ONE_TAG
-from dominia.pure import CheckOutcome, restrictions
+from dominia.pure import restrictions
 from dominia.mixed import (
     MixedStrategy,
     WitnessVerificationError,
     certificate_holds,
     cheap_verdict,
-    check_mixed_hereditary,
     lp_dominator,
 )
 
@@ -143,6 +141,19 @@ class TestMixedStrategy:
     )
     def test_inexact_input_refused(self, make):
         with pytest.raises(DominiaError):
+            make()
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: mixed_strategy(0, {0: 0.5, 1: 0.5}), "weight 0.5 of strategy 0 "),
+            (lambda: mixed_strategy(0, {0: True}), "weight True of strategy 0 "),
+            (lambda: MixedStrategy(0, ((-1, F(1)),)), "atom -1 is not a strategy index"),
+        ],
+        ids=["float-weight", "bool-weight", "negative-atom"],
+    )
+    def test_refusal_names_the_weight_or_the_atom(self, make, message):
+        with pytest.raises(DominiaError, match=message):
             make()
 
     @pytest.mark.parametrize(
@@ -573,11 +584,6 @@ class TestCheapTests:
         with pytest.raises(WitnessVerificationError):
             find_dominator(self.CERTIFICATE_GAME, WM, 0, 0, [1, 2])
 
-    def test_weak_witnesses_stay_hereditary(self):
-        # point-mass WM witnesses (r1 over r0 for player 1) would fail here
-        g = random_game(generator_params(2, (2, 3), -2, 2, F(1, 3), 5025))
-        assert check_mixed_hereditary(g, WM).ok
-
 
 class TestMixedDominatedSet:
     def test_reference_witnesses_under_wm(self):
@@ -655,46 +661,27 @@ class TestWitnessImplications:
                     assert witness_holds(g, "VWM", w.player, w.dominated, w.dominator)
 
 
-def _mixed_hereditary_materialized(g, relation):
-    """check_mixed_hereditary by asking each full-game witness, drawn from
-    the player's other strategies, on each materialized restriction that
-    keeps it, in local indices."""
-    witnesses = []
-    for i in range(g.n):
-        k = len(g.strategies[i])
-        for s in range(k):
-            others = [t for t in range(k) if t != s]
-            w = find_dominator(g, relation, i, s, others) if others else None
-            if w is not None:
-                witnesses.append(w)
-    for kept in restrictions(g):
-        sub = restrict(g, kept)
-        for w in witnesses:
-            i, local = w.player, kept[w.player]
-            if set(w.dominator.support) | {w.dominated} <= set(local):
-                weights = {local.index(t): x for t, x in w.dominator.weights}
-                s = local.index(w.dominated)
-                if not helpers.naive_mixed(sub, w.relation, i, s, weights, helpers.others(sub, i)):
-                    return CheckOutcome(False, (kept, w))
-    return CheckOutcome(True)
-
-
 class TestMixedStructural:
-    @settings(max_examples=25, deadline=None)
-    @given(helpers.small_games())
-    def test_hereditary_matches_materialized_restrictions(self, g):
-        for rel in (SM, WM, NWM, union(WM, PEM)):
-            assert check_mixed_hereditary(g, rel) == _mixed_hereditary_materialized(g, rel)
-
-    def test_sm_hereditary_on_samples(self, small_games):
+    def test_sm_yes_stays_yes_in_every_restriction_keeping_its_support(self, small_games):
+        # SM is defined column by column: a dominator over every column is
+        # one over the kept columns, asked of the root or of the restriction
         for g in small_games[:6]:
-            assert check_mixed_hereditary(g, SM).ok
+            for kept in restrictions(g):
+                sub = restrict(g, kept)
+                for i, mine in enumerate(kept):
+                    columns = [c for c in g.opponent_profiles(i) if all(c[j] in kept[j] for j in range(g.n) if j != i)]
+                    for s in mine:
+                        allowed = [t for t in mine if t != s]
+                        if allowed and find_dominator(g, SM, i, s, allowed) is not None:
+                            assert find_dominator(g, SM, i, s, allowed, columns=columns) is not None
+                            local = [mine.index(t) for t in allowed]
+                            assert find_dominator(sub, SM, i, mine.index(s), local) is not None
 
     def test_wm_not_hereditary_on_reference(self):
-        out = check_mixed_hereditary(G11, WM)
-        assert not out.ok
-        kept, witness = out.counterexample
-        assert kept == ((0,), (0, 1))
+        # L WM-dominates R for player 1 only at row B: once B is gone they tie
+        kept = ((0,), (0, 1))
+        assert find_dominator(G11, WM, 1, 1, kept[1]) is not None
+        assert find_dominator(G11, WM, 1, 1, kept[1], columns=[(0, -1)]) is None
 
     def test_nwm_equals_wm_under_tdi(self, small_games):
         for g in small_games:

@@ -42,7 +42,7 @@ def _verdicts(g):
     for i, s, allowed, cols in _queries(g):
         for tag in MIXED_TAGS:
             query = (i, s, allowed, "all" if cols is None else "every other", tag)
-            found = find_dominator(g, Relation((tag,), True), i, s, allowed, columns=cols)
+            found = find_dominator(g, Relation((tag,)), i, s, allowed, columns=cols)
             yield (*query, "find_dominator"), "01"[found is not None]
             yield (*query, "lp_dominator"), "01"[lp_dominator(g, tag, i, s, allowed, columns=cols) is not None]
 
