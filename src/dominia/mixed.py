@@ -29,8 +29,8 @@ testing it against zero, never by tolerance.  Every witness, point mass or LP
 point, is re-verified before it leaves this module by :func:`witness_holds`:
 the tag's pure analog evaluated on the mix's expected Fraction payoffs by
 :func:`pure._masks`, where every tag is defined.  Every cheap "no" carries a
-certificate (the column, and for PEM the player) that is checked on the
-game's Fraction payoffs (:func:`certificate_holds`) before ``None`` leaves it.
+certificate (the column, and for PEM the player) that :func:`find_dominator`
+checks on the game's Fraction payoffs by :func:`_certificate_holds`.
 A ``columns=`` argument is a set (:class:`pure._Columns`; the engine keeps
 one per state's opponents, the inherent chain one per link): LP rows and a
 certificate's column index follow ascending order, and its integer rows are
@@ -209,12 +209,12 @@ def verify_witness(game: Game, tag: str, player: int, dominated: int, m: MixedSt
     verified_witness_count += 1
 
 
-def certificate_holds(game: Game, tag: str, player: int, dominated: int, allowed, certificate, columns=None) -> bool:
-    """Direct evaluation of a cheap "no" certificate ``(column, j)``: an index
-    into the set ``columns`` in ascending order (None: all of them) and a
-    player.  ``allowed`` is the support the tag's decider saw (without s for
-    PEM); with A' = ``allowed`` minus s, and u_j(x) player j's payoff at x
-    and the column:
+def _certificate_holds(game: Game, tag: str, player: int, dominated: int, allowed, certificate, cols) -> bool:
+    """Direct evaluation of a cheap "no" certificate ``(column, j)`` of a
+    :func:`find_dominator` query: an index into its checked columns ``cols``
+    in ascending order (None: all of them) and a player.  ``allowed`` is the
+    support the tag's decider saw (without s for PEM); with A' = ``allowed``
+    minus s, and u_j(x) player j's payoff at x and the column:
 
     - SM: u_i(s) >= u_i(t) for every t in A';
     - WM, NWM: u_i(s) > u_i(t) for every t in A', or, at every column (None),
@@ -222,20 +222,8 @@ def certificate_holds(game: Game, tag: str, player: int, dominated: int, allowed
     - VWM: s is not allowed and u_i(s) > u_i(t) for every t in A';
     - PEM: s is not allowed and u_j(s) lies above, or below, every u_j(t).
 
-    The query's own player and strategies must be in range; a certificate
-    naming a column or player that is not there does not hold.
+    A certificate naming a column or player that is not there does not hold.
     """
-    _check_tag(tag)
-    game._check_strategy(player, dominated)
-    for t in allowed:
-        game._check_strategy(player, t)
-    cols = _checked_columns(game, player, columns)
-    return _certificate_holds(game, tag, player, dominated, allowed, certificate, cols)
-
-
-def _certificate_holds(game: Game, tag: str, player: int, dominated: int, allowed, certificate, cols) -> bool:
-    """:func:`certificate_holds` on a query whose tag, indices and columns
-    are checked, as :func:`find_dominator`'s are."""
     column, j = certificate
     if not 0 <= j < game.n or column is not None and not 0 <= column < len(cols):
         return False
@@ -257,13 +245,6 @@ def _certificate_holds(game: Game, tag: str, player: int, dominated: int, allowe
     if tag == "PEM" and all(mine < v for v in theirs):
         return True
     return all(mine > v for v in theirs)
-
-
-def _verify_certificate(game: Game, tag: str, player: int, dominated: int, allowed, certificate, cols) -> None:
-    if not _certificate_holds(game, tag, player, dominated, allowed, certificate, cols):
-        raise WitnessVerificationError(
-            f"{tag} certificate {certificate} for player {player}, strategy {dominated} failed re-verification"
-        )
 
 
 def _weights_from_point(allowed, point) -> dict[int, Fraction]:
@@ -296,7 +277,7 @@ def _settle(pay, tag, i, s, allowed):
     """The cheap test in front of each decider (see the module docstring).
 
     Returns ``(weights, None)`` for a pure dominator, ``(None, certificate)``
-    for a refutation in :func:`certificate_holds`' form, and ``(None, None)``
+    for a refutation in :func:`_certificate_holds`' form, and ``(None, None)``
     when only the LP can tell."""
     rest = [t for t in allowed if t != s]
     mine = pay[i]
@@ -447,11 +428,12 @@ def find_dominator(
 
     ``columns`` is the set of opponents' joint profiles quantified over
     (order and repeats are ignored); by default all of them.  The first
-    member relation of a union that yields a witness wins.  Each member is put to the cheap test first and to its LP
-    decider only when that test settles nothing (module docstring): a "no"
-    from the cheap test carries a one-column certificate, checked by direct
-    evaluation, and SM, VWM and PEM witnesses may be point masses.  Every
-    witness is re-verified by direct evaluation.
+    member relation of a union that yields a witness wins.  Each member is
+    put to the cheap test first and to its LP decider only when that test
+    settles nothing (module docstring).  A cheap "no" carries a certificate,
+    checked by :func:`_certificate_holds`, and SM, VWM and PEM witnesses may
+    be point masses; every witness is re-verified by :func:`verify_witness`.
+    A failed check raises :class:`WitnessVerificationError`.
     """
     if not relation.mixed:
         raise ValueError("find_dominator needs a mixed relation")
@@ -462,7 +444,10 @@ def find_dominator(
             continue
         weights, certificate = _settle(pay, tag, player, strategy, member_allowed)
         if certificate is not None:
-            _verify_certificate(game, tag, player, strategy, member_allowed, certificate, cols)
+            if not _certificate_holds(game, tag, player, strategy, member_allowed, certificate, cols):
+                raise WitnessVerificationError(
+                    f"{tag} certificate {certificate} for player {player}, strategy {strategy} failed re-verification"
+                )
             continue
         if weights is None:
             weights = _DECIDERS[tag](pay, player, strategy, member_allowed)
@@ -501,24 +486,6 @@ def lp_dominator(game: Game, tag: str, player: int, strategy: int, allowed_suppo
     allowed, _, pay = _query(game, player, strategy, allowed_support, columns)
     allowed = _member_support(tag, allowed, strategy)
     return _DECIDERS[tag](pay, player, strategy, allowed) if allowed else None
-
-
-def cheap_verdict(game: Game, tag: str, player: int, strategy: int, allowed_support, columns=None) -> Optional[bool]:
-    """The cheap test's verdict for one tag: True for a pure dominator, False
-    for a refuting column, None when only the LP can tell.  ``columns`` is a
-    set, as for :func:`find_dominator`.  Witness and certificate are checked
-    by direct evaluation, as in find_dominator."""
-    _check_tag(tag)
-    allowed, cols, pay = _query(game, player, strategy, allowed_support, columns)
-    allowed = _member_support(tag, allowed, strategy)
-    weights, certificate = _settle(pay, tag, player, strategy, allowed)
-    if certificate is not None:
-        _verify_certificate(game, tag, player, strategy, allowed, certificate, cols)
-        return False
-    if weights is None:
-        return None
-    verify_witness(game, tag, player, strategy, mixed_strategy(player, weights), cols)
-    return True
 
 
 def mixed_dominated_set(game: Game, relation: Relation) -> list[list[MixedWitness]]:

@@ -269,8 +269,16 @@ def check_tdi_plus_plus(game: Game, bound: Optional[int] = None) -> CheckOutcome
 # -- structural properties ---------------------------------------------------
 
 
+def _pure_only(relation, prop: str) -> None:
+    """Refuse a mixed or inherent relation with ValueError."""
+    if not isinstance(relation, Relation) or relation.mixed:
+        raise ValueError(f"{prop} is decided for pure relations, not {relation}")
+
+
 def is_strict_partial_order(game: Game, relation: Relation) -> bool:
-    """Irreflexivity and transitivity of the relation's instance on this game."""
+    """Irreflexivity and transitivity of the relation's instance on this game.
+    A relation that is not pure raises ValueError."""
+    _pure_only(relation, "strict partial order")
     for i in range(game.n):
         k = len(game.strategies[i])
         cols = _checked_columns(game, i)
@@ -287,8 +295,10 @@ def is_hereditary(game: Game, relation: Relation, bound: Optional[int] = None) -
     restriction containing both strategies?
 
     Counterexample: (kept-sets, witness); the pair dominates in the full game
-    but not in that restriction.
+    but not in that restriction.  A relation that is not pure raises
+    ValueError.
     """
+    _pure_only(relation, "hereditarity")
 
     def entries():
         every = [(1 << len(game.opponent_profiles(i))) - 1 for i in range(game.n)]
@@ -311,6 +321,5 @@ def check_iiia(game: Game, relation: Relation) -> CheckOutcome:
     player i's own strategies leaves the opponents' profiles, and those two
     strategies' payoffs on them, unchanged, so every pure tag answers the same
     before and after.  A relation that is not pure raises ValueError."""
-    if relation.mixed:
-        raise ValueError(f"IIIA is decided for pure relations, not {relation}")
+    _pure_only(relation, "IIIA")
     return CheckOutcome(True)

@@ -38,14 +38,8 @@ from dominia.gallery import (
 )
 from dominia import lp, mixed
 from dominia.engine import _IMPLIES, _ONE_TAG
-from dominia.pure import restrictions
-from dominia.mixed import (
-    MixedStrategy,
-    WitnessVerificationError,
-    certificate_holds,
-    cheap_verdict,
-    lp_dominator,
-)
+from dominia.pure import _checked_columns, restrictions
+from dominia.mixed import MixedStrategy, WitnessVerificationError, lp_dominator
 
 G11 = nonconfluent_weak_2x2()
 
@@ -68,6 +62,11 @@ def _scrambled(g, i, cols, data):
     listed in a drawn order with one column repeated."""
     cols = g.opponent_profiles(i) if cols is None else cols
     return data.draw(st.permutations(cols + [data.draw(st.sampled_from(cols))])) if cols else cols
+
+
+def _certificate(g, tag, player, s, allowed, certificate):
+    """:func:`mixed._certificate_holds` over every column of the player."""
+    return mixed._certificate_holds(g, tag, player, s, allowed, certificate, _checked_columns(g, player))
 
 
 def _nwm_by_enumeration(pay, i, s, allowed):
@@ -457,18 +456,19 @@ class TestCheapTests:
             w = find_dominator(g, rel, i, s, allowed, columns=cols)
             reference = lp_dominator(g, tag, i, s, allowed, columns=cols)
             assert (w is None) == (reference is None)
-            verdict = cheap_verdict(g, tag, i, s, allowed, columns=cols)
-            assert verdict in (None, w is not None)
             assert find_dominator(g, rel, i, s, allowed, columns=scrambled) == w
             assert lp_dominator(g, tag, i, s, allowed, columns=scrambled) == reference
-            assert cheap_verdict(g, tag, i, s, allowed, columns=scrambled) == verdict
             seen = mixed._member_support(tag, member, s)
             if seen:
                 pays = [mixed._query(g, i, s, allowed, c)[2] for c in (cols, scrambled)]
                 weights, certificate = mixed._settle(pays[0], tag, i, s, seen)
                 assert mixed._settle(pays[1], tag, i, s, seen) == (weights, certificate)
+                # a cheap answer, yes or no, is the LP decider's
+                assert weights is None or reference is not None
                 if certificate is not None:
-                    assert certificate_holds(g, tag, i, s, seen, certificate, scrambled)
+                    assert reference is None
+                    checked = _checked_columns(g, i, scrambled)
+                    assert mixed._certificate_holds(g, tag, i, s, seen, certificate, checked)
             if w is not None:
                 assert witness_holds(g, tag, i, s, w.dominator, cols)
                 if tag in ("WM", "NWM"):
@@ -515,10 +515,11 @@ class TestCheapTests:
     )
     def test_certificates_hold(self, tag, s, allowed, certificate):
         g = self.CERTIFICATE_GAME
-        assert certificate_holds(g, tag, 0, s, allowed, certificate)
+        assert _certificate(g, tag, 0, s, allowed, certificate)
         rel = {"SM": SM, "WM": WM, "VWM": VWM, "NWM": NWM, "PEM": PEM}[tag]
         assert find_dominator(g, rel, 0, s, allowed) is None
-        assert cheap_verdict(g, tag, 0, s, allowed) is False
+        _, _, pay = mixed._query(g, 0, s, allowed, None)
+        assert mixed._settle(pay, tag, 0, s, allowed)[1] is not None
 
     @pytest.mark.parametrize(
         "tag, s, allowed, certificate",
@@ -539,23 +540,24 @@ class TestCheapTests:
         ],
     )
     def test_corrupted_certificates_rejected(self, tag, s, allowed, certificate):
-        assert not certificate_holds(self.CERTIFICATE_GAME, tag, 0, s, allowed, certificate)
+        assert not _certificate(self.CERTIFICATE_GAME, tag, 0, s, allowed, certificate)
 
     @pytest.mark.parametrize(
         "check, args, expected",
         [
-            pytest.param(certificate_holds, ("XX", 0, 1, (0,), (1, 0)), ValueError, id="certificate-tag"),
-            pytest.param(cheap_verdict, ("XX", 0, 1, (0,)), ValueError, id="cheap-tag"),
             pytest.param(lp_dominator, ("XX", 0, 1, (0,)), ValueError, id="lp-tag"),
             # R, read as Python's last column, would hold
-            pytest.param(certificate_holds, ("WM", 0, 1, (0,), (-1, 0)), False, id="column-negative"),
-            pytest.param(certificate_holds, ("WM", 0, 1, (0,), (2, 0)), False, id="column-past-end"),
+            pytest.param(_certificate, ("WM", 0, 1, (0,), (-1, 0)), False, id="column-negative"),
+            pytest.param(_certificate, ("WM", 0, 1, (0,), (2, 0)), False, id="column-past-end"),
             # player 1, read as Python's last player, would hold
-            pytest.param(certificate_holds, ("PEM", 0, 1, (0, 2), (0, -1)), False, id="player-negative"),
-            pytest.param(certificate_holds, ("PEM", 0, 1, (0, 2), (0, 2)), False, id="player-past-end"),
-            pytest.param(certificate_holds, ("WM", 2, 1, (0,), (1, 0)), IndexOutOfRange, id="query-player"),
-            pytest.param(certificate_holds, ("WM", 0, 3, (0,), (1, 0)), IndexOutOfRange, id="dominated"),
-            pytest.param(certificate_holds, ("WM", 0, 1, (0, 3), (1, 0)), IndexOutOfRange, id="allowed"),
+            pytest.param(_certificate, ("PEM", 0, 1, (0, 2), (0, -1)), False, id="player-negative"),
+            pytest.param(_certificate, ("PEM", 0, 1, (0, 2), (0, 2)), False, id="player-past-end"),
+            pytest.param(lp_dominator, ("WM", 2, 1, (0,)), IndexOutOfRange, id="query-player"),
+            pytest.param(lp_dominator, ("WM", 0, 3, (0,)), IndexOutOfRange, id="dominated"),
+            pytest.param(lp_dominator, ("WM", 0, 1, (0, 3)), IndexOutOfRange, id="allowed"),
+            pytest.param(find_dominator, (WM, 2, 1, (0,)), IndexOutOfRange, id="find-query-player"),
+            pytest.param(find_dominator, (WM, 0, 3, (0,)), IndexOutOfRange, id="find-dominated"),
+            pytest.param(find_dominator, (WM, 0, 1, (0, 3)), IndexOutOfRange, id="find-allowed"),
         ],
     )
     def test_mixed_checkers_reject_bad_arguments(self, check, args, expected):
@@ -579,7 +581,8 @@ class TestCheapTests:
     def test_find_dominator_checks_the_lp_witness(self, monkeypatch):
         # the cheap test leaves this WM query to the decider; r2 is worse
         # than r0 at L
-        assert cheap_verdict(self.CERTIFICATE_GAME, "WM", 0, 0, [1, 2]) is None
+        _, _, pay = mixed._query(self.CERTIFICATE_GAME, 0, 0, [1, 2], None)
+        assert mixed._settle(pay, "WM", 0, 0, (1, 2)) == (None, None)
         monkeypatch.setitem(mixed._DECIDERS, "WM", lambda *query: {2: F(1)})
         with pytest.raises(WitnessVerificationError):
             find_dominator(self.CERTIFICATE_GAME, WM, 0, 0, [1, 2])

@@ -13,6 +13,8 @@ from dominia import (
     SM,
     VW,
     W,
+    WM,
+    Inherent,
     check_iiia,
     check_tdi,
     check_tdi_plus,
@@ -266,6 +268,21 @@ class TestStructuralProperties:
     def test_iiia_rejects_mixed_relations(self):
         with pytest.raises(ValueError):
             check_iiia(G11, SM)
+
+    @pytest.mark.parametrize(
+        "check, relation",
+        [
+            pytest.param(is_hereditary, WM, id="hereditary-mixed"),
+            pytest.param(is_hereditary, Inherent(W), id="hereditary-inherent"),
+            pytest.param(is_strict_partial_order, WM, id="spo-mixed"),
+            pytest.param(is_strict_partial_order, Inherent(W), id="spo-inherent"),
+            pytest.param(check_iiia, Inherent(W), id="iiia-inherent"),
+        ],
+    )
+    def test_pure_properties_reject_mixed_and_inherent_relations(self, check, relation):
+        # WM would otherwise be answered for pure dominators under W
+        with pytest.raises(ValueError, match="pure relations"):
+            check(G11, relation)
 
     def test_trivial_game_vacuous_everywhere(self):
         t = trivial_1x1()
