@@ -27,31 +27,37 @@ strategies).  State keys, games, column sets and clone classes depend on the
 root alone, and so do pure answers: pure._masks, where every tag is defined,
 gives once per (player, s, t) every pure tag's fail and need masks, and t
 dominates s in a state under a relation iff the kept profiles meet no fail
-bit and some need bit of one of its tags.  Mixed and inherent questions go
-to the root over the kept columns, the :class:`pure._Columns` at that bitset,
-which carries the root's integer payoff rows (:meth:`Game._int_rows`) picked
-there once.  A mixed union asks its tags one at a time, in order, and says
-yes at the first that does.  Answers are kept per (player, s), each labelled
-by its mixed tag or inherent relation, with the column bitset B and the
-allowed support A it was asked over.  By their definitions the tags nest over
-a non-empty column set, SM ⊆ NWM ⊆ WM ⊆ VWM and PEM ⊆ VWM, so a yes answers
-every tag its own implies and a "no" every tag that implies its own; SM holds
-vacuously on no columns and WM does not, so an answer crosses tags only when
-both column sets are non-empty.  An inherent relation implies only itself:
-inherent WM = SM (Pearce 1984) is a theorem the suite checks, not a
-definition.  Every question asks "is there a dominator of s with support
-inside A over these columns", so an answer is reused on columns C and
-allowed A' by monotonicity in A and by hereditarity (Apt 2004; for mixes the
-one-column case of Pearce 1984, Lemma 3): a strategy stays dominated in a
-restriction that keeps its dominator.  A support inside A' answers yes on C
-inside B, as it is when its witness's tag is pointwise (SM, VWM, PEM: defined
-column by column) or it is an inherent chain's (which covers every subset of
-B), and for WM and NWM, whose witness survives only if a strict column does,
-after a re-check on C with no LP: as :func:`mixed.witness_holds` judges it,
-by the witness's :func:`pure._masks` over B, built once when it is stored.  A
-"no" for A containing A' answers no on C = B and, when the asked tag is
+bit and some need bit of one of its tags.  A mixed question is first put to
+the mask rules (:func:`mixed._by_masks`) on those masks, and its certificate
+or pure witness checked on the Fraction payoffs; what the rules leave open,
+and inherent questions, go to the root over the kept columns, the
+:class:`pure._Columns` at that bitset, which carries the root's integer
+payoff rows (:meth:`Game._int_rows`) picked there once.  A mixed union asks
+its tags one at a time, in order, and says yes at the first that does.
+Answers are kept per (player, s), each labelled by its mixed tag or inherent
+relation, with the column bitset B and the allowed support A it was asked
+over.  By their definitions the tags nest over a non-empty column set, SM ⊆
+NWM ⊆ WM ⊆ VWM and PEM ⊆ VWM, so a yes answers every tag its own implies and
+a "no" every tag that implies its own; SM holds vacuously on no columns and
+WM does not, so an answer crosses tags only when both column sets are
+non-empty.  An inherent relation implies only itself: inherent WM = SM
+(Pearce 1984) is a theorem the suite checks, not a definition.  Every
+question asks "is there a dominator of s with support inside A over these
+columns", so an answer is reused on columns C and allowed A' by monotonicity
+in A and by hereditarity (Apt 2004; for mixes the one-column case of Pearce
+1984, Lemma 3): a strategy stays dominated in a restriction that keeps its
+dominator.  A support inside A' answers yes on C inside B, as it is when its
+witness's tag is pointwise (SM, VWM, PEM: defined column by column) or it is
+an inherent chain's (which covers every subset of B), and for WM and NWM,
+whose witness survives only if a strict column does, after a re-check on C
+with no LP: as :func:`mixed.witness_holds` judges it, by the witness's
+:func:`pure._masks` over B, built once when it is stored.  A "no" for A
+containing A' answers no on C = B and, when the asked or the kept tag is
 pointwise or the relation inherent, on C containing B: a witness over C would
-restrict to one over B, and a failing subset of B lies in C.  A reused
+restrict to one over B, and a failing subset of B lies in C.  A rule's
+refutation by one column is checked as, and kept under, the strongest tag it
+refutes there (VWM where s beats every t, SM where it ties or beats every t,
+PEM for a payoff outside their range), over that column alone.  A reused
 support may differ from the one a fresh search would find; results depend
 only on verdicts, since :meth:`_Dominance.survives` asks again whenever the
 removal meets the support.  The last root any public call searched keeps its
@@ -92,7 +98,7 @@ from typing import Optional, Union
 
 from .game import Game, restrict
 from .inherent import InherentQuery, is_inherently_dominated
-from .mixed import find_dominator
+from .mixed import _by_masks, _checked, find_dominator
 from .pure import _EVERYWHERE, CheckOutcome, _bits, _check_bound, _checked_columns, _column_bits, _masks, _met
 from .equivalence import clone_classes, partition_by_equivalence
 from .relations import PEM, PURE_TAGS, Inherent, Relation, union
@@ -222,10 +228,7 @@ class _Dominance:
         if isinstance(rel, Relation) and not rel.mixed:
             found = 0
             for t in _bits(allowed):
-                masks = self._pairs.get((i, s, t))
-                if masks is None:
-                    masks = _masks(self.root, PURE_TAGS, i, s, t, self._profiles[i])
-                    masks = self._pairs[i, s, t] = dict(zip(PURE_TAGS, masks))
+                masks = self._pair(i, s, t)
                 if _met([masks[tag] for tag in rel.tags], cols.bits):
                     found |= 1 << t
             return found or None
@@ -234,6 +237,14 @@ class _Dominance:
             if support is not None:
                 return support
         return None
+
+    def _pair(self, i: int, s: int, t: int) -> dict:
+        """Every pure tag's masks of t against s for player i, by tag."""
+        masks = self._pairs.get((i, s, t))
+        if masks is None:
+            masks = _masks(self.root, PURE_TAGS, i, s, t, self._profiles[i])
+            masks = self._pairs[i, s, t] = dict(zip(PURE_TAGS, masks))
+        return masks
 
     def _answer(self, label: Union[str, Inherent], i: int, s: int, cols, allowed: int) -> Optional[int]:
         """:meth:`witness` for one mixed tag or one inherent relation."""
@@ -248,7 +259,8 @@ class _Dominance:
             if support is None:
                 # a pointwise witness or a chain over more columns restricts to b
                 if x in _IMPLIES.get(label, (label,)) and not allowed & ~a:
-                    if b == bits or not b & ~bits and (label in _POINTWISE or isinstance(label, Inherent)):
+                    pointwise = x in _POINTWISE or label in _POINTWISE or isinstance(label, Inherent)
+                    if b == bits or not b & ~bits and pointwise:
                         return None
             elif label in _IMPLIES.get(x, (x,)) and not support & ~allowed and not bits & ~b and _met(held, bits):
                 return support
@@ -260,7 +272,16 @@ class _Dominance:
             for _, d in result.chain:
                 support |= sum(1 << t for t in d.dominator.support) if label.base.mixed else 1 << d
         else:
-            w = find_dominator(self.root, _ONE_TAG[label], i, s, _bits(allowed), columns=cols)
+            rest = _bits(allowed)
+            masks = {t: self._pair(i, s, t)["W"][::-1] for t in rest}
+            split = lambda t: self._pair(i, s, t)["COMPAT"][0]
+            weights, certificate, refuted = _by_masks(label, i, s, rest, masks, split, cols)
+            if weights is None and certificate is None:
+                w = find_dominator(self.root, _ONE_TAG[label], i, s, rest, columns=cols)
+            else:  # a refutation is checked as the tag it is kept under
+                w = _checked(self.root, refuted or label, i, s, rest, cols, weights, certificate)
+            if refuted:  # one column refutes: kept over it alone, for every C holding it
+                bits, label = 1 << _bits(bits)[certificate[0]], refuted
             support = None if w is None else sum(1 << t for t in w.dominator.support)
             if support and label not in _POINTWISE:
                 held = _masks(self.root, (label,), i, s, w.dominator, cols)

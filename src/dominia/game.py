@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -59,7 +60,7 @@ class Game:
     loose maximal-elimination path ever produces these).
     """
 
-    __slots__ = ("strategies", "n", "_table", "_degenerate", "_hash", "_ints")
+    __slots__ = ("strategies", "n", "shape", "_table", "_degenerate", "_hash", "_ints")
 
     def __init__(
         self,
@@ -100,6 +101,7 @@ class Game:
             raise IndexOutOfRange(f"payoff entry for profile {stray!r}, which the game does not have")
         object.__setattr__(self, "strategies", strats)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_table", fixed)
         object.__setattr__(self, "_degenerate", any(k == 0 for k in shape))
         object.__setattr__(self, "_hash", None)
@@ -109,10 +111,6 @@ class Game:
         raise AttributeError("Game instances are immutable")
 
     # -- basic queries -------------------------------------------------
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.strategies)
 
     @property
     def total_strategies(self) -> int:
@@ -150,8 +148,11 @@ class Game:
         rows = self._ints.get((i, j))
         if rows is None:
             values = [vec[j] for vec in self._table.values()]  # in product order, see __init__
-            scale = math.lcm(*{v.denominator for v in values})
-            values = [v.numerator * (scale // v.denominator) for v in values]
+            scale = math.lcm(*set(map(attrgetter("denominator"), values)))
+            if scale > 1:
+                values = [v.numerator * (scale // v.denominator) for v in values]
+            else:  # integer payoffs, the common case
+                values = [v.numerator for v in values]
             shape = self.shape
             b = math.prod(shape[i + 1 :])
             w = shape[i] * b

@@ -4,37 +4,37 @@ Supported relations: SM (strict), WM (weak), VWM (very weak), NWM (nice weak:
 weak plus compatibility of the pair), PEM (payoff equivalence; with the
 dominated strategy outside the support this is randomized redundance).
 
-Each query is first put to a cheap test on the game's integer payoff rows
-(:meth:`Game._int_rows`), and only a query the test leaves open goes to the
-exact LP.  A mix's payoff in one column lies between the payoffs of the
-strategies it mixes (the one-column case of Pearce 1984, Lemma 3), so with A
-the allowed support and A' = A minus the dominated strategy s:
+Each query is first put to the mask rules (:func:`_by_masks`); only a query
+they leave open goes to the exact LP.  With A the allowed support and A' = A
+minus the dominated strategy s, the rules read per t in A' the columns where
+u_i(t) > u_i(s), where u_i(t) < u_i(s), and where these tie and another
+player's payoffs do not (:func:`pure._masks`' better, worse and split):
+:func:`find_dominator` builds the first two from the integer rows
+(:meth:`Game._int_rows`) and asks :func:`pure._masks` for the split ones
+only when a rule needs them; the engine's layer reads all three off its pure
+masks.
+A mix's payoff in one column lies between the payoffs of the strategies it
+mixes (the one-column case of Pearce 1984, Lemma 3), so:
 
-- "no" by one column: SM when u(s) >= max over A' there; WM, NWM and VWM
-  when u(s) > max over A' there; WM and NWM also when s is never worse than
-  max over A' in any column; PEM when some player's payoff at s lies outside
-  [min, max] over A' there;
-- "yes" by a pure dominator, for SM, VWM and PEM only: these tags are defined
-  column by column, so the point mass is a witness in every restriction, as
-  any other witness is.  WM and NWM witnesses are the LP's, which the
-  engine's dominance layer re-checks on fewer columns as
-  :func:`witness_holds` judges them, from their masks over the game's
-  columns.
+- "no" by one column: every tag where s beats every t in A' (VWM only with
+  s outside A); SM where s ties or beats every t; PEM where some player's
+  payoff at s lies outside theirs; WM and NWM also when no t beats s;
+- with A' = {t} the only mix is t's point mass, so every tag is its pure
+  analog, and NWM fails at a column where t ties s for player i only;
+- "yes" by a pure dominator for SM, VWM and PEM, defined column by column.
+  Other WM and NWM witnesses, and VWM with s in A, are the LP's.
 
-VWM with s inside A (the point mass on s dominates) goes to the LP, which
-picks the witness.  Every decider's LP takes its rows from one builder,
-:func:`_constraints`, which lays out those integer rows as they are, with no
-rescaling.  Strictness is always decided by maximizing an exact margin and
-testing it against zero, never by tolerance.  Every witness, point mass or LP
-point, is re-verified before it leaves this module by :func:`witness_holds`:
-the tag's pure analog evaluated on the mix's expected Fraction payoffs by
-:func:`pure._masks`, where every tag is defined.  Every cheap "no" carries a
-certificate (the column, and for PEM the player) that :func:`find_dominator`
-checks on the game's Fraction payoffs by :func:`_certificate_holds`.
-A ``columns=`` argument is a set (:class:`pure._Columns`; the engine keeps
-one per state's opponents, the inherent chain one per link): LP rows and a
-certificate's column index follow ascending order, and its integer rows are
-picked from the game's on first use, once per set.
+Every decider's LP takes its rows from one builder, :func:`_constraints`,
+which lays out those integer rows as they are, with no rescaling.
+Strictness is always decided by maximizing an exact margin and testing it
+against zero, never by tolerance.  Every witness, point mass or LP point, is
+re-verified before it leaves this module by :func:`witness_holds` (the tag's
+pure analog on the mix's expected Fraction payoffs, :func:`pure._masks`),
+and every rule's "no" carries a certificate, a column and a player, checked
+on the Fraction payoffs by :func:`_certificate_holds`.  A ``columns=``
+argument is a set (:class:`pure._Columns`): LP rows and a certificate's
+column index follow ascending order, and its integer rows are picked from the
+game's on first use, once per set.
 
 The ``allowed_support`` argument makes the loose/strict elimination
 distinction (dominators from the pre-step sets versus dominators that must
@@ -68,7 +68,7 @@ verified_witness_count = 0
 
 class WitnessVerificationError(DominiaError):
     """A witness or a "no" certificate failed direct re-evaluation (a bug in
-    the LP or in the cheap test)."""
+    the LP or in the mask rules)."""
 
 
 @dataclass(frozen=True)
@@ -196,11 +196,13 @@ def witness_holds(game: Game, tag: str, player: int, dominated: int, m: MixedStr
     cols = _checked_columns(game, player, columns)
     if tag == "PEM" and dominated in m.support:
         return False
-    return _met(_masks(game, (tag,), player, dominated, m, cols), cols.bits)
+    # a point mass pays what its strategy pays, so it takes the pure branch
+    t = m.weights[0][0] if len(m.weights) == 1 else m
+    return _met(_masks(game, (tag,), player, dominated, t, cols), cols.bits)
 
 
 def verify_witness(game: Game, tag: str, player: int, dominated: int, m: MixedStrategy, columns=None) -> None:
-    """Re-verify a witness; raises if the LP or the cheap test lied."""
+    """Re-verify a witness; raises if the LP or a mask rule lied."""
     global verified_witness_count
     if not witness_holds(game, tag, player, dominated, m, columns):
         raise WitnessVerificationError(
@@ -210,7 +212,7 @@ def verify_witness(game: Game, tag: str, player: int, dominated: int, m: MixedSt
 
 
 def _certificate_holds(game: Game, tag: str, player: int, dominated: int, allowed, certificate, cols) -> bool:
-    """Direct evaluation of a cheap "no" certificate ``(column, j)`` of a
+    """Direct evaluation of a mask rule's "no" certificate ``(column, j)`` of a
     :func:`find_dominator` query: an index into its checked columns ``cols``
     in ascending order (None: all of them) and a player.  ``allowed`` is the
     support the tag's decider saw (without s for PEM); with A' = ``allowed``
@@ -219,6 +221,7 @@ def _certificate_holds(game: Game, tag: str, player: int, dominated: int, allowe
     - SM: u_i(s) >= u_i(t) for every t in A';
     - WM, NWM: u_i(s) > u_i(t) for every t in A', or, at every column (None),
       u_i(s) >= u_i(t);
+    - NWM with j != i and A' = {t}: u_i(s) = u_i(t) and u_j(s) != u_j(t);
     - VWM: s is not allowed and u_i(s) > u_i(t) for every t in A';
     - PEM: s is not allowed and u_j(s) lies above, or below, every u_j(t).
 
@@ -228,18 +231,20 @@ def _certificate_holds(game: Game, tag: str, player: int, dominated: int, allowe
     if not 0 <= j < game.n or column is not None and not 0 <= column < len(cols):
         return False
     rest = [t for t in allowed if t != dominated]
-    if (tag != "PEM" and j != player) or (tag in ("VWM", "PEM") and len(rest) < len(allowed)):
+    if (tag not in ("NWM", "PEM") and j != player) or (tag in ("VWM", "PEM") and len(rest) < len(allowed)):
         return False
     table = game._table
 
-    def at(col, t):
-        return table[Game.fill(col, player, t)][j]
+    def at(col, t, k=player):
+        return table[Game.fill(col, player, t)][k]
 
     if column is None:
-        return tag in ("WM", "NWM") and all(at(col, dominated) >= at(col, t) for col in cols for t in rest)
+        return tag in ("WM", "NWM") and j == player and all(at(c, dominated) >= at(c, t) for c in cols for t in rest)
     col = cols[column]
-    mine = at(col, dominated)
-    theirs = [at(col, t) for t in rest]
+    if tag == "NWM" and j != player:
+        return len(rest) == 1 and at(col, dominated) == at(col, rest[0]) and at(col, dominated, j) != at(col, rest[0], j)
+    mine = at(col, dominated, j)
+    theirs = [at(col, t, j) for t in rest]
     if tag == "SM":
         return all(mine >= v for v in theirs)
     if tag == "PEM" and all(mine < v for v in theirs):
@@ -273,48 +278,89 @@ class _Rows:
         return map(self.__getitem__, range(self.game.n))
 
 
-def _settle(pay, tag, i, s, allowed):
-    """The cheap test in front of each decider (see the module docstring).
+def _row_masks(cols: _Columns, i: int, s: int, allowed) -> dict[int, tuple[int, int]]:
+    """:func:`pure._masks`' better and worse bits over ``cols`` of each t in
+    ``allowed`` other than s, read off player i's integer rows."""
+    positions, mine = _bits(cols.bits), _rows(cols)[i]
+    masks = {}
+    for t in allowed:
+        if t == s:
+            continue
+        better = worse = 0
+        for k, row in zip(positions, mine):
+            x, v = row[t], row[s]
+            if x > v:
+                better |= 1 << k
+            elif x < v:
+                worse |= 1 << k
+        masks[t] = better, worse
+    return masks
 
-    Returns ``(weights, None)`` for a pure dominator, ``(None, certificate)``
-    for a refutation in :func:`_certificate_holds`' form, and ``(None, None)``
-    when only the LP can tell."""
+
+def _by_masks(tag, i, s, allowed, masks, split, cols):
+    """The mask rules (module docstring) over the bits of ``cols``, from
+    ``masks[t] = (better, worse)`` and ``split(t)`` (asked only when needed)
+    of each t in ``allowed`` other than s.  Returns ``(weights, None, None)``
+    for a pure dominator, the first in ``allowed``; ``(None, certificate,
+    refuted)`` for a "no" in :func:`_certificate_holds`' form at the lowest
+    refuting column, ``refuted`` the strongest tag that column refutes alone
+    (None: it holds over all of ``cols`` only); else ``(None, None, None)``."""
+    bits = cols.bits
     rest = [t for t in allowed if t != s]
-    mine = pay[i]
-    if not mine or (tag == "VWM" and len(rest) < len(allowed)):
-        return None, None
-    if not rest:
-        return None, (0, i)  # s alone cannot beat s, nor PEM-mix from nothing
+    if not bits or (tag == "VWM" and len(rest) < len(allowed)):
+        return None, None, None
+    above = below = unbeaten = bits  # s above every t, below every t, beaten by none
+    for t in rest:
+        better, worse = masks[t]
+        above &= worse
+        below &= better
+        unbeaten &= ~better
+
+    def at(column):  # the index in ``cols`` of the lowest bit of ``column``
+        return (bits & (column & -column) - 1).bit_count()
+
+    if above:  # with s allowed, VWM holds by its point mass
+        return None, (at(above), i), "VWM" if len(rest) == len(allowed) else None
+    if tag == "SM" and unbeaten:
+        return None, (at(unbeaten), i), "SM"
+    if tag == "PEM" and below:
+        return None, (at(below), i), "PEM"
+    if tag in ("WM", "NWM") and unbeaten == bits:
+        return None, (None, i), None
+    # with one t, WM and NWM are its pure analogs too; else the LP picks
+    for t in rest if len(rest) == 1 or tag not in ("WM", "NWM") else ():
+        better, worse = masks[t]
+        if {"SM": ~better, "PEM": better | worse}.get(tag, worse) & bits:
+            continue
+        tied = split(t) & bits if tag in ("NWM", "PEM") else 0
+        if not tied:
+            return {t: ONE}, None, None
+        if len(rest) == 1:
+            c = at(tied)  # u_i ties there, so the first player apart is not i
+            a, b = (cols.game._table[Game.fill(cols[c], i, x)] for x in (s, t))
+            return None, (c, next(j for j, (u, v) in enumerate(zip(a, b)) if u != v)), tag if tag == "PEM" else None
     if tag == "PEM":
-        for j in [i] + [j for j in range(pay.game.n) if j != i]:
+        pay = _rows(cols)
+        for j in (j for j in range(cols.game.n) if j != i):
             for c, row in enumerate(pay[j]):
-                v = row[s]
                 vals = [row[t] for t in rest]
-                if not min(vals) <= v <= max(vals):
-                    return None, (c, j)
-        for t in rest:
-            if all(row[t] == row[s] for rows in pay for row in rows):
-                return {t: ONE}, None
-        return None, None
-    ties_refute = tag == "SM"
-    worse = False
-    for c, row in enumerate(mine):
-        v = row[s]
-        hi = max([row[t] for t in rest])
-        if v > hi or (ties_refute and v == hi):
-            return None, (c, i)
-        worse = worse or v < hi
-    if not worse and tag in ("WM", "NWM"):
-        return None, (None, i)
-    if tag == "SM":
-        for t in rest:
-            if all(row[t] > row[s] for row in mine):
-                return {t: ONE}, None
-    elif tag == "VWM":
-        for t in rest:
-            if all(row[t] >= row[s] for row in mine):
-                return {t: ONE}, None
-    return None, None
+                if not min(vals) <= row[s] <= max(vals):
+                    return None, (c, j), "PEM"
+    return None, None, None
+
+
+def _checked(game, tag, i, s, allowed, cols, weights, certificate) -> Optional[MixedWitness]:
+    """The witness of ``weights`` once :func:`verify_witness` passes it, or
+    None once :func:`_certificate_holds` passes ``certificate`` (or both None)."""
+    if certificate is not None and not _certificate_holds(game, tag, i, s, allowed, certificate, cols):
+        raise WitnessVerificationError(
+            f"{tag} certificate {certificate} for player {i}, strategy {s} failed re-verification"
+        )
+    if weights is None:  # a rule's "no" comes without weights
+        return None
+    m = mixed_strategy(i, weights)
+    verify_witness(game, tag, i, s, m, cols)
+    return MixedWitness(i, s, m, tag)
 
 
 def _constraints(pay, i, s, allowed, ties, margin):
@@ -429,32 +475,28 @@ def find_dominator(
     ``columns`` is the set of opponents' joint profiles quantified over
     (order and repeats are ignored); by default all of them.  The first
     member relation of a union that yields a witness wins.  Each member is
-    put to the cheap test first and to its LP decider only when that test
-    settles nothing (module docstring).  A cheap "no" carries a certificate,
-    checked by :func:`_certificate_holds`, and SM, VWM and PEM witnesses may
-    be point masses; every witness is re-verified by :func:`verify_witness`.
-    A failed check raises :class:`WitnessVerificationError`.
+    put to the mask rules (:func:`_by_masks`) and to its LP decider only
+    when they leave it open.  A rule's "no" carries a
+    certificate, checked by :func:`_certificate_holds`; a rule's yes is a
+    point mass, under every tag when one strategy is allowed besides s; every
+    witness is re-verified by :func:`verify_witness`.  A failed check raises
+    :class:`WitnessVerificationError`.
     """
     if not relation.mixed:
         raise ValueError("find_dominator needs a mixed relation")
     allowed, cols, pay = _query(game, player, strategy, allowed_support, columns)
+    masks = _row_masks(cols, player, strategy, allowed)
+    split = lambda t: _masks(game, ("COMPAT",), player, strategy, t, cols)[0][0]  # seldom asked
     for tag in relation.tags:
         member_allowed = _member_support(tag, allowed, strategy)
         if not member_allowed:
             continue
-        weights, certificate = _settle(pay, tag, player, strategy, member_allowed)
-        if certificate is not None:
-            if not _certificate_holds(game, tag, player, strategy, member_allowed, certificate, cols):
-                raise WitnessVerificationError(
-                    f"{tag} certificate {certificate} for player {player}, strategy {strategy} failed re-verification"
-                )
-            continue
-        if weights is None:
+        weights, certificate, _ = _by_masks(tag, player, strategy, member_allowed, masks, split, cols)
+        if weights is None and certificate is None:
             weights = _DECIDERS[tag](pay, player, strategy, member_allowed)
-        if weights is not None:
-            m = mixed_strategy(player, weights)
-            verify_witness(game, tag, player, strategy, m, cols)
-            return MixedWitness(player, strategy, m, tag)
+        w = _checked(game, tag, player, strategy, member_allowed, cols, weights, certificate)
+        if w is not None:
+            return w
     return None
 
 
@@ -464,12 +506,17 @@ def _query(game: Game, player: int, strategy: int, allowed_support, columns):
     allowed = tuple(sorted(set(allowed_support)))
     if not allowed:
         raise EmptySupport(f"empty allowed support for player {player}")
-    for t in allowed:
+    for t in (allowed[0], allowed[-1]):  # sorted: every other lies between
         game._check_strategy(player, t)
     cols = _checked_columns(game, player, columns)
+    return allowed, cols, _rows(cols)
+
+
+def _rows(cols: _Columns) -> _Rows:
+    """The :class:`_Rows` of a column set, built on first use."""
     if cols.pay is None:
         cols.pay = _Rows(cols)
-    return allowed, cols, cols.pay
+    return cols.pay
 
 
 def _member_support(tag: str, allowed, strategy: int):
@@ -478,10 +525,10 @@ def _member_support(tag: str, allowed, strategy: int):
 
 
 def lp_dominator(game: Game, tag: str, player: int, strategy: int, allowed_support, columns=None):
-    """The LP decider's own answer for one tag, with no cheap test in front:
+    """The LP decider's own answer for one tag, with no mask rule in front:
     dominator weights ``{t: w}``, or None.  ``columns`` is a set, as for
     :func:`find_dominator`.  The reference the acceptance suite and the tests
-    hold :func:`find_dominator`'s cheap tests against."""
+    hold :func:`find_dominator`'s mask rules against."""
     _check_tag(tag)
     allowed, _, pay = _query(game, player, strategy, allowed_support, columns)
     allowed = _member_support(tag, allowed, strategy)

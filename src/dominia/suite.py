@@ -353,7 +353,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Every decision is made two ways and held against the oracle:
-    ``find_dominator`` (cheap test, then LP) and the LP decider alone."""
+    ``find_dominator`` (mask rules, then LP) and the LP decider alone."""
 
     def run():
         rng = SplitMix64(seed ^ 0x51AF8B2D)

@@ -81,7 +81,7 @@ def test_criterion_10_fails_on_planted_cheap_refutations(monkeypatch):
     # a "no" certificate planted on every query, and accepted, turns every
     # yes of find_dominator into a no: holding find_dominator against the
     # oracles alone catches what a third, cheap-test-only comparison would
-    monkeypatch.setattr(mixed, "_settle", lambda pay, tag, i, s, allowed: (None, (0, i)))
+    monkeypatch.setattr(mixed, "_by_masks", lambda tag, i, s, *masks: (None, (0, i), None))
     monkeypatch.setattr(mixed, "_certificate_holds", lambda *query: True)
     result = suite.criterion_10()
     assert not result.ok and "disagreements" in result.detail

@@ -53,8 +53,9 @@ from dominia import (
     successors,
     union,
 )
-from dominia import engine
+from dominia import engine, mixed
 from dominia.engine import _searches
+from dominia.mixed import WitnessVerificationError
 from dominia.errors import SizeBoundExceeded
 from dominia.gallery import (
     mixable_middle_3x2,
@@ -579,8 +580,8 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
     # over the same opponents' kept strategies, a "no" on allowed A refutes
     # every subset of A and a "yes" with support S answers every allowed set
     # that contains S; a pointwise "yes" also answers on fewer columns, and a
-    # pointwise "no" on more columns; only other questions reach
-    # find_dominator, one tag at a time
+    # pointwise "no" on more columns; only other questions are decided
+    # afresh (by the mask rules, then find_dominator), one tag at a time
     game = new_game(
         [["T", "M", "B", "X"], ["L", "R"]],
         {
@@ -590,13 +591,7 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
             ("X", "L"): (0, 0), ("X", "R"): (0, 0),
         },
     )
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append((str(args[1]), args[4]))
-        return find_dominator(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "find_dominator", counted)
+    calls = _count_fresh_decisions(monkeypatch)
     layer = engine._Dominance(game)
     T, B, X = 1 << 0, 1 << 2, 1 << 3
     start = layer.start
@@ -612,12 +607,14 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
     assert layer.witness(SM, no_r, 0, 1, T | B) == T | B
     assert layer.witness(SM, no_r, 0, 1, T) == T
     assert calls == [("SM", (0, 3)), ("SM", (0, 2)), ("SM", (2,)), ("SM", (0,))]
-    # M beats T and X at R alone, so no mix of them dominates it there; a
-    # union asks its tags one at a time, and only PEM is pointwise, so its
-    # "no" answers on more columns and NWM's is asked again
+    # M beats T and X at R alone, so no mix of them dominates it there, under
+    # any tag: a union asks its tags one at a time, and that one column's
+    # refutation answers PEM, and both tags on more columns (a "no" that
+    # holds only over all its columns is not reused on more columns:
+    # test_one_column_refutations_are_reused_on_more_columns)
     no_l = start & ~(1 << layer.off[1])
     pem, nwm = ("PEM", (0, 3)), ("NWM", (0, 3))
-    for relation, asked in ((PEM, [pem]), (union(NWM, PEM), [nwm, pem, nwm])):
+    for relation, asked in ((PEM, [pem]), (union(NWM, PEM), [nwm])):
         del calls[:]
         layer = engine._Dominance(game)
         assert layer.witness(relation, no_l, 0, 1, T | X) is None
@@ -638,6 +635,20 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
     assert layer.witness(Inherent(WM), no_l, 0, 1, T | X) is None
     assert layer.witness(Inherent(WM), start, 0, 1, T | X) is None
     assert chains == [(0, 2), (0, 3)]
+
+
+def _count_fresh_decisions(monkeypatch) -> list:
+    """The (tag, allowed) of every mixed question the engine's layers decide
+    afresh from here on: each goes to the mask rules first, and to
+    find_dominator only if they leave it open."""
+    calls = []
+
+    def counted(tag, i, s, allowed, *masks):
+        calls.append((tag, allowed))
+        return mixed._by_masks(tag, i, s, allowed, *masks)
+
+    monkeypatch.setattr(engine, "_by_masks", counted)
+    return calls
 
 
 def _row_game(t, x):
@@ -687,25 +698,61 @@ def test_one_layer_keeps_answers_per_relation():
 def test_mixed_answers_are_reused_across_implied_tags(monkeypatch):
     # SM ⊆ NWM ⊆ WM ⊆ VWM and PEM ⊆ VWM over non-empty columns: a yes
     # answers every larger tag and a "no" every smaller one, with no
-    # further find_dominator call
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(str(args[1]))
-        return find_dominator(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "find_dominator", counted)
+    # further fresh decision
+    calls = _count_fresh_decisions(monkeypatch)
     for t, x, first, answer, implied in (
         ((1, 1), (0, 0), SM, 1, (NWM, WM, VWM)),
         ((1, 0), (0, 0), NWM, 1, (WM,)),
-        ((1, 0), (0, 1), WM, None, (NWM, SM)),
+        ((1, 0), (0, 1), WM, None, (NWM, SM)),  # kept as X's VWM "no" at R
+        ((1, 0), (1, 0), WM, None, (NWM, SM)),  # X is never worse: kept as WM's
         ((0, 0), (0, 0), PEM, 1, (VWM,)),
     ):
         del calls[:]
         layer = engine._Dominance(_row_game(t, x))
         assert layer.witness(first, layer.start, 0, 1, 1) == answer
         assert [layer.witness(rel, layer.start, 0, 1, 1) for rel in implied] == [answer] * len(implied)
-        assert calls == [str(first)]
+        assert calls == [(str(first), (0,))]
+
+
+def test_one_column_refutations_are_reused_on_more_columns(monkeypatch):
+    # X beats T at R alone: that one column refutes every tag, so the
+    # refutation, kept over R, answers every later question whose columns
+    # hold R.  A never-worse WM "no", certificate (None, i), holds over its
+    # own columns only: asked again over more columns, where T may beat X
+    calls = _count_fresh_decisions(monkeypatch)
+    layer = engine._Dominance(_row_game((1, 0), (0, 1)))
+    no_l = layer.start & ~(1 << layer.off[1])
+    assert layer.witness(WM, no_l, 0, 1, 1) is None
+    assert [layer.witness(rel, layer.start, 0, 1, 1) for rel in (SM, WM, NWM, VWM, PEM)] == [None] * 5
+    assert calls == [("WM", (0,))]
+    layer = engine._Dominance(_row_game((1, 0), (1, 0)))
+    no_r = layer.start & ~(1 << layer.off[1] + 1)
+    del calls[:]
+    assert layer.witness(WM, no_r, 0, 1, 1) is None
+    assert layer.witness(WM, layer.start, 0, 1, 1) is None
+    assert calls == [("WM", (0,))] * 2
+    layer = engine._Dominance(_one_strict_column())
+    del calls[:]
+    assert layer.witness(WM, no_r, 0, 1, 1) == 1
+    assert layer.witness(WM, layer.start & ~(1 << layer.off[1]), 0, 1, 1) is None
+    assert layer.witness(WM, layer.start, 0, 1, 1) == 1
+    assert calls == [("WM", (0,))] * 3
+
+
+@pytest.mark.parametrize(
+    "relation, certificate",
+    [
+        pytest.param(WM, (0, 0), id="beaten"),  # T beats X at L: no tag is refuted there
+        pytest.param(SM, (1, 0), id="tied"),  # X ties T at R, which refutes SM there but not VWM
+    ],
+)
+def test_engine_checks_the_rules_certificates(monkeypatch, relation, certificate):
+    # a refutation the rules get wrong fails its check on the Fractions, as
+    # the tag it would be kept under, before the layer keeps it
+    monkeypatch.setattr(engine, "_by_masks", lambda *query: (None, certificate, "VWM"))
+    layer = engine._Dominance(_one_strict_column())
+    with pytest.raises(WitnessVerificationError):
+        layer.witness(relation, layer.start, 0, 1, 1)
 
 
 def test_mixed_answers_are_not_reused_against_the_inclusions():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction as F
 
@@ -38,7 +39,8 @@ from dominia.gallery import (
 )
 from dominia import lp, mixed
 from dominia.engine import _IMPLIES, _ONE_TAG
-from dominia.pure import _checked_columns, restrictions
+from dominia.pure import _checked_columns, _masks, restrictions
+from dominia.relations import MIXED_TAGS, PURE_TAGS
 from dominia.mixed import MixedStrategy, WitnessVerificationError, lp_dominator
 
 G11 = nonconfluent_weak_2x2()
@@ -67,6 +69,14 @@ def _scrambled(g, i, cols, data):
 def _certificate(g, tag, player, s, allowed, certificate):
     """:func:`mixed._certificate_holds` over every column of the player."""
     return mixed._certificate_holds(g, tag, player, s, allowed, certificate, _checked_columns(g, player))
+
+
+def _rule(g, tag, i, s, allowed, columns=None):
+    """:func:`mixed._by_masks` as :func:`find_dominator` puts it, from the
+    integer rows over ``columns``; ``allowed`` is the member's support."""
+    cols = _checked_columns(g, i, columns)
+    split = lambda t: _masks(g, ("COMPAT",), i, s, t, cols)[0][0]
+    return mixed._by_masks(tag, i, s, tuple(sorted(allowed)), mixed._row_masks(cols, i, s, allowed), split, cols)
 
 
 def _nwm_by_enumeration(pay, i, s, allowed):
@@ -459,16 +469,8 @@ class TestCheapTests:
             assert find_dominator(g, rel, i, s, allowed, columns=scrambled) == w
             assert lp_dominator(g, tag, i, s, allowed, columns=scrambled) == reference
             seen = mixed._member_support(tag, member, s)
-            if seen:
-                pays = [mixed._query(g, i, s, allowed, c)[2] for c in (cols, scrambled)]
-                weights, certificate = mixed._settle(pays[0], tag, i, s, seen)
-                assert mixed._settle(pays[1], tag, i, s, seen) == (weights, certificate)
-                # a cheap answer, yes or no, is the LP decider's
-                assert weights is None or reference is not None
-                if certificate is not None:
-                    assert reference is None
-                    checked = _checked_columns(g, i, scrambled)
-                    assert mixed._certificate_holds(g, tag, i, s, seen, certificate, checked)
+            if seen:  # a rule's answer, yes or no, is the LP decider's
+                assert _rule(g, tag, i, s, seen, scrambled) == _check_rule(g, tag, i, s, seen, cols)
             if w is not None:
                 assert witness_holds(g, tag, i, s, w.dominator, cols)
                 if tag in ("WM", "NWM"):
@@ -511,6 +513,7 @@ class TestCheapTests:
             ("VWM", 1, (0,), (1, 0)),
             ("PEM", 0, (1, 2), (1, 0)),  # player 0 at R: 0 below [1, 3]
             ("PEM", 1, (0, 2), (0, 1)),  # player 1 at L: 4 below [5, 6]
+            ("NWM", 1, (0,), (0, 1)),  # r1 ties r0 at L, but not for player 1
         ],
     )
     def test_certificates_hold(self, tag, s, allowed, certificate):
@@ -518,8 +521,7 @@ class TestCheapTests:
         assert _certificate(g, tag, 0, s, allowed, certificate)
         rel = {"SM": SM, "WM": WM, "VWM": VWM, "NWM": NWM, "PEM": PEM}[tag]
         assert find_dominator(g, rel, 0, s, allowed) is None
-        _, _, pay = mixed._query(g, 0, s, allowed, None)
-        assert mixed._settle(pay, tag, 0, s, allowed)[1] is not None
+        assert _rule(g, tag, 0, s, allowed)[1] is not None
 
     @pytest.mark.parametrize(
         "tag, s, allowed, certificate",
@@ -537,6 +539,8 @@ class TestCheapTests:
             ("PEM", 0, (1, 2), (1, 1)),  # PEM player changed
             ("PEM", 0, (1, 2), (0, 0)),  # PEM column changed
             ("PEM", 1, (0, 1, 2), (0, 1)),  # s allowed
+            ("NWM", 1, (0, 2), (0, 1)),  # a tie split for player 1, but A' = {r0, r2}
+            ("NWM", 1, (0,), (1, 1)),  # a tie split for player 1 moved to R, where r1 beats r0
         ],
     )
     def test_corrupted_certificates_rejected(self, tag, s, allowed, certificate):
@@ -567,25 +571,128 @@ class TestCheapTests:
             with pytest.raises(expected):
                 check(self.CERTIFICATE_GAME, *args)
 
+    # player 0's rows s, t and u: t beats s at L and ties it at M and R,
+    # where player 1's payoffs tie at M and not at R; u is below both
+    SPLIT_GAME = new_game(
+        [["s", "t", "u"], ["L", "M", "R"]],
+        {
+            ("s", "L"): (1, 0), ("s", "M"): (1, 0), ("s", "R"): (1, 5),
+            ("t", "L"): (2, 0), ("t", "M"): (1, 0), ("t", "R"): (1, 0),
+            ("u", "L"): (0, 0), ("u", "M"): (0, 0), ("u", "R"): (0, 0),
+        },
+    )
+
+    @pytest.mark.parametrize(
+        "allowed, certificate, holds",
+        [
+            ((1,), (2, 1), True),  # the rules' own certificate
+            ((0, 1), (2, 1), True),  # s allowed: its weight changes nothing
+            ((1,), (2, 0), False),  # j = i: a tie is no strict beat
+            ((1, 2), (2, 1), False),  # |A'| = 2: a mix can split the tie
+            ((1,), (1, 1), False),  # at M player 1 ties too
+        ],
+    )
+    def test_nwm_one_strategy_certificate(self, allowed, certificate, holds):
+        g = self.SPLIT_GAME
+        assert _certificate(g, "NWM", 0, 0, allowed, certificate) is holds
+        if allowed == (1,):
+            assert _rule(g, "NWM", 0, 0, allowed) == (None, (2, 1), None)
+            assert find_dominator(g, NWM, 0, 0, allowed) is None
+
     def test_find_dominator_checks_the_certificate(self, monkeypatch):
-        monkeypatch.setattr(mixed, "_settle", lambda *query: (None, (1, 0)))
+        monkeypatch.setattr(mixed, "_by_masks", lambda *query: (None, (1, 0), None))
         with pytest.raises(WitnessVerificationError):
             find_dominator(self.CERTIFICATE_GAME, SM, 0, 0, [1, 2])
 
     def test_find_dominator_checks_the_pure_dominator(self, monkeypatch):
         # r1 ties r0 at L, so it does not SM-dominate it
-        monkeypatch.setattr(mixed, "_settle", lambda *query: ({1: F(1)}, None))
+        monkeypatch.setattr(mixed, "_by_masks", lambda *query: ({1: F(1)}, None, None))
         with pytest.raises(WitnessVerificationError):
             find_dominator(self.CERTIFICATE_GAME, SM, 0, 0, [1, 2])
 
     def test_find_dominator_checks_the_lp_witness(self, monkeypatch):
-        # the cheap test leaves this WM query to the decider; r2 is worse
+        # the rules leave this WM query to the decider; r2 is worse
         # than r0 at L
-        _, _, pay = mixed._query(self.CERTIFICATE_GAME, 0, 0, [1, 2], None)
-        assert mixed._settle(pay, "WM", 0, 0, (1, 2)) == (None, None)
+        assert _rule(self.CERTIFICATE_GAME, "WM", 0, 0, (1, 2)) == (None, None, None)
         monkeypatch.setitem(mixed._DECIDERS, "WM", lambda *query: {2: F(1)})
         with pytest.raises(WitnessVerificationError):
             find_dominator(self.CERTIFICATE_GAME, WM, 0, 0, [1, 2])
+
+
+def _rule_queries(g, data=None):
+    """Every (tag, player, s, member support, columns) of a game: each
+    allowed support with and without s, over all columns and every other
+    one; with ``data``, one drawn query per tag."""
+    for tag in mixed._DECIDERS:
+        if data is not None:
+            i, s, allowed, cols = _draw_query(g, data)
+            queries = [(i, s, allowed, cols)]
+        else:
+            queries = [
+                (i, s, allowed, cols)
+                for i, k in enumerate(g.shape)
+                for s in range(k)
+                for allowed in (set(range(k)) - {s}, set(range(k)))
+                for cols in (None, g.opponent_profiles(i)[::2])
+            ]
+        for i, s, allowed, cols in queries:
+            member = mixed._member_support(tag, tuple(sorted(allowed)), s)
+            if member:
+                yield tag, i, s, member, cols
+
+
+def _check_rule(g, tag, i, s, allowed, cols):
+    """The rules' answer to one query, after checking it against the LP
+    decider, the certificate and witness checks, and the same rules fed the
+    Fraction masks of :func:`pure._masks`, as the engine's layer feeds them."""
+    out = _rule(g, tag, i, s, allowed, cols)
+    weights, certificate, refuted = out
+    checked = _checked_columns(g, i, cols)
+    fractions = {t: _masks(g, ("W", "COMPAT"), i, s, t, checked) for t in allowed if t != s}
+    masks = {t: (w[1], w[0]) for t, (w, _) in fractions.items()}
+    assert mixed._by_masks(tag, i, s, allowed, masks, lambda t: fractions[t][1][0], checked) == out
+    if weights is None and certificate is None:
+        return out
+    assert (weights is not None) == (lp_dominator(g, tag, i, s, allowed, columns=cols) is not None)
+    if weights is not None:
+        assert witness_holds(g, tag, i, s, mixed_strategy(i, weights), cols)
+    else:
+        assert mixed._certificate_holds(g, tag, i, s, allowed, certificate, checked)
+        if refuted is not None:
+            # a one-column refutation holds over that column alone
+            one = _checked_columns(g, i, [checked[certificate[0]]])
+            assert mixed._certificate_holds(g, refuted, i, s, allowed, (0, certificate[1]), one)
+    return out
+
+
+class TestMaskRules:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(helpers.small_games(), helpers.small_games(0, 1), helpers.small_games(fractional=True)), st.data())
+    def test_rules_agree_with_the_lp_deciders(self, g, data):
+        for query in _rule_queries(g, data):
+            _check_rule(g, *query)
+
+    def test_rules_on_seeded_games(self):
+        # the rules report the lowest refuting column and the first pure
+        # dominator; the digest pins every answer, so an answer that
+        # depended on hash or dict order would fail under some hash seed
+        answers = []
+        for seed, shape in enumerate([(2, 2), (2, 3), (3, 3), (3, 4), (2, 2, 2), (2, 3, 2)] * 5):
+            g = random_game(generator_params(len(shape), shape, -2, 2, F(1, 3), seed))
+            answers += [(seed, *query[:4], _check_rule(g, *query)) for query in _rule_queries(g)]
+        settled = sum(weights is not None or certificate is not None for *_, (weights, certificate, _) in answers)
+        assert (len(answers), settled) == (3500, 2674)
+        assert hashlib.sha256(repr(answers).encode()).hexdigest()[:16] == "2f4da408862b6be2"
+
+    @settings(max_examples=100, deadline=None)
+    @given(helpers.small_games(fractional=True), st.data())
+    def test_point_mass_masks_are_its_strategys(self, g, data):
+        # witness_holds reads a one-atom mix through its strategy
+        i, s, _, cols = _draw_query(g, data)
+        checked = _checked_columns(g, i, cols)
+        tags = PURE_TAGS + MIXED_TAGS
+        for t in range(len(g.strategies[i])):
+            assert _masks(g, tags, i, s, point_mass(i, t), checked) == _masks(g, tags, i, s, t, checked)
 
 
 class TestMixedDominatedSet:
