@@ -6,14 +6,18 @@ never permuted), the strategies can be renamed bijectively so every payoff of
 every player is preserved.  The search backtracks over per-player bijections,
 pruned by per-strategy payoff-multiset fingerprints and by each profile as soon
 as it is mapped; a found renaming is fully verified before it is returned.
+Fingerprints are built for a game compared with another of its shape, and
+exact clones are read off :func:`pure._masks`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 from .game import Game, restrict
+from .pure import _checked_columns, _masks, _met
 
 
 @dataclass(frozen=True)
@@ -106,16 +110,21 @@ def _renaming(g1: Game, g2: Game, fp1, fp2) -> Optional[Renaming]:
 
 def clone_classes(game: Game) -> list[list[tuple[int, ...]]]:
     """Per player, the classes of exact clones: strategies whose payoff
-    vectors, for every player, agree in every opponent profile.  Each class
-    is ascending, and the classes are ordered by their least member."""
-    table = game._table
+    vectors, for every player, agree in every opponent profile (the PE
+    masks of :func:`pure._masks`).  Each class is ascending, and the classes
+    are ordered by their least member."""
     out = []
-    for i in range(game.n):
-        cols = game.opponent_profiles(i)
-        classes: dict[tuple, list[int]] = {}
-        for s in range(len(game.strategies[i])):
-            classes.setdefault(tuple(table[col[:i] + (s,) + col[i + 1 :]] for col in cols), []).append(s)
-        out.append([tuple(c) for c in classes.values()])
+    for i, labels in enumerate(game.strategies):
+        cols = _checked_columns(game, i)
+        classes: list[list[int]] = []
+        for s in range(len(labels)):
+            for c in classes:  # PE is an equivalence: a class's first member speaks for it
+                if _met(_masks(game, ("PE",), i, s, c[0], cols), cols.bits):
+                    c.append(s)
+                    break
+            else:
+                classes.append([s])
+        out.append([tuple(c) for c in classes])
     return out
 
 
@@ -132,22 +141,21 @@ def purely_reduce(game: Game) -> Game:
 
 
 def partition_by_equivalence(games) -> list[list[int]]:
-    """Indices of the input grouped into equivalence classes (signature
-    pre-filter first, full check as the decider)."""
+    """Indices of the input grouped into equivalence classes (shape, then
+    signature pre-filter, full check as the decider).  A game's fingerprints
+    are built when it is first compared with a class's first member."""
     games = list(games)
+    fingerprints = functools.cache(lambda idx: _fingerprints(games[idx]))
+    signature = functools.cache(lambda idx: _signature(fingerprints(idx)))
     classes: list[list[int]] = []
-    fps = [_fingerprints(g) for g in games]
-    sigs = [_signature(fp) for fp in fps]
-    reps: list[int] = []
     for idx, g in enumerate(games):
-        placed = False
-        for c, rep in enumerate(reps):
-            # equal signatures mean equal shapes
-            if sigs[idx] == sigs[rep] and _renaming(g, games[rep], fps[idx], fps[rep]) is not None:
-                classes[c].append(idx)
-                placed = True
+        for c in classes:
+            rep = c[0]
+            if g.shape == games[rep].shape and signature(idx) == signature(rep) and (
+                _renaming(g, games[rep], fingerprints(idx), fingerprints(rep)) is not None
+            ):
+                c.append(idx)
                 break
-        if not placed:
+        else:
             classes.append([idx])
-            reps.append(idx)
     return classes

@@ -3,9 +3,11 @@
 A game holds per-player strategy labels and a total payoff table mapping each
 joint pure-strategy profile to one rational payoff per player.  All payoffs
 are `fractions.Fraction`, so every dominance test downstream is an exact
-inequality with no tolerance anywhere.  The mixed layer reads player j's
-payoffs times j's scale, the positive LCM of their denominators, which keeps
-every dominance inequality and payoff equality (:meth:`Game._int_rows`).
+inequality with no tolerance anywhere.  Pure masks and the mixed layer read
+player j's payoffs times j's scale, the positive LCM of their denominators,
+which keeps every dominance inequality and payoff equality
+(:meth:`Game._int_rows`).  :func:`restrict` builds a sub-game of a valid game
+through the private :meth:`Game._set` that the checked constructor ends in.
 """
 
 from __future__ import annotations
@@ -99,13 +101,14 @@ class Game:
         if len(table) > len(fixed):
             stray = next(key for key in table if key not in fixed)
             raise IndexOutOfRange(f"payoff entry for profile {stray!r}, which the game does not have")
-        object.__setattr__(self, "strategies", strats)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "_table", fixed)
-        object.__setattr__(self, "_degenerate", any(k == 0 for k in shape))
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_ints", {})
+        self._set(strats, fixed)
+
+    def _set(self, strats: tuple[tuple[str, ...], ...], table: dict[Profile, PayoffVector]) -> None:
+        """Fill the slots from unique labels and Fraction payoff vectors in product
+        order: :meth:`__init__` after its checks, :func:`restrict` without them."""
+        shape = tuple(map(len, strats))
+        for name, value in zip(self.__slots__, (strats, len(strats), shape, table, 0 in shape, None, {}), strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Game instances are immutable")
@@ -238,7 +241,8 @@ def restrict(game: Game, kept: Sequence[Iterable[int]], *, allow_degenerate: boo
     """Materialize the restriction of ``game`` to the kept strategy indices.
 
     Strategy order is inherited from the parent; payoffs agree with the
-    parent's on every kept profile.
+    parent's on every kept profile.  Only the indices are checked: labels
+    and payoffs are the parent's, already valid.
     """
     if len(kept) != game.n:
         raise IndexOutOfRange("kept sets must cover every player")
@@ -251,8 +255,8 @@ def restrict(game: Game, kept: Sequence[Iterable[int]], *, allow_degenerate: boo
             raise EmptyRestriction(f"restriction empties player {i}'s strategy set")
         kept_idx.append(idx)
     labels = tuple(tuple(game.strategies[i][s] for s in kept_idx[i]) for i in range(game.n))
-    table: dict[Profile, PayoffVector] = {}
-    for local in itertools.product(*(range(len(k)) for k in kept_idx)):
-        parent_profile = tuple(kept_idx[i][local[i]] for i in range(game.n))
-        table[local] = game._table[parent_profile]  # indices checked above
-    return Game(labels, table, allow_degenerate=allow_degenerate)
+    # ascending kept indices: the parent's kept profiles come in the sub-game's product order
+    local = itertools.product(*(range(len(k)) for k in kept_idx))
+    sub = object.__new__(Game)
+    sub._set(labels, dict(zip(local, map(game._table.__getitem__, itertools.product(*kept_idx)))))
+    return sub

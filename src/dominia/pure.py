@@ -5,8 +5,11 @@ order-independence results lean on.
 Everything here is an exact quantifier evaluation over the finite payoff
 table, except IIIA, which every pure relation has (:func:`check_iiia`).
 Every tag, pure or mixed, is defined in :func:`_masks` alone, for a pure
-dominator and for a mix.  The restriction-quantified checks share one walk
-over every non-degenerate restriction, :func:`_first_unheld`, bounded by
+dominator on the deciding player's scaled integer rows
+(:meth:`Game._int_rows`) and for a mix on Fractions, as every tie split is,
+so a mixed witness is checked apart from the rows the LP read.  The
+restriction-quantified checks share one walk over every non-degenerate
+restriction, :func:`_first_unheld`, bounded by
 :func:`dominia.config.max_total_strategies`.  Its entries are pure pairs
 (:class:`DominanceWitness`): one fails in a restriction that keeps both its
 strategies where, over the kept-column bitset (:func:`_column_bits`, as the
@@ -111,25 +114,27 @@ def _masks(game: Game, tags, i: int, s: int, t, cols: _Columns) -> tuple[tuple[i
     """Per tag, the (fail, need) bitsets over ``cols`` (bits as in
     ``cols.bits``) that decide whether t TAG-dominates s for player i: over
     a subset C of the columns it does iff C meets no fail bit and some need
-    bit (need -1: nothing needed).  t is a strategy of player i or a mix of
-    them (a ``MixedStrategy``); a mix's payoffs for the other players are
-    computed only where player i's payoffs tie."""
+    bit (need -1: nothing needed).  t is a strategy of player i, compared on
+    i's integer rows (:meth:`Game._int_rows`), or a mix of them (a
+    ``MixedStrategy``), on Fraction payoffs; the other players' payoffs are
+    compared, as Fractions, only where player i's tie."""
     table = game._table
     mix = None if isinstance(t, int) else t.weights
+    ints = game._int_rows(i, i) if mix is None else None
     better = worse = split = 0  # u_i(t) > u_i(s); u_i(t) < u_i(s); tie in u_i only
     for k, col in zip(_bits(cols.bits), cols):
-        a = table[col[:i] + (s,) + col[i + 1 :]]
         if mix is None:
-            b = table[col[:i] + (t,) + col[i + 1 :]]
-            mine = b[i]
+            at_s, at_t = ints[k][s], ints[k][t]
         else:
+            a = table[col[:i] + (s,) + col[i + 1 :]]
             rows = [(w, table[col[:i] + (x,) + col[i + 1 :]]) for x, w in mix]
-            mine = sum(w * row[i] for w, row in rows)
-        if a[i] < mine:
+            at_s, at_t = a[i], sum(w * row[i] for w, row in rows)
+        if at_s < at_t:
             better |= 1 << k
-        elif a[i] > mine:
+        elif at_s > at_t:
             worse |= 1 << k
-        elif a != (b if mix is None else tuple(sum(w * row[j] for w, row in rows) for j in range(len(a)))):
+        elif (table[col[:i] + (s,) + col[i + 1 :]] != table[col[:i] + (t,) + col[i + 1 :]] if mix is None
+              else a != tuple(sum(w * row[j] for w, row in rows) for j in range(len(a)))):
             split |= 1 << k
     by_tag = {"S": (~better, -1), "W": (worse, better), "VW": (worse, -1), "NW": (worse | split, better),
               "PE": (better | worse | split, -1), "COMPAT": (split, -1)}

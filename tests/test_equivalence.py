@@ -187,3 +187,13 @@ def test_partition_groups_equivalent_games():
     c = new_game([["e", "f"], ["z"]], {("e", "z"): (1, 0), ("f", "z"): (3, 0)})
     classes = partition_by_equivalence([a, b, c])
     assert sorted(map(sorted, classes)) == [[0, 1], [2]]
+
+
+def test_partition_builds_fingerprints_only_to_compare(monkeypatch):
+    # one game, or games of different shapes, are never compared
+    def refuse(game):
+        raise AssertionError("fingerprints built for a game nothing is compared with")
+
+    monkeypatch.setattr(equivalence, "_fingerprints", refuse)
+    assert partition_by_equivalence([G11]) == [[0]]
+    assert partition_by_equivalence([G11, restrict(G11, [(0,), (0, 1)]), restrict(G11, [(0, 1), (1,)])]) == [[0], [1], [2]]

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -109,3 +110,42 @@ def test_game_is_immutable():
     g = trivial_1x1()
     with pytest.raises(AttributeError):
         g.n = 3
+
+
+def _fractional_3x2x2():
+    labels = [["a0", "a1", "a2"], ["b0", "b1"], ["c0", "c1"]]
+    payoffs = {
+        p: [Fraction((7 * sum(p) + 3 * p[0] + j) % 5 - 2, 1 + (p[1] + j) % 3) for j in range(3)]
+        for p in itertools.product(range(3), range(2), range(2))
+    }
+    return new_game(labels, payoffs)
+
+
+@pytest.mark.parametrize("kept, allow", [([(2, 0), (1,), (0, 1)], False), ([(2,), (), (0, 1)], True)])
+def test_restrict_equals_a_checked_build(kept, allow):
+    g = _fractional_3x2x2()
+    sub = restrict(g, kept, allow_degenerate=allow)
+    idx = [sorted(k) for k in kept]
+    labels = [[g.strategies[i][s] for s in idx[i]] for i in range(g.n)]
+    table = {
+        local: g.payoff_vector(tuple(idx[i][x] for i, x in enumerate(local)))
+        for local in itertools.product(*(range(len(k)) for k in idx))
+    }
+    built = Game(labels, table, allow_degenerate=allow)
+    if not allow:
+        assert built == new_game(labels, table)
+    assert sub == built and hash(sub) == hash(built)
+    assert (sub.shape, sub.degenerate) == (built.shape, built.degenerate) == (tuple(map(len, idx)), allow)
+    for i, j in itertools.product(range(g.n), repeat=2):
+        assert sub._int_rows(i, j) == built._int_rows(i, j)
+    with pytest.raises(AttributeError):
+        sub.n = 4
+
+
+def test_restrict_still_checks_indices_and_empty_sets():
+    g = _fractional_3x2x2()
+    for kept in ([(0,), (0,)], [(0, 3), (0,), (0,)], [(-1,), (0,), (0,)], [(0,), (2,), (0,)]):
+        with pytest.raises(IndexOutOfRange):
+            restrict(g, kept)
+    with pytest.raises(EmptyRestriction):
+        restrict(g, [(0,), (0,), ()])

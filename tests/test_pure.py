@@ -33,7 +33,7 @@ from dominia.gallery import (
     nonconfluent_weak_2x2,
     trivial_1x1,
 )
-from dominia.pure import CheckOutcome, DominanceWitness, _checked_columns, _column_bits, _masks, restrictions
+from dominia.pure import CheckOutcome, DominanceWitness, _checked_columns, _column_bits, _masks, _met, restrictions
 
 G11 = nonconfluent_weak_2x2()
 
@@ -370,3 +370,72 @@ def test_restriction_checks_match_materialized_restrictions(g):
     assert check_tdi_plus_plus(g) == _first_in_materialized(g, "VW", ("W", "PE"))
     for rel in (W, NW, union(S, W), union(NW, PE)):
         assert is_hereditary(g, rel) == _hereditary_materialized(g, rel.tags)
+
+
+# -- pure masks on the integer rows ------------------------------------------------
+
+
+def _vectors(g, i, s, t, rests):
+    """(s's, t's) Fraction payoff vectors at each opponent profile of ``rests``."""
+    return [tuple(g.payoff_vector(helpers.with_choice(r, i, x)) for x in (s, t)) for r in rests]
+
+
+def _by_definition(tag, i, pairs):
+    """Does t TAG-dominate s for player i, given their Fraction payoff
+    vectors ``pairs`` (:func:`_vectors`) over some opponent profiles?"""
+    at_most = all(a[i] <= b[i] for a, b in pairs)
+    weak = at_most and any(a[i] < b[i] for a, b in pairs)
+    compatible = all(a == b for a, b in pairs if a[i] == b[i])
+    return {
+        "S": all(a[i] < b[i] for a, b in pairs),
+        "W": weak,
+        "VW": at_most,
+        "NW": weak and compatible,
+        "PE": all(a == b for a, b in pairs),
+        "COMPAT": compatible,
+    }[tag]
+
+
+def _check_masks_against_definition(g, data):
+    for i in range(g.n):
+        rests = list(helpers.others(g, i))  # bit k is rests[k], as in opponent_profiles
+        full = _checked_columns(g, i)
+        subset = data.draw(st.integers(0, (1 << len(rests)) - 1))
+        cols = _checked_columns(g, i, [c for k, c in enumerate(full) if subset >> k & 1])
+        for s, t in itertools.product(range(g.shape[i]), repeat=2):
+            pairs = _vectors(g, i, s, t, rests)
+            better = sum(1 << k for k, (a, b) in enumerate(pairs) if a[i] < b[i])
+            worse = sum(1 << k for k, (a, b) in enumerate(pairs) if a[i] > b[i])
+            split = sum(1 << k for k, (a, b) in enumerate(pairs) if a[i] == b[i] and a != b)
+            assert _masks(g, ("W", "COMPAT"), i, s, t, full) == ((worse, better), (split, -1))
+            picked = [pair for k, pair in enumerate(pairs) if subset >> k & 1]
+            for tag in ("S", "W", "VW", "NW", "PE", "COMPAT"):
+                assert _met(_masks(g, (tag,), i, s, t, cols), cols.bits) == _by_definition(tag, i, picked)
+
+
+@settings(max_examples=60, deadline=None)
+@given(helpers.small_games(fractional=True), st.data())
+def test_int_row_masks_match_the_definition_on_fractional_games(g, data):
+    # per-player denominators 1, 2 and 3: the players' scales differ
+    _check_masks_against_definition(g, data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(helpers.small_games(), st.data())
+def test_int_row_masks_match_the_definition_on_integer_games(g, data):
+    _check_masks_against_definition(g, data)
+
+
+def test_tie_split_only_by_the_other_player():
+    # at L the row player ties 1/2 with 1/2 and the column player's 1/3 and
+    # 2/3 split it; at R, B is better for the row player
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    g = new_game(
+        [["T", "B"], ["L", "R"]],
+        {("T", "L"): (half, third), ("B", "L"): (half, 2 * third), ("T", "R"): (1, 5), ("B", "R"): (3 * half, 5)},
+    )
+    full = _checked_columns(g, 0)
+    assert _masks(g, ("W", "COMPAT", "PE"), 0, 0, 1, full) == ((0, 0b10), (0b01, -1), (0b11, -1))
+    assert dominates(g, W, 0, 0, 1) and not dominates(g, NW, 0, 0, 1) and not dominates(g, PE, 0, 0, 1)
+    assert dominates(g, NW, 0, 0, 1, columns=[(-1, 1)])
+    assert not dominates(g, union(NW, PE), 0, 0, 1, columns=[(-1, 0)])
