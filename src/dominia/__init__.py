@@ -59,7 +59,6 @@ from .mixed import (
     find_dominator,
     mixed_dominated_set,
     mixed_strategy,
-    point_mass,
     shrink_self_weight,
     substitute,
     witness_holds,

@@ -87,11 +87,12 @@ class Game:
         shape = tuple(len(s) for s in strats)
         fixed: dict[Profile, PayoffVector] = {}
         for profile in itertools.product(*(range(k) for k in shape)):
-            try:
-                row = table[profile]
-            except KeyError:
+            row = table.get(profile)
+            if not isinstance(row, (list, tuple)):  # a string or a mapping would be read per character or key
                 labels = tuple(strats[i][profile[i]] for i in range(n))
-                raise MissingPayoff(f"no payoff entry for profile {labels}") from None
+                if profile not in table:
+                    raise MissingPayoff(f"no payoff entry for profile {labels}")
+                raise ParseError(f"payoffs at profile {labels} are a {type(row).__name__}, not a list or tuple")
             vec = tuple(_as_fraction(v) for v in row)
             if len(vec) != n:
                 raise MissingPayoff(
@@ -128,7 +129,7 @@ class Game:
 
     def payoff_vector(self, profile: Profile) -> PayoffVector:
         self._check_profile(profile)
-        return self._table[tuple(profile)]
+        return self._table[profile]
 
     def payoff(self, profile: Profile, player: int) -> Fraction:
         """Exact payoff of ``player`` at the joint ``profile`` of strategy indices."""
@@ -169,20 +170,19 @@ class Game:
         return column[:player] + (strategy,) + column[player + 1 :]
 
     def _check_player(self, player: int) -> None:
-        if not 0 <= player < self.n:
-            raise IndexOutOfRange(f"player {player} out of range for {self.n} players")
+        if type(player) is not int or not 0 <= player < self.n:
+            raise IndexOutOfRange(f"player {player!r} out of range for {self.n} players")
 
     def _check_profile(self, profile: Profile) -> None:
-        if len(profile) != self.n:
-            raise IndexOutOfRange(f"profile {profile} has wrong arity")
+        if not isinstance(profile, tuple) or len(profile) != self.n:
+            raise IndexOutOfRange(f"profile {profile!r} is not a tuple of {self.n} strategy indices")
         for i, s in enumerate(profile):
-            if not 0 <= s < len(self.strategies[i]):
-                raise IndexOutOfRange(f"strategy {s} out of range for player {i}")
+            self._check_strategy(i, s)
 
     def _check_strategy(self, player: int, strategy: int) -> None:
         self._check_player(player)
-        if not 0 <= strategy < len(self.strategies[player]):
-            raise IndexOutOfRange(f"strategy {strategy} out of range for player {player}")
+        if type(strategy) is not int or not 0 <= strategy < len(self.strategies[player]):
+            raise IndexOutOfRange(f"strategy {strategy!r} out of range for player {player}")
 
     # -- equality ------------------------------------------------------
 

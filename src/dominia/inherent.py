@@ -12,11 +12,11 @@ PE, COMPAT and SM, VWM, PEM) need nothing, and for them every column counts
 as a need column below.  So one chain decides:
 
 * C_0 is the full column set;
-* find a dominator d_k on C_k: point masses first, then
-  :func:`find_dominator` for a mixed base; if there is none, C_k is a
-  failing subset.  Every dominator's fail and need columns, a point mass's
-  or an LP witness's, are read from :func:`pure._masks`, where every tag is
-  defined;
+* find a dominator d_k on C_k: for a pure base the first strategy whose
+  masks hold there, tag by tag; for a mixed one :func:`find_dominator`,
+  whose mask rules try every point mass before any LP.  If there is none,
+  C_k is a failing subset.  Every dominator's fail and need columns are
+  read from :func:`pure._masks`, where every tag is defined;
 * C_{k+1} is C_k less d_k's need columns; stop when it is empty.
 
 Every C_k, and every fail and need column, is named as :mod:`pure` names
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .game import Game
-from .mixed import MixedWitness, find_dominator, point_mass
+from .mixed import find_dominator
 from .pure import _checked_columns, _masks, _met
 from .relations import Relation
 
@@ -86,20 +86,18 @@ def is_inherently_dominated(game: Game, query: InherentQuery, *, columns=None) -
     # would dominate s
     allowed = tuple(t for t in pool if t != s)
     full = _checked_columns(game, i, columns)
-    masks = [(t, _masks(game, base.tags, i, s, t, full)) for t in allowed]
+    masks = [] if base.mixed else [(t, _masks(game, base.tags, i, s, t, full)) for t in allowed]
 
     def dominator(cols):
         """A dominator of s over ``cols`` with its need bits, or None."""
-        for k, tag in enumerate(base.tags):
+        if base.mixed:
+            w = find_dominator(game, base, i, s, allowed, columns=cols) if allowed else None
+            return None if w is None else (w, _masks(game, (w.relation,), i, s, w.dominator, cols)[0][1])
+        for k in range(len(base.tags)):
             for t, m in masks:
                 if _met(m[k : k + 1], cols.bits):
-                    return (MixedWitness(i, s, point_mass(i, t), tag) if base.mixed else t), m[k][1]
-        if not base.mixed or not allowed:
-            return None
-        w = find_dominator(game, base, i, s, allowed, columns=cols)
-        if w is None:
-            return None
-        return w, _masks(game, (w.relation,), i, s, w.dominator, cols)[0][1]
+                    return t, m[k][1]
+        return None
 
     chain = []
     left = full

@@ -13,16 +13,18 @@ player's payoffs do not (:func:`pure._masks`' better, worse and split):
 (:meth:`Game._int_rows`) and asks :func:`pure._masks` for the split ones
 only when a rule needs them; the engine's layer reads all three off its pure
 masks.
-A mix's payoff in one column lies between the payoffs of the strategies it
-mixes (the one-column case of Pearce 1984, Lemma 3), so:
 
-- "no" by one column: every tag where s beats every t in A' (VWM only with
-  s outside A); SM where s ties or beats every t; PEM where some player's
-  payoff at s lies outside theirs; WM and NWM also when no t beats s;
-- with A' = {t} the only mix is t's point mass, so every tag is its pure
-  analog, and NWM fails at a column where t ties s for player i only;
-- "yes" by a pure dominator for SM, VWM and PEM, defined column by column.
-  Other WM and NWM witnesses, and VWM with s in A, are the LP's.
+A mix's payoff in one column lies between the payoffs of the strategies it
+mixes (the one-column case of Pearce 1984, Lemma 3), so one column says "no"
+to every tag where s beats every t in A' (VWM only with s outside A), to SM
+where s ties or beats every t, and to PEM where some player's payoff at s
+lies outside theirs; WM and NWM also fail when no t beats s.  And t's point
+mass TAG-dominates s exactly when t dominates s under the tag's pure analog
+(:func:`pure._analog`), so the first such t in A' is a "yes", after s's own
+point mass when s is in A (VWM; SM over no columns).  These rules are the
+only code that tries a point mass: with A' = {t} they decide every tag (NWM
+fails where t ties s for player i only), and the LP deciders see only
+questions that need a proper mix.
 
 Every decider's LP takes its rows from one builder, :func:`_constraints`,
 which lays out those integer rows as they are, with no rescaling.
@@ -57,7 +59,7 @@ from .errors import (
 )
 from .game import Game, _as_fraction
 from .lp import EQ, GE, ONE, ZERO
-from .pure import _bits, _checked_columns, _Columns, _masks, _met
+from .pure import _analog, _bits, _checked_columns, _Columns, _masks, _met
 from .relations import Relation
 
 # Count of witnesses that passed direct re-verification since import; a
@@ -121,10 +123,6 @@ def mixed_strategy(player: int, weights) -> MixedStrategy:
     pairs = [(s, _as_fraction(w)) for s, w in weights.items()]
     pairs.sort(key=lambda p: p[0] if type(p[0]) is int else -1)
     return MixedStrategy(player, tuple(p for p in pairs if p[1] != 0))
-
-
-def point_mass(player: int, strategy: int) -> MixedStrategy:
-    return MixedStrategy(player, ((strategy, ONE),))
 
 
 @dataclass(frozen=True)
@@ -196,9 +194,7 @@ def witness_holds(game: Game, tag: str, player: int, dominated: int, m: MixedStr
     cols = _checked_columns(game, player, columns)
     if tag == "PEM" and dominated in m.support:
         return False
-    # a point mass pays what its strategy pays, so it takes the pure branch
-    t = m.weights[0][0] if len(m.weights) == 1 else m
-    return _met(_masks(game, (tag,), player, dominated, t, cols), cols.bits)
+    return _met(_masks(game, (tag,), player, dominated, m, cols), cols.bits)
 
 
 def verify_witness(game: Game, tag: str, player: int, dominated: int, m: MixedStrategy, columns=None) -> None:
@@ -302,14 +298,16 @@ def _by_masks(tag, i, s, allowed, masks, split, cols):
     """The mask rules (module docstring) over the bits of ``cols``, from
     ``masks[t] = (better, worse)`` and ``split(t)`` (asked only when needed)
     of each t in ``allowed`` other than s.  Returns ``(weights, None, None)``
-    for a pure dominator, the first in ``allowed``; ``(None, certificate,
-    refuted)`` for a "no" in :func:`_certificate_holds`' form at the lowest
-    refuting column, ``refuted`` the strongest tag that column refutes alone
-    (None: it holds over all of ``cols`` only); else ``(None, None, None)``."""
+    for a point mass; ``(None, certificate, refuted)`` for a "no" in
+    :func:`_certificate_holds`' form at the lowest refuting column,
+    ``refuted`` the strongest tag that column refutes alone (None: it holds
+    over all of ``cols`` only); else ``(None, None, None)``."""
     bits = cols.bits
     rest = [t for t in allowed if t != s]
-    if not bits or (tag == "VWM" and len(rest) < len(allowed)):
-        return None, None, None
+    analog = _analog(tag)
+    # s's own point mass: VWM always, SM over no columns
+    if len(rest) < len(allowed) and _met((analog(0, 0, 0),), bits):
+        return {s: ONE}, None, None
     above = below = unbeaten = bits  # s above every t, below every t, beaten by none
     for t in rest:
         better, worse = masks[t]
@@ -328,10 +326,8 @@ def _by_masks(tag, i, s, allowed, masks, split, cols):
         return None, (at(below), i), "PEM"
     if tag in ("WM", "NWM") and unbeaten == bits:
         return None, (None, i), None
-    # with one t, WM and NWM are its pure analogs too; else the LP picks
-    for t in rest if len(rest) == 1 or tag not in ("WM", "NWM") else ():
-        better, worse = masks[t]
-        if {"SM": ~better, "PEM": better | worse}.get(tag, worse) & bits:
+    for t in rest:
+        if not _met((analog(*masks[t], 0),), bits):
             continue
         tied = split(t) & bits if tag in ("NWM", "PEM") else 0
         if not tied:
@@ -411,14 +407,6 @@ def _feasible(pay, i, s, allowed, ties):
     return _weights_from_point(allowed, out.point) if out.optimal else None
 
 
-def _decide_vwm(pay, i, s, allowed):
-    return _feasible(pay, i, s, allowed, ())
-
-
-def _decide_pem(pay, i, s, allowed):
-    return _feasible(pay, i, s, allowed, range(len(pay[i])))
-
-
 def _decide_nwm(pay, i, s, allowed):
     """Nice weak mixed dominance by implicit equalities (Schrijver 1986,
     §8.2).
@@ -456,9 +444,9 @@ def _decide_nwm(pay, i, s, allowed):
 _DECIDERS = {
     "SM": _decide_sm,
     "WM": _decide_wm,
-    "VWM": _decide_vwm,
+    "VWM": lambda pay, i, s, allowed: _feasible(pay, i, s, allowed, ()),
     "NWM": _decide_nwm,
-    "PEM": _decide_pem,
+    "PEM": lambda pay, i, s, allowed: _feasible(pay, i, s, allowed, range(len(pay[i]))),
 }
 
 
@@ -477,10 +465,11 @@ def find_dominator(
     (order and repeats are ignored); by default all of them.  The first
     member relation of a union that yields a witness wins.  Each member is
     put to the mask rules (:func:`_by_masks`) and to its LP decider only
-    when they leave it open.  A rule's "no" carries a
-    certificate, checked by :func:`_certificate_holds`; a rule's yes is a
-    point mass, under every tag when one strategy is allowed besides s; every
-    witness is re-verified by :func:`verify_witness`.  A failed check raises
+    when they leave it open.  A rule's "no" carries a certificate, checked
+    by :func:`_certificate_holds`; a rule's yes is the point mass of the
+    first allowed strategy that dominates s under the tag's pure analog, so
+    the LP is asked only for a proper mix; every witness is re-verified by
+    :func:`verify_witness`.  A failed check raises
     :class:`WitnessVerificationError`.
     """
     if not relation.mixed:
@@ -504,11 +493,12 @@ def find_dominator(
 def _query(game: Game, player: int, strategy: int, allowed_support, columns):
     """The checked allowed support, columns and :class:`_Rows` of a query."""
     game._check_strategy(player, strategy)
-    allowed = tuple(sorted(set(allowed_support)))
+    allowed = set(allowed_support)
+    for t in allowed:
+        game._check_strategy(player, t)
     if not allowed:
         raise EmptySupport(f"empty allowed support for player {player}")
-    for t in (allowed[0], allowed[-1]):  # sorted: every other lies between
-        game._check_strategy(player, t)
+    allowed = tuple(sorted(allowed))
     cols = _checked_columns(game, player, columns)
     return allowed, cols, _rows(cols)
 
@@ -544,14 +534,8 @@ def mixed_dominated_set(game: Game, relation: Relation) -> list[list[MixedWitnes
     player with one strategy has none dominated.  Deterministic: the LP pivot
     rule and the order of every LP's constraints are fixed."""
     out: list[list[MixedWitness]] = []
-    for i in range(game.n):
-        k = len(game.strategies[i])
-        found: list[MixedWitness] = []
-        for s in range(k):
-            others = [t for t in range(k) if t != s]
-            w = find_dominator(game, relation, i, s, others) if others else None
-            if w is not None:
-                found.append(w)
-        out.append(found)
+    for i, k in enumerate(game.shape):
+        found = (find_dominator(game, relation, i, s, [t for t in range(k) if t != s]) for s in range(k))
+        out.append([w for w in found if w is not None] if k > 1 else [])
     return out
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import config
-from .errors import SizeBoundExceeded
+from .errors import IndexOutOfRange, SizeBoundExceeded
 from .game import Game
 from .relations import Relation
 
@@ -93,6 +93,8 @@ def _checked_columns(game: Game, player: int, columns=None) -> _Columns:
         shape = game.shape
         at = {}  # position among the opponent profiles -> column
         for col in columns:
+            if not isinstance(col, tuple):
+                raise IndexOutOfRange(f"column {col!r} is not a tuple")
             game._check_profile(Game.fill(col, player, 0))
             k = 0
             for j, c in enumerate(col):
@@ -109,6 +111,22 @@ def _checked_columns(game: Game, player: int, columns=None) -> _Columns:
 # analog would, judged on the mix's expected payoffs
 PURE_OF = {"SM": "S", "WM": "W", "VWM": "VW", "NWM": "NW", "PEM": "PE"}
 
+# each pure tag's (fail, need) from the columns where u_i(t) > u_i(s), where
+# u_i(t) < u_i(s), and where these tie and another player's payoffs do not
+_BY_TAG = {
+    "S": lambda better, worse, split: (~better, -1), "W": lambda better, worse, split: (worse, better),
+    "VW": lambda better, worse, split: (worse, -1), "NW": lambda better, worse, split: (worse | split, better),
+    "PE": lambda better, worse, split: (better | worse | split, -1), "COMPAT": lambda better, worse, split: (split, -1),
+}
+
+
+def _analog(tag: str):
+    """The (better, worse, split) -> (fail, need) rule of a tag, pure or mixed."""
+    try:
+        return _BY_TAG[PURE_OF.get(tag, tag)]
+    except KeyError:
+        raise ValueError(f"unknown tag {tag!r}") from None
+
 
 def _masks(game: Game, tags, i: int, s: int, t, cols: _Columns) -> tuple[tuple[int, int], ...]:
     """Per tag, the (fail, need) bitsets over ``cols`` (bits as in
@@ -117,8 +135,11 @@ def _masks(game: Game, tags, i: int, s: int, t, cols: _Columns) -> tuple[tuple[i
     bit (need -1: nothing needed).  t is a strategy of player i, compared on
     i's integer rows (:meth:`Game._int_rows`), or a mix of them (a
     ``MixedStrategy``), on Fraction payoffs; the other players' payoffs are
-    compared, as Fractions, only where player i's tie."""
+    compared, as Fractions, only where player i's tie.  Each tag's pair is
+    its :func:`_analog` of the better, worse and split bits."""
     table = game._table
+    if not isinstance(t, int) and len(t.weights) == 1:  # a point mass pays what its strategy pays
+        t = t.weights[0][0]
     mix = None if isinstance(t, int) else t.weights
     ints = game._int_rows(i, i) if mix is None else None
     better = worse = split = 0  # u_i(t) > u_i(s); u_i(t) < u_i(s); tie in u_i only
@@ -136,12 +157,7 @@ def _masks(game: Game, tags, i: int, s: int, t, cols: _Columns) -> tuple[tuple[i
         elif (table[col[:i] + (s,) + col[i + 1 :]] != table[col[:i] + (t,) + col[i + 1 :]] if mix is None
               else a != tuple(sum(w * row[j] for w, row in rows) for j in range(len(a)))):
             split |= 1 << k
-    by_tag = {"S": (~better, -1), "W": (worse, better), "VW": (worse, -1), "NW": (worse | split, better),
-              "PE": (better | worse | split, -1), "COMPAT": (split, -1)}
-    try:
-        return tuple(by_tag[PURE_OF.get(tag, tag)] for tag in tags)
-    except KeyError as err:
-        raise ValueError(f"unknown tag {err.args[0]!r}") from None
+    return tuple(_analog(tag)(better, worse, split) for tag in tags)
 
 
 # (fail, need) masks that every column bitset meets

@@ -8,13 +8,20 @@ from dominia import (
     EmptyRestriction,
     EmptyStrategySet,
     Game,
+    S,
+    SM,
+    W,
     IndexOutOfRange,
+    InherentQuery,
     MissingPayoff,
     ParseError,
+    dominates,
+    find_dominator,
+    is_inherently_dominated,
     new_game,
     restrict,
 )
-from dominia.gallery import nonconfluent_weak_2x2, trivial_1x1
+from dominia.gallery import mixable_middle_3x2, nonconfluent_weak_2x2, trivial_1x1
 
 
 def test_new_game_validates_and_stores_exact_payoffs():
@@ -68,6 +75,34 @@ def test_new_game_refuses_payoffs_that_parse_game_refuses(value):
     # in time that grows with the exponent) and floats are not exact payoffs
     with pytest.raises(ParseError):
         new_game([["a", "b"], ["x"]], {("a", "x"): (value, 0), ("b", "x"): (0, 0)})
+
+
+@pytest.mark.parametrize("row", ["12", {1: 0, 2: 0}], ids=["string", "mapping"])
+def test_payoff_row_that_is_no_sequence_refused(row):
+    # read as a sequence, "12" would pay (1, 2) and {1: 0, 2: 0} its keys
+    with pytest.raises(ParseError, match=r"\('a', 'c'\)"):
+        new_game([["a", "b"], ["c"]], {("a", "c"): row, ("b", "c"): (3, 4)})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda g: is_inherently_dominated(g, InherentQuery(W, 0, 0, ("x",))), id="must-survive-str"),
+        pytest.param(lambda g: dominates(g, S, 0, 0, 1, columns=[[-1, 0]]), id="list-column"),
+        pytest.param(lambda g: dominates(g, S, 0, 0, 1, columns=[(-1, True)]), id="bool-in-column"),
+        pytest.param(lambda g: find_dominator(g, SM, 0, 0, [1, 2], columns=[5]), id="int-column"),
+        pytest.param(lambda g: find_dominator(g, SM, 0, False, [1, 2]), id="bool-strategy"),
+        pytest.param(lambda g: find_dominator(g, SM, 0, 0, [0, 1.5, 2]), id="float-in-support"),
+        pytest.param(lambda g: find_dominator(g, SM, 0, 0, [1, "a"]), id="str-in-support"),
+        pytest.param(lambda g: g.payoff((0, 0), "a"), id="str-player"),
+        pytest.param(lambda g: g.payoff((0, 0), True), id="bool-player"),
+        pytest.param(lambda g: g.payoff([0, 0], 0), id="list-profile"),
+        pytest.param(lambda g: g.payoff_vector(5), id="int-profile"),
+    ],
+)
+def test_malformed_indices_and_columns_refused(call):
+    with pytest.raises(IndexOutOfRange):
+        call(mixable_middle_3x2())
 
 
 def test_payoff_bounds_checked():

@@ -23,7 +23,6 @@ from dominia import (
     mixed_strategy,
     new_game,
     normal_forms,
-    point_mass,
     random_game,
     restrict,
     shrink_self_weight,
@@ -183,7 +182,7 @@ class TestMixedStrategy:
 class TestSubstitution:
     def test_collapse_to_point_mass(self):
         m2 = mixed_strategy(0, {0: F(1, 2), 1: F(1, 2)})
-        assert substitute(m2, 0, point_mass(0, 1)) == point_mass(0, 1)
+        assert substitute(m2, 0, mixed_strategy(0, {1: 1})) == mixed_strategy(0, {1: 1})
 
     def test_no_occurrence_is_identity(self):
         m2 = mixed_strategy(0, {1: F(1)})
@@ -192,7 +191,7 @@ class TestSubstitution:
 
     def test_degenerate_substitution(self):
         with pytest.raises(DegenerateSubstitution):
-            substitute(point_mass(0, 0), 0, point_mass(0, 0))
+            substitute(mixed_strategy(0, {0: 1}), 0, mixed_strategy(0, {0: 1}))
 
     def test_mass_renormalizes(self):
         m2 = mixed_strategy(0, {0: F(1, 2), 1: F(1, 2)})
@@ -203,7 +202,7 @@ class TestSubstitution:
 
     def test_player_mismatch(self):
         with pytest.raises(IndexOutOfRange):
-            substitute(point_mass(0, 0), 0, point_mass(1, 0))
+            substitute(mixed_strategy(0, {0: 1}), 0, mixed_strategy(1, {0: 1}))
 
 
 @st.composite
@@ -242,7 +241,7 @@ class TestSubstitutionAlgebra:
 class TestShrinkSelfWeight:
     def test_single_residual_atom(self):
         m = mixed_strategy(0, {0: F(1, 4), 1: F(3, 4)})
-        assert shrink_self_weight(0, m) == point_mass(0, 1)
+        assert shrink_self_weight(0, m) == mixed_strategy(0, {1: 1})
 
     def test_noop_without_self_weight(self):
         m = mixed_strategy(0, {1: F(1, 2), 2: F(1, 2)})
@@ -250,7 +249,7 @@ class TestShrinkSelfWeight:
 
     def test_point_mass_errors(self):
         with pytest.raises(DegenerateSubstitution):
-            shrink_self_weight(0, point_mass(0, 0))
+            shrink_self_weight(0, mixed_strategy(0, {0: 1}))
 
 
 class TestFindDominator:
@@ -283,12 +282,12 @@ class TestFindDominator:
     )
     def test_witness_holds_rejects_bad_indices(self, tag, dominated, support, columns):
         with pytest.raises(IndexOutOfRange):
-            witness_holds(G11, tag, 0, dominated, point_mass(0, support), columns)
+            witness_holds(G11, tag, 0, dominated, mixed_strategy(0, {support: 1}), columns)
 
     def test_witness_holds_rejects_another_players_mix(self):
         # player 1's strategy 0 is not player 0's strategy 0
         with pytest.raises(IndexOutOfRange):
-            witness_holds(G11, "VWM", 0, 1, point_mass(1, 0))
+            witness_holds(G11, "VWM", 0, 1, mixed_strategy(1, {0: 1}))
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(helpers.small_games(fractional=True), helpers.small_games()), st.data())
@@ -334,7 +333,7 @@ class TestFindDominator:
             {("T", "L"): (2, 2), ("M", "L"): (2, 2)},
         )
         w = find_dominator(g, PEM, 0, 1, [0, 1])
-        assert w is not None and w.dominator == point_mass(0, 0)
+        assert w is not None and w.dominator == mixed_strategy(0, {0: 1})
 
     def test_average_row_is_randomized_redundant(self):
         g = redundant_middle_3x2()
@@ -375,7 +374,7 @@ class TestFindDominator:
             },
         )
         assert find_dominator(g, SM, 0, 1, [0, 2]) is None
-        assert not witness_holds(g, "NWM", 0, 1, point_mass(0, 0))
+        assert not witness_holds(g, "NWM", 0, 1, mixed_strategy(0, {0: 1}))
         w = find_dominator(g, NWM, 0, 1, [0, 2])
         assert w is not None
         assert dict(w.dominator.weights) == {0: F(3, 4), 2: F(1, 4)}
@@ -470,11 +469,12 @@ class TestCheapTests:
             assert lp_dominator(g, tag, i, s, allowed, columns=scrambled) == reference
             seen = mixed._member_support(tag, member, s)
             if seen:  # a rule's answer, yes or no, is the LP decider's
-                assert _rule(g, tag, i, s, seen, scrambled) == _check_rule(g, tag, i, s, seen, cols)
+                rule = _check_rule(g, tag, i, s, seen, cols)
+                assert _rule(g, tag, i, s, seen, scrambled) == rule
+                if rule == (None, None, None) and w is not None:  # an open query's witness is the LP's
+                    assert dict(w.dominator.weights) == reference
             if w is not None:
                 assert witness_holds(g, tag, i, s, w.dominator, cols)
-                if tag in ("WM", "NWM"):
-                    assert dict(w.dominator.weights) == reference
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(helpers.small_games(), helpers.small_games(0, 1)), st.data())
@@ -611,12 +611,13 @@ class TestCheapTests:
             find_dominator(self.CERTIFICATE_GAME, SM, 0, 0, [1, 2])
 
     def test_find_dominator_checks_the_lp_witness(self, monkeypatch):
-        # the rules leave this WM query to the decider; r2 is worse
-        # than r0 at L
-        assert _rule(self.CERTIFICATE_GAME, "WM", 0, 0, (1, 2)) == (None, None, None)
+        # only a proper mix of T and B weakly dominates M, so the rules leave
+        # this WM query to the decider; B is worse than M at L
+        g = mixable_middle_3x2()
+        assert _rule(g, "WM", 0, 1, (0, 2)) == (None, None, None)
         monkeypatch.setitem(mixed._DECIDERS, "WM", lambda *query: {2: F(1)})
         with pytest.raises(WitnessVerificationError):
-            find_dominator(self.CERTIFICATE_GAME, WM, 0, 0, [1, 2])
+            find_dominator(g, WM, 0, 1, [0, 2])
 
 
 def _rule_queries(g, data=None):
@@ -652,6 +653,9 @@ def _check_rule(g, tag, i, s, allowed, cols):
     masks = {t: (w[1], w[0]) for t, (w, _) in fractions.items()}
     assert mixed._by_masks(tag, i, s, allowed, masks, lambda t: fractions[t][1][0], checked) == out
     if weights is None and certificate is None:
+        # every point mass is the rules' to try: an open query needs a proper mix
+        reference = lp_dominator(g, tag, i, s, allowed, columns=cols)
+        assert reference is None or len(reference) > 1
         return out
     assert (weights is not None) == (lp_dominator(g, tag, i, s, allowed, columns=cols) is not None)
     if weights is not None:
@@ -681,18 +685,18 @@ class TestMaskRules:
             g = random_game(generator_params(len(shape), shape, -2, 2, F(1, 3), seed))
             answers += [(seed, *query[:4], _check_rule(g, *query)) for query in _rule_queries(g)]
         settled = sum(weights is not None or certificate is not None for *_, (weights, certificate, _) in answers)
-        assert (len(answers), settled) == (3500, 2674)
-        assert hashlib.sha256(repr(answers).encode()).hexdigest()[:16] == "2f4da408862b6be2"
+        assert (len(answers), settled) == (3500, 3244)
+        assert hashlib.sha256(repr(answers).encode()).hexdigest()[:16] == "8e6c8fd19110eb87"
 
     @settings(max_examples=100, deadline=None)
     @given(helpers.small_games(fractional=True), st.data())
     def test_point_mass_masks_are_its_strategys(self, g, data):
-        # witness_holds reads a one-atom mix through its strategy
+        # _masks reads a one-atom mix through its strategy, on the integer rows
         i, s, _, cols = _draw_query(g, data)
         checked = _checked_columns(g, i, cols)
         tags = PURE_TAGS + MIXED_TAGS
         for t in range(len(g.strategies[i])):
-            assert _masks(g, tags, i, s, point_mass(i, t), checked) == _masks(g, tags, i, s, t, checked)
+            assert _masks(g, tags, i, s, mixed_strategy(i, {t: 1}), checked) == _masks(g, tags, i, s, t, checked)
 
 
 class TestMixedDominatedSet:
