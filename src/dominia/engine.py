@@ -60,11 +60,16 @@ refutes there (VWM where s beats every t, SM where it ties or beats every t,
 PEM for a payoff outside their range), over that column alone.  A reused
 support may differ from the one a fresh search would find; results depend
 only on verdicts, since :meth:`_Dominance.survives` asks again whenever the
-removal meets the support.  The last root any public call searched keeps its
-layer, compared by identity, for the next call on that game object, whatever
-its relations; a call on another game object replaces it.  Each call reads
-that slot once, so concurrent calls on different games stay correct.  Reach
-sets are int bitsets, built bottom-up: every step removes strategies.
+removal meets the support.  Inherent chains' mixed links and
+:func:`mixed.mixed_dominated_set` ask the layer too
+(:meth:`_Dominance.mixed_witness`), for :func:`find_dominator`'s witness:
+kept per question for each fresh yes, asked once for a reused one.  The last
+root any public call asked keeps its layer, compared by identity, for the
+next call on that game object, whatever its relations; a call on another
+game object replaces it.  Each call reads that slot once, so concurrent
+calls on different games stay correct.  Only the searches, ``maximal_reduce``
+and ``fully_reduce`` check the size bound.  Reach sets are int bitsets,
+built bottom-up: every step removes strategies.
 
 Exact clones (strategies of one player with identical payoff vectors, for
 every player, in every opponent profile) are interchangeable: permuting them
@@ -97,8 +102,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .game import Game, restrict
-from .inherent import InherentQuery, is_inherently_dominated
-from .mixed import _by_masks, _checked, find_dominator
+from .inherent import InherentQuery, _chain
+from .mixed import MixedWitness, _by_masks, _checked, find_dominator
 from .pure import _EVERYWHERE, CheckOutcome, _bits, _check_bound, _checked_columns, _column_bits, _masks, _met
 from .equivalence import clone_classes, partition_by_equivalence
 from .relations import PEM, PURE_TAGS, Inherent, Relation, union
@@ -184,6 +189,9 @@ class _Dominance:
         # allowed, support or None, masks of the columns where the witness
         # holds)]: reused across column sets and tags
         self._answers: dict = {}
+        # (mixed tag, player, s, column bitset, allowed) -> the witness
+        # find_dominator gives for that very question, for each yes found
+        self._witnesses: dict = {}
 
     @functools.cached_property
     def clones(self) -> list[list[int]]:
@@ -238,6 +246,17 @@ class _Dominance:
                 return support
         return None
 
+    def mixed_witness(self, rel: Relation, i: int, s: int, cols, allowed: int) -> Optional[MixedWitness]:
+        """:func:`find_dominator`'s witness for s over ``cols`` with support in
+        ``allowed`` (not holding s), each tag's verdict :meth:`_answer`'s."""
+        for tag in rel.tags:
+            if self._answer(tag, i, s, cols, allowed) is not None:
+                key = (tag, i, s, cols.bits, allowed)
+                if key not in self._witnesses:
+                    self._witnesses[key] = find_dominator(self.root, _ONE_TAG[tag], i, s, _bits(allowed), columns=cols)
+                return self._witnesses[key]
+        return None
+
     def _pair(self, i: int, s: int, t: int) -> dict:
         """Every pure tag's masks of t against s for player i, by tag."""
         masks = self._pairs.get((i, s, t))
@@ -266,8 +285,7 @@ class _Dominance:
                 return support
         held = _EVERYWHERE  # where a yes holds, as witness_holds judges a witness
         if isinstance(label, Inherent):
-            query = InherentQuery(label.base, i, s, _bits(allowed))
-            result = is_inherently_dominated(self.root, query, columns=cols)
+            result = _chain(self.root, InherentQuery(label.base, i, s, _bits(allowed)), cols, self.mixed_witness)
             support = 0 if result.dominated else None
             for _, d in result.chain:
                 support |= sum(1 << t for t in d.dominator.support) if label.base.mixed else 1 << d
@@ -280,6 +298,8 @@ class _Dominance:
                 w = find_dominator(self.root, _ONE_TAG[label], i, s, rest, columns=cols)
             else:  # a refutation is checked as the tag it is kept under
                 w = _checked(self.root, refuted or label, i, s, rest, cols, weights, certificate)
+            if w is not None:
+                self._witnesses[label, i, s, bits, allowed] = w
             if refuted:  # one column refutes: kept over it alone, for every C holding it
                 bits, label = 1 << _bits(bits)[certificate[0]], refuted
             support = None if w is None else sum(1 << t for t in w.dominator.support)
@@ -446,12 +466,11 @@ class _Search:
 _last: Optional[_Dominance] = None
 
 
-def _layer(game: Game, bound: Optional[int]) -> _Dominance:
-    """The root's layer, after the bound check: the last call's when it
-    searched this very game object.  What the layer builds from the root,
-    and every answer it keeps, serves every relation."""
+def _layer(game: Game) -> _Dominance:
+    """The root's layer: the last call's when it asked this very game
+    object.  What the layer builds from the root, and every answer it keeps,
+    serves every relation."""
     global _last
-    _check_bound(game, bound)
     layer = _last  # read once: a concurrent call may replace it
     if layer is None or layer.root is not game:
         layer = _last = _Dominance(game)
@@ -459,8 +478,9 @@ def _layer(game: Game, bound: Optional[int]) -> _Dominance:
 
 
 def _searches(game: Game, bound: Optional[int], *specs: RelationSpec) -> list[_Search]:
-    """One search per spec, all on the root's :func:`_layer`."""
-    layer = _layer(game, bound)
+    """One search per spec, all on the root's :func:`_layer`, past the bound check."""
+    _check_bound(game, bound)
+    layer = _layer(game)
     return [_Search(layer, spec) for spec in specs]
 
 
@@ -602,7 +622,8 @@ def maximal_reduce(game: Game, relation: Union[Relation, Inherent], bound: Optio
     Each step records whether it was also valid with surviving dominators and
     whether it emptied some player's strategy set; a degenerate result ends
     the path."""
-    layer = _layer(game, bound)
+    _check_bound(game, bound)
+    layer = _layer(game)
     steps: list[ReductionStep] = []
     state = layer.start
     while True:
@@ -654,7 +675,8 @@ def fully_reduce(game: Game, bound: Optional[int] = None) -> Game:
     """Iterate single-strategy removal of randomized-redundant strategies
     (payoff equivalent, for every player, to a mix of surviving strategies)
     until none remains; the least-index redundant strategy goes first."""
-    layer = _layer(game, bound)
+    _check_bound(game, bound)
+    layer = _layer(game)
     state = layer.start
     while True:
         for i, s in ((i, s) for i in range(game.n) for s in _bits(layer.kept(state, i))):

@@ -248,9 +248,10 @@ def restrict(game: Game, kept: Sequence[Iterable[int]], *, allow_degenerate: boo
         raise IndexOutOfRange("kept sets must cover every player")
     kept_idx: list[tuple[int, ...]] = []
     for i, ks in enumerate(kept):
-        idx = tuple(sorted(set(ks)))
-        for s in idx:
+        ks = set(ks)
+        for s in ks:  # before sorting: a label among indices would not compare
             game._check_strategy(i, s)
+        idx = tuple(sorted(ks))
         if not idx and not allow_degenerate:
             raise EmptyRestriction(f"restriction empties player {i}'s strategy set")
         kept_idx.append(idx)

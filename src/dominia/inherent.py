@@ -13,10 +13,10 @@ as a need column below.  So one chain decides:
 
 * C_0 is the full column set;
 * find a dominator d_k on C_k: for a pure base the first strategy whose
-  masks hold there, tag by tag; for a mixed one :func:`find_dominator`,
-  whose mask rules try every point mass before any LP.  If there is none,
-  C_k is a failing subset.  Every dominator's fail and need columns are
-  read from :func:`pure._masks`, where every tag is defined;
+  masks hold there, tag by tag; for a mixed one
+  :func:`mixed.find_dominator`'s, decided on the game's engine layer.  If
+  there is none, C_k is a failing subset.  Every dominator's fail and need
+  columns are read from :func:`pure._masks`, where every tag is defined;
 * C_{k+1} is C_k less d_k's need columns; stop when it is empty.
 
 Every C_k, and every fail and need column, is named as :mod:`pure` names
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .game import Game
-from .mixed import find_dominator
 from .pure import _checked_columns, _masks, _met
 from .relations import Relation
 
@@ -73,6 +72,14 @@ def is_inherently_dominated(game: Game, query: InherentQuery, *, columns=None) -
     ``columns`` is the set of opponents' joint profiles, and so of subsets,
     quantified over (order and repeats are ignored); by default all of them.
     Chain sets and the failing subset list their profiles in ascending order."""
+    from .engine import _layer  # the engine builds on this module
+
+    return _chain(game, query, columns, _layer(game).mixed_witness if query.base.mixed else None)
+
+
+def _chain(game: Game, query: InherentQuery, columns, mixed_witness) -> InherentResult:
+    """:func:`is_inherently_dominated`, each mixed link decided by
+    ``mixed_witness(base, i, s, cols, allowed)`` (allowed as a bitmask)."""
     base = query.base
     i, s = query.player, query.strategy
     game._check_strategy(i, s)
@@ -85,13 +92,14 @@ def is_inherently_dominated(game: Game, query: InherentQuery, *, columns=None) -
     # a dominator never leans on s itself: under VWM the point mass on s
     # would dominate s
     allowed = tuple(t for t in pool if t != s)
+    allowed_bits = sum(1 << t for t in allowed)
     full = _checked_columns(game, i, columns)
     masks = [] if base.mixed else [(t, _masks(game, base.tags, i, s, t, full)) for t in allowed]
 
     def dominator(cols):
         """A dominator of s over ``cols`` with its need bits, or None."""
         if base.mixed:
-            w = find_dominator(game, base, i, s, allowed, columns=cols) if allowed else None
+            w = mixed_witness(base, i, s, cols, allowed_bits) if allowed else None
             return None if w is None else (w, _masks(game, (w.relation,), i, s, w.dominator, cols)[0][1])
         for k in range(len(base.tags)):
             for t, m in masks:

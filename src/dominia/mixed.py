@@ -531,11 +531,18 @@ def mixed_dominated_set(game: Game, relation: Relation) -> list[list[MixedWitnes
     player's other strategies.  As for pure dominance, the dominator is
     distinct from s: under VWM the point mass on s would dominate s, and
     under the other tags a mix dominates s iff its part off s does.  A
-    player with one strategy has none dominated.  Deterministic: the LP pivot
-    rule and the order of every LP's constraints are fixed."""
+    player with one strategy has none dominated.  Each witness is
+    :func:`find_dominator`'s, decided on the game's engine layer, which
+    searches of the game share.  Deterministic: the LP pivot rule and the
+    order of every LP's constraints are fixed."""
+    from .engine import _layer  # the engine builds on this module
+
+    if not relation.mixed:
+        raise ValueError("mixed_dominated_set needs a mixed relation")
+    layer = _layer(game)
     out: list[list[MixedWitness]] = []
     for i, k in enumerate(game.shape):
-        found = (find_dominator(game, relation, i, s, [t for t in range(k) if t != s]) for s in range(k))
+        found = (layer.mixed_witness(relation, i, s, layer._profiles[i], (1 << k) - 1 & ~(1 << s)) for s in range(k))
         out.append([w for w in found if w is not None] if k > 1 else [])
     return out
 

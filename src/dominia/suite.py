@@ -33,7 +33,7 @@ from .engine import (
     successors,
 )
 from .equivalence import equivalent, purely_reduce
-from .game import Game
+from .game import Game, restrict
 from .generator import SplitMix64, generator_params, random_game
 from .inherent import InherentQuery, inherent_dominated_set, is_inherently_dominated
 from .mixed import (
@@ -183,8 +183,11 @@ def criterion_5(games: list[Game]) -> CriterionResult:
             osc = check_one_step_closed(g, RelationSpec(SM, STRICT, ANY))
             if not osc.ok:
                 return False, f"game {idx}: strict-mixed reduction is not one step closed"
-            inh = inherent_dominated_set(g, WM)
             sm = [sorted(w.dominated for w in per) for per in mixed_dominated_set(g, SM)]
+            # inherent WM on a copy of g, with a layer of its own: on g's layer
+            # both sides could read one set of answers.  After the SM set, which
+            # reads the answers of g's searches before the copy replaces g's layer
+            inh = inherent_dominated_set(restrict(g, [range(k) for k in g.shape]), WM)
             if [sorted(x) for x in inh] != sm:
                 return False, f"game {idx}: inherent-weak-mixed set differs from strict-mixed set"
         verified = mixed.verified_witness_count - verified_before

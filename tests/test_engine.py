@@ -623,12 +623,13 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
     # inherent answers are hereditary both ways: a yes (a chain with support
     # T and B) answers on fewer columns, a no (failing at R) on more
     chains = []
+    chain = engine._chain
 
     def counted_chain(*args, **kwargs):
         chains.append(args[1].must_survive)
-        return is_inherently_dominated(*args, **kwargs)
+        return chain(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "is_inherently_dominated", counted_chain)
+    monkeypatch.setattr(engine, "_chain", counted_chain)
     layer = engine._Dominance(game)
     assert layer.witness(Inherent(WM), start, 0, 1, T | B) == T | B
     assert layer.witness(Inherent(WM), no_r, 0, 1, T | B) == T | B

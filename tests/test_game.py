@@ -184,3 +184,9 @@ def test_restrict_still_checks_indices_and_empty_sets():
             restrict(g, kept)
     with pytest.raises(EmptyRestriction):
         restrict(g, [(0,), (0,), ()])
+
+
+def test_restrict_checks_indices_before_sorting_them():
+    # a label among the indices is out of range, not an unorderable set
+    with pytest.raises(IndexOutOfRange):
+        restrict(mixable_middle_3x2(), [(0, "a"), (0,)])

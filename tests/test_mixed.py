@@ -11,6 +11,7 @@ from dominia import (
     PEM,
     SM,
     VWM,
+    W,
     WM,
     Game,
     RelationSpec,
@@ -29,7 +30,7 @@ from dominia import (
     substitute,
     witness_holds,
 )
-from dominia.errors import DegenerateSubstitution, DominiaError, EmptySupport, IndexOutOfRange
+from dominia.errors import DegenerateSubstitution, DominiaError, EmptySupport, IndexOutOfRange, SizeBoundExceeded
 from dominia.gallery import (
     mixable_middle_3x2,
     nonconfluent_weak_2x2,
@@ -708,6 +709,10 @@ class TestMixedDominatedSet:
     def test_trivial_empty(self):
         assert mixed_dominated_set(trivial_1x1(), SM) == [[]]
 
+    def test_pure_relation_refused(self):
+        with pytest.raises(ValueError):
+            mixed_dominated_set(G11, W)
+
     def test_only_mixable_middle_dominated(self):
         g = mixable_middle_3x2()
         per = mixed_dominated_set(g, SM)
@@ -733,6 +738,39 @@ class TestMixedDominatedSet:
             check_left_commutes(searched, RelationSpec(PEM), RelationSpec(WM))
             for rel in (SM, WM, NWM, VWM, PEM):
                 assert mixed_dominated_set(searched, rel) == mixed_dominated_set(copy(g), rel)
+
+    def test_sets_after_a_search_are_read_off_its_layer(self, monkeypatch):
+        # with no clones, an SM search asks every root question the SM set
+        # asks, so the set needs no LP, and its witnesses are a fresh copy's
+        g = mixable_middle_3x2()
+        fresh = mixed_dominated_set(restrict(g, [range(k) for k in g.shape]), SM)
+        normal_forms(g, RelationSpec(SM))
+        solves = []
+        solve = lp.solve
+        monkeypatch.setattr(lp, "solve", lambda *a: solves.append(a) or solve(*a))
+        assert mixed_dominated_set(g, SM) == fresh
+        assert solves == []
+        assert [[w.dominated for w in found] for found in fresh] == [[1], []]
+
+    def test_sets_answer_past_the_search_bound(self):
+        # 15 strategies: every search refuses the game, but the set queries
+        # are not exhaustive and still answer.  Player 0's middle strategy is
+        # strictly below the even mix of the other two, and below neither
+        shape = (3, 6, 6)
+        payoffs = {
+            (a, b, c): ((2 * (b % 2), 0, 2 - 2 * (b % 2))[a], (a + b * c) % 5, (a * c + b) % 7)
+            for a, b, c in itertools.product(*map(range, shape))
+        }
+        g = Game([[f"{p}{k}" for k in range(n)] for p, n in zip("abc", shape)], payoffs)
+        with pytest.raises(SizeBoundExceeded):
+            normal_forms(g, RelationSpec(SM))
+        per = mixed_dominated_set(g, SM)
+        assert 1 in [w.dominated for w in per[0]]
+        assert per == [
+            [find_dominator(g, SM, w.player, w.dominated, [t for t in range(k) if t != w.dominated]) for w in found]
+            for found, k in zip(per, shape)
+        ]
+        assert [[w.dominated for w in found] for found in per] == inherent_dominated_set(g, WM)
 
     def test_sets_match_inherent_dominance(self, small_games):
         # for pointwise tags every subset of columns has the full game's
