@@ -28,8 +28,10 @@ root alone, and so do pure answers: pure._masks, where every tag is defined,
 gives once per (player, s, t) every pure tag's fail and need masks, and t
 dominates s in a state under a relation iff the kept profiles meet no fail
 bit and some need bit of one of its tags.  A mixed question is first put to
-the mask rules (:func:`mixed._by_masks`) on those masks, and its certificate
-or pure witness checked on the Fraction payoffs; what the rules leave open,
+the mask rules (:func:`mixed._by_masks`) on the better and worse masks
+:func:`mixed._row_masks` reads off the integer rows once per (player, s),
+and its certificate or pure witness checked on the Fraction payoffs; what
+the rules leave open,
 and inherent questions, go to the root over the kept columns, the
 :class:`pure._Columns` at that bitset, which carries the root's integer
 payoff rows (:meth:`Game._int_rows`) picked there once.  A mixed union asks
@@ -63,7 +65,9 @@ only on verdicts, since :meth:`_Dominance.survives` asks again whenever the
 removal meets the support.  Inherent chains' mixed links and
 :func:`mixed.mixed_dominated_set` ask the layer too
 (:meth:`_Dominance.mixed_witness`), for :func:`find_dominator`'s witness:
-kept per question for each fresh yes, asked once for a reused one.  The last
+kept in the answer of each fresh yes, asked once for a reused one and kept
+in an answer of its own; on a game no search asks they pay for the layer
+they build, a little more than asking :func:`find_dominator` alone.  The last
 root any public call asked keeps its layer, compared by identity, for the
 next call on that game object, whatever its relations; a call on another
 game object replaces it.  Each call reads that slot once, so concurrent
@@ -103,7 +107,7 @@ from typing import Optional, Union
 
 from .game import Game, restrict
 from .inherent import InherentQuery, _chain
-from .mixed import MixedWitness, _by_masks, _checked, find_dominator
+from .mixed import MixedWitness, _by_masks, _checked, _row_masks, find_dominator
 from .pure import _EVERYWHERE, CheckOutcome, _bits, _check_bound, _checked_columns, _column_bits, _masks, _met
 from .equivalence import clone_classes, partition_by_equivalence
 from .relations import PEM, PURE_TAGS, Inherent, Relation, union
@@ -185,13 +189,13 @@ class _Dominance:
         self._columns: dict = {}
         # (player, s, t) -> every pure tag's masks, by tag
         self._pairs: dict = {}
+        # (player, s) -> {t: (better, worse)}, what the mask rules read
+        self._row_masks: dict = {}
         # (player, s) -> [(mixed tag or inherent relation, column bitset,
         # allowed, support or None, masks of the columns where the witness
-        # holds)]: reused across column sets and tags
+        # holds, a mixed yes's witness or None)]: reused across column sets
+        # and tags, the witness only by mixed_witness, for that very question
         self._answers: dict = {}
-        # (mixed tag, player, s, column bitset, allowed) -> the witness
-        # find_dominator gives for that very question, for each yes found
-        self._witnesses: dict = {}
 
     @functools.cached_property
     def clones(self) -> list[list[int]]:
@@ -248,14 +252,27 @@ class _Dominance:
 
     def mixed_witness(self, rel: Relation, i: int, s: int, cols, allowed: int) -> Optional[MixedWitness]:
         """:func:`find_dominator`'s witness for s over ``cols`` with support in
-        ``allowed`` (not holding s), each tag's verdict :meth:`_answer`'s."""
+        ``allowed`` (not holding s), each tag's verdict :meth:`_answer`'s: the
+        witness of a fresh yes to this very question, else asked once and kept."""
         for tag in rel.tags:
             if self._answer(tag, i, s, cols, allowed) is not None:
-                key = (tag, i, s, cols.bits, allowed)
-                if key not in self._witnesses:
-                    self._witnesses[key] = find_dominator(self.root, _ONE_TAG[tag], i, s, _bits(allowed), columns=cols)
-                return self._witnesses[key]
+                past = self._answers[i, s]
+                for x, b, a, _, _, w in past:
+                    if w is not None and x == tag and b == cols.bits and a == allowed:
+                        return w
+                w = find_dominator(self.root, _ONE_TAG[tag], i, s, _bits(allowed), columns=cols)
+                past.append(self._entry(tag, i, s, cols, allowed, w))
+                return w
         return None
+
+    def mixed_dominated(self, rel: Relation) -> list[list[MixedWitness]]:
+        """Per player, :meth:`mixed_witness` over every column for each root
+        strategy that a mix of the player's other strategies dominates."""
+        out: list[list[MixedWitness]] = []
+        for i, k in enumerate(self.root.shape):
+            found = (self.mixed_witness(rel, i, s, self._profiles[i], self.full[i] & ~(1 << s)) for s in range(k))
+            out.append([w for w in found if w is not None] if k > 1 else [])
+        return out
 
     def _pair(self, i: int, s: int, t: int) -> dict:
         """Every pure tag's masks of t against s for player i, by tag."""
@@ -265,6 +282,14 @@ class _Dominance:
             masks = self._pairs[i, s, t] = dict(zip(PURE_TAGS, masks))
         return masks
 
+    def _entry(self, tag: str, i: int, s: int, cols, allowed: int, w: Optional[MixedWitness]) -> tuple:
+        """The answer kept for a mixed tag's witness ``w`` (or None) over ``cols``."""
+        support = None if w is None else sum(1 << t for t in w.dominator.support)
+        held = _EVERYWHERE  # where a yes holds, as witness_holds judges a witness
+        if support and tag not in _POINTWISE:
+            held = _masks(self.root, (tag,), i, s, w.dominator, cols)
+        return tag, cols.bits, allowed, support, held, w
+
     def _answer(self, label: Union[str, Inherent], i: int, s: int, cols, allowed: int) -> Optional[int]:
         """:meth:`witness` for one mixed tag or one inherent relation."""
         bits = cols.bits
@@ -272,7 +297,7 @@ class _Dominance:
         # again: monotone in ``allowed``, hereditary in the columns, and a yes
         # answers every tag x implies, a "no" every tag implying x
         past = self._answers.setdefault((i, s), [])
-        for x, b, a, support, held in past:
+        for x, b, a, support, held, _ in past:
             if x != label and not (b and bits):
                 continue  # SM holds on no columns, where WM and NWM fail
             if support is None:
@@ -283,30 +308,29 @@ class _Dominance:
                         return None
             elif label in _IMPLIES.get(x, (x,)) and not support & ~allowed and not bits & ~b and _met(held, bits):
                 return support
-        held = _EVERYWHERE  # where a yes holds, as witness_holds judges a witness
         if isinstance(label, Inherent):
             result = _chain(self.root, InherentQuery(label.base, i, s, _bits(allowed)), cols, self.mixed_witness)
             support = 0 if result.dominated else None
             for _, d in result.chain:
                 support |= sum(1 << t for t in d.dominator.support) if label.base.mixed else 1 << d
-        else:
-            rest = _bits(allowed)
-            masks = {t: self._pair(i, s, t)["W"][::-1] for t in rest}
-            split = lambda t: self._pair(i, s, t)["COMPAT"][0]
-            weights, certificate, refuted = _by_masks(label, i, s, rest, masks, split, cols)
-            if weights is None and certificate is None:
-                w = find_dominator(self.root, _ONE_TAG[label], i, s, rest, columns=cols)
-            else:  # a refutation is checked as the tag it is kept under
-                w = _checked(self.root, refuted or label, i, s, rest, cols, weights, certificate)
-            if w is not None:
-                self._witnesses[label, i, s, bits, allowed] = w
-            if refuted:  # one column refutes: kept over it alone, for every C holding it
-                bits, label = 1 << _bits(bits)[certificate[0]], refuted
-            support = None if w is None else sum(1 << t for t in w.dominator.support)
-            if support and label not in _POINTWISE:
-                held = _masks(self.root, (label,), i, s, w.dominator, cols)
-        past.append((label, bits, allowed, support, held))
-        return support
+            past.append((label, bits, allowed, support, _EVERYWHERE, None))
+            return support
+        rest = _bits(allowed)
+        masks = self._row_masks.get((i, s))
+        if masks is None:
+            masks = self._row_masks[i, s] = _row_masks(self._profiles[i], i, s, range(len(self.root.strategies[i])))
+        split = lambda t: self._pair(i, s, t)["COMPAT"][0]
+        weights, certificate, refuted = _by_masks(label, i, s, rest, masks, split, cols)
+        if weights is None and certificate is None:
+            w = find_dominator(self.root, _ONE_TAG[label], i, s, rest, columns=cols)
+        else:  # a refutation is checked as the tag it is kept under
+            w = _checked(self.root, refuted or label, i, s, rest, cols, weights, certificate)
+        if refuted:  # one column refutes: kept over it alone, for every C holding it
+            past.append((refuted, 1 << _bits(bits)[certificate[0]], allowed, None, _EVERYWHERE, None))
+            return None
+        entry = self._entry(label, i, s, cols, allowed, w)
+        past.append(entry)
+        return entry[3]
 
     def loose(self, rel: Union[Relation, Inherent], state: int, i: int) -> dict[int, int]:
         """Player i's ``rel``-dominated strategies, each with its :meth:`witness`

@@ -11,8 +11,9 @@ u_i(t) > u_i(s), where u_i(t) < u_i(s), and where these tie and another
 player's payoffs do not (:func:`pure._masks`' better, worse and split):
 :func:`find_dominator` builds the first two from the integer rows
 (:meth:`Game._int_rows`) and asks :func:`pure._masks` for the split ones
-only when a rule needs them; the engine's layer reads all three off its pure
-masks.
+only when a rule needs them; the engine's layer builds the first two the
+same way, over every column, once per strategy, and reads the split ones off
+its pure masks.
 
 A mix's payoff in one column lies between the payoffs of the strategies it
 mixes (the one-column case of Pearce 1984, Lemma 3), so one column says "no"
@@ -539,10 +540,5 @@ def mixed_dominated_set(game: Game, relation: Relation) -> list[list[MixedWitnes
 
     if not relation.mixed:
         raise ValueError("mixed_dominated_set needs a mixed relation")
-    layer = _layer(game)
-    out: list[list[MixedWitness]] = []
-    for i, k in enumerate(game.shape):
-        found = (layer.mixed_witness(relation, i, s, layer._profiles[i], (1 << k) - 1 & ~(1 << s)) for s in range(k))
-        out.append([w for w in found if w is not None] if k > 1 else [])
-    return out
+    return _layer(game).mixed_dominated(relation)
 

@@ -37,13 +37,19 @@ from dominia.gallery import (
     redundant_middle_3x2,
     trivial_1x1,
 )
-from dominia import lp, mixed
+from dominia import engine, lp, mixed
 from dominia.engine import _IMPLIES, _ONE_TAG
 from dominia.pure import _checked_columns, _masks, restrictions
 from dominia.relations import MIXED_TAGS, PURE_TAGS
 from dominia.mixed import MixedStrategy, WitnessVerificationError, lp_dominator
 
 G11 = nonconfluent_weak_2x2()
+
+
+def _fresh(g):
+    """A copy of g, another game object: on it a query starts on a layer of
+    its own, apart from every answer left on g's."""
+    return restrict(g, [range(k) for k in g.shape])
 
 
 def _draw_query(g, data):
@@ -728,22 +734,24 @@ class TestMixedDominatedSet:
     def test_witnesses_do_not_depend_on_earlier_searches(self, small_games):
         # witnesses are output: they come from find_dominator on the game,
         # never from the answers an engine search left on the game's layer,
-        # which may be another tag's or another allowed set's
-        def copy(g):
-            return Game(g.strategies, {p: g.payoff_vector(p) for p in g.profiles()})
-
+        # which may be another tag's or another allowed set's.  Every fresh
+        # copy's sets come first, so the searched game keeps its layer, and
+        # the answers of both searches, through all five sets
+        rels = (SM, WM, NWM, VWM, PEM)
         for g in small_games[:12] + [mixable_middle_3x2(), G11]:
-            searched = copy(g)
+            expected = [mixed_dominated_set(_fresh(g), rel) for rel in rels]
+            searched = _fresh(g)
             normal_forms(searched, RelationSpec(SM))
             check_left_commutes(searched, RelationSpec(PEM), RelationSpec(WM))
-            for rel in (SM, WM, NWM, VWM, PEM):
-                assert mixed_dominated_set(searched, rel) == mixed_dominated_set(copy(g), rel)
+            layer = engine._last
+            assert [mixed_dominated_set(searched, rel) for rel in rels] == expected
+            assert engine._last is layer and layer.root is searched
 
     def test_sets_after_a_search_are_read_off_its_layer(self, monkeypatch):
         # with no clones, an SM search asks every root question the SM set
         # asks, so the set needs no LP, and its witnesses are a fresh copy's
         g = mixable_middle_3x2()
-        fresh = mixed_dominated_set(restrict(g, [range(k) for k in g.shape]), SM)
+        fresh = mixed_dominated_set(_fresh(g), SM)
         normal_forms(g, RelationSpec(SM))
         solves = []
         solve = lp.solve
@@ -770,15 +778,20 @@ class TestMixedDominatedSet:
             [find_dominator(g, SM, w.player, w.dominated, [t for t in range(k) if t != w.dominated]) for w in found]
             for found, k in zip(per, shape)
         ]
-        assert [[w.dominated for w in found] for found in per] == inherent_dominated_set(g, WM)
+        # inherent WM = SM, decided apart on a copy
+        assert [[w.dominated for w in found] for found in per] == inherent_dominated_set(_fresh(g), WM)
 
     def test_sets_match_inherent_dominance(self, small_games):
         # for pointwise tags every subset of columns has the full game's
-        # dominator, so inherent dominance is plain dominance
+        # dominator, so inherent dominance is plain dominance.  The sets share
+        # g's layer, each reading the answers the ones before it left; each
+        # inherent side is decided on a copy of its own, since on g's layer
+        # the chain's first link would read the set's answer to that question
+        rels = (SM, VWM, PEM)
         for g in small_games[:12]:
-            for rel in (SM, VWM, PEM):
-                per = mixed_dominated_set(g, rel)
-                assert [[w.dominated for w in found] for found in per] == inherent_dominated_set(g, rel)
+            per = [mixed_dominated_set(g, rel) for rel in rels]
+            inherent = [inherent_dominated_set(_fresh(g), rel) for rel in rels]
+            assert [[[w.dominated for w in found] for found in sets] for sets in per] == inherent
 
 
 class TestWitnessImplications:
