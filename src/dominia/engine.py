@@ -107,7 +107,7 @@ from typing import Optional, Union
 
 from .game import Game, restrict
 from .inherent import InherentQuery, _chain
-from .mixed import MixedWitness, _by_masks, _checked, _row_masks, find_dominator
+from .mixed import MixedWitness, _by_masks, _checked, _decided, _row_masks, find_dominator
 from .pure import _EVERYWHERE, CheckOutcome, _bits, _check_bound, _checked_columns, _column_bits, _masks, _met
 from .equivalence import clone_classes, partition_by_equivalence
 from .relations import PEM, PURE_TAGS, Inherent, Relation, union
@@ -322,7 +322,7 @@ class _Dominance:
         split = lambda t: self._pair(i, s, t)["COMPAT"][0]
         weights, certificate, refuted = _by_masks(label, i, s, rest, masks, split, cols)
         if weights is None and certificate is None:
-            w = find_dominator(self.root, _ONE_TAG[label], i, s, rest, columns=cols)
+            w = _decided(self.root, label, i, s, rest, cols)
         else:  # a refutation is checked as the tag it is kept under
             w = _checked(self.root, refuted or label, i, s, rest, cols, weights, certificate)
         if refuted:  # one column refutes: kept over it alone, for every C holding it

@@ -421,8 +421,10 @@ def _decide_nwm(pay, i, s, allowed):
     exactly on T and is a witness; infeasible or below 0, P_T is empty; at
     0, some column is an implicit equality (else the mean of points strict
     on each would be strict on all), and each column whose own margin LP
-    has optimum 0 joins T.  The added columns follow the forced ties in
-    ascending order, so the witness does not depend on when a column joined.
+    has optimum 0 joins T.  Before the first such test the WM decider is
+    asked once: an NWM witness is a WM one, so without a WM witness there
+    is none.  The added columns follow the forced ties in ascending order,
+    so the witness does not depend on when a column joined.
     """
     mine = pay[i]
     every = range(len(mine))
@@ -434,6 +436,8 @@ def _decide_nwm(pay, i, s, allowed):
             return None
         if out.value > 0:
             return _weights_from_point(allowed, out.point)
+        if len(ties) == forced and _decide_wm(pay, i, s, allowed) is None:
+            return None  # NWM implies WM
         implicit = [c for c in every if c not in ties and _margin_lp(pay, i, s, allowed, ties, (c,)).value == 0]
         ties[forced:] = sorted(ties[forced:] + implicit)
     return None
@@ -475,7 +479,7 @@ def find_dominator(
     """
     if not relation.mixed:
         raise ValueError("find_dominator needs a mixed relation")
-    allowed, cols, pay = _query(game, player, strategy, allowed_support, columns)
+    allowed, cols, _ = _query(game, player, strategy, allowed_support, columns)
     masks = _row_masks(cols, player, strategy, allowed)
     split = lambda t: _masks(game, ("COMPAT",), player, strategy, t, cols)[0][0]  # seldom asked
     for tag in relation.tags:
@@ -484,11 +488,19 @@ def find_dominator(
             continue
         weights, certificate, _ = _by_masks(tag, player, strategy, member_allowed, masks, split, cols)
         if weights is None and certificate is None:
-            weights = _DECIDERS[tag](pay, player, strategy, member_allowed)
-        w = _checked(game, tag, player, strategy, member_allowed, cols, weights, certificate)
+            w = _decided(game, tag, player, strategy, member_allowed, cols)
+        else:
+            w = _checked(game, tag, player, strategy, member_allowed, cols, weights, certificate)
         if w is not None:
             return w
     return None
+
+
+def _decided(game: Game, tag: str, i: int, s: int, allowed, cols: _Columns) -> Optional[MixedWitness]:
+    """The tag's LP decider's answer to a question the mask rules left open,
+    its witness checked by :func:`_checked`; ``allowed`` is the support the
+    decider sees, in ascending order."""
+    return _checked(game, tag, i, s, allowed, cols, _DECIDERS[tag](_rows(cols), i, s, allowed), None)
 
 
 def _query(game: Game, player: int, strategy: int, allowed_support, columns):

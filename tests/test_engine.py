@@ -581,7 +581,7 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
     # every subset of A and a "yes" with support S answers every allowed set
     # that contains S; a pointwise "yes" also answers on fewer columns, and a
     # pointwise "no" on more columns; only other questions are decided
-    # afresh (by the mask rules, then find_dominator), one tag at a time
+    # afresh (by the mask rules, then the LP), one tag at a time
     game = new_game(
         [["T", "M", "B", "X"], ["L", "R"]],
         {
@@ -640,8 +640,8 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
 
 def _count_fresh_decisions(monkeypatch) -> list:
     """The (tag, allowed) of every mixed question the engine's layers decide
-    afresh from here on: each goes to the mask rules first, and to
-    find_dominator only if they leave it open."""
+    afresh from here on: each goes to the mask rules first, and to its LP
+    decider (:func:`mixed._decided`) only if they leave it open."""
     calls = []
 
     def counted(tag, i, s, allowed, *masks):
@@ -815,16 +815,16 @@ def test_dominance_layer_answers_as_the_public_search(relation, game, data):
 
 
 def test_layers_are_reused_across_calls_on_one_game_object(monkeypatch):
-    # a call on the game object the last call searched asks find_dominator
+    # a call on the game object the last call searched asks the LP deciders
     # only what that call left open; a call on another game object in
     # between drops the kept layers, and the count is the cold one again
     calls = []
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return find_dominator(*args, **kwargs)
+        return mixed._decided(*args)
 
-    monkeypatch.setattr(engine, "find_dominator", counted)
+    monkeypatch.setattr(engine, "_decided", counted)
     sm = RelationSpec(SM, STRICT, ANY)
 
     def closed(game):

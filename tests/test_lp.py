@@ -2,11 +2,12 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from dominia import lp, mixed
 from dominia.errors import DimensionMismatch, PivotLimitExceeded
 from dominia.game import new_game
+from dominia.generator import generator_params, random_game
 
 
 def _scaled(values) -> tuple[int, list[int]]:
@@ -333,3 +334,139 @@ def test_margin_lp_reaches_a_negative_optimum():
     assert out.optimal and out.value == Fraction(-1, 2)
     half = Fraction(1, 2)
     assert out.point[:2] == (half, half) and out.point[2] - out.point[3] == -half
+
+
+def _calls_of_simplex(monkeypatch) -> list:
+    """The (rows, variables) of every tableau the simplex runs from here on."""
+    calls = []
+    simplex = lp._simplex
+
+    def recording(rows, ops, objective):
+        calls.append((len(rows), len(objective)))
+        return simplex(rows, ops, objective)
+
+    monkeypatch.setattr(lp, "_simplex", recording)
+    return calls
+
+
+def test_small_queries_run_the_primal_and_tall_ones_the_dual(monkeypatch):
+    # a 2-player 2x2 SM query: 3 rows over 4 variables, the primal's side
+    small = random_game(generator_params(2, 2, -3, 3, 0, 5))
+    _, _, pay = mixed._query(small, 0, 0, (0, 1), None)
+    rows, ops = mixed._constraints(pay, 0, 0, (0, 1), (), range(2))
+    assert (len(rows), len(rows[0]) - 1) == (3, 4) and not lp._dual_side(rows, ops, 4)
+    # a 4x4x4 WM query over 3 strategies, and an NWM round with two tie
+    # columns: 17 rows over 3 variables, and 21 over 5, the dual's side
+    large = random_game(generator_params(3, 4, -3, 3, 0, 5))
+    _, _, pay = mixed._query(large, 0, 0, (1, 2, 3), None)
+    wm = mixed._constraints(pay, 0, 0, (1, 2, 3), (), ())
+    nwm = mixed._constraints(pay, 0, 0, (1, 2, 3), (0, 1), range(16))
+    assert [len(rows) for rows, _ in (wm, nwm)] == [17, 21]
+    assert lp._dual_side(*wm, 3) and lp._dual_side(*nwm, 5)
+    calls = _calls_of_simplex(monkeypatch)
+    mixed._margin_lp(mixed._query(small, 0, 0, (0, 1), None)[2], 0, 0, (0, 1), (), range(2))
+    lp.solve(lp.LpProblem(*wm, [1, 1, 1]))
+    # the primal runs on the problem's rows; the dual on a row per variable,
+    # over a variable per >= row and two per == row (the weights' sum)
+    assert calls == [(3, 4), (3, 18)]
+
+
+def _primal(prob):
+    """``prob`` solved on the primal side."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_dual_side", lambda *args: False)
+        return lp.solve(prob)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.tuples(
+                    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                    st.sampled_from([lp.EQ, lp.GE, lp.GE]),
+                    st.integers(0, 3),
+                ),
+                min_size=3 * n + 4,  # more than 3 rows per variable, the extra one too
+                max_size=4 * n + 4,
+            ),
+            st.lists(st.integers(0, 3), min_size=n, max_size=n),
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            st.sampled_from(["plain", "redundant", "contradictory", "unbounded", "shifted"]),
+        )
+    )
+)
+def test_the_dual_side_agrees_with_the_primal_on_tall_problems(case):
+    """Tall problems, with == and >= rows and right-hand sides of either
+    sign, run on the dual's side; it gives the primal's status and value,
+    and its point passes the post-solve check.  Each row holds at a point
+    x0, a >= row with a slack, unless every right-hand side is shifted; a
+    problem may also hold a scaled copy of a row, or a second equality with
+    a different right-hand side.  An extra variable that no row holds makes
+    a positive objective on it unbounded, which leaves the dual infeasible
+    and is solved as the primal."""
+    rows, x0, objective, kind = case
+    rows = [(a, op, sum(map(int.__mul__, a, x0)) - (op == lp.GE) * slack) for a, op, slack in rows]
+    if kind == "shifted":
+        rows = [(a, op, b + 1 + k % 3) for k, (a, op, b) in enumerate(rows)]
+    elif kind == "redundant":
+        a, op, b = rows[0]
+        rows = [*rows, ([2 * v for v in a], op, 2 * b)]
+    elif kind == "contradictory":
+        a, _, b = rows[0]
+        rows = [(a, lp.EQ, b), *rows[1:], (a, lp.EQ, b + 1)]
+    elif kind == "unbounded":
+        rows = [([*a, 0], op, b) for a, op, b in rows]
+        objective = [*objective, 1]
+    prob = lp.LpProblem([[*a, b] for a, _, b in rows], [op for _, op, _ in rows], objective)
+    assert lp._dual_side(prob.constraints, prob.ops, prob.num_vars)
+    out, ref = lp.solve(prob), _primal(prob)
+    event(f"{kind}: {out.status}")
+    assert (out.status, out.value) == (ref.status, ref.value)
+    if kind == "contradictory" and any(rows[0][0]):
+        assert out.status == "infeasible"
+    if kind == "unbounded":
+        assert out.status == "unbounded"
+    if out.optimal:
+        d = lcm(*(v.denominator for v in out.point))
+        lp._check_point(prob.constraints, prob.ops, [int(v * d) for v in out.point], d)
+
+
+def test_both_fallbacks_of_the_dual_side(monkeypatch):
+    # an unbounded dual answers "infeasible" with no primal run; x >= 1 and
+    # -x >= 0 leave the dual (a row per variable) unbounded
+    calls = _calls_of_simplex(monkeypatch)
+    rows = [[1, 1], [-1, 0], [1, 0], [1, 0], [1, 0]]
+    assert lp.solve(lp.LpProblem(rows, [lp.GE] * 5, [0])).status == "infeasible"
+    assert calls == [(1, 5)]
+    # max x over x >= 0 rows: the dual is infeasible, the primal runs and
+    # finds the problem unbounded
+    del calls[:]
+    rows = [[1, 0], [1, -1], [2, 0], [3, 0], [1, -2]]
+    assert lp.solve(lp.LpProblem(rows, [lp.GE] * 5, [1])).status == "unbounded"
+    assert calls == [(1, 5), (5, 1)]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda red: [-v for v in red], lambda red: red[1:], lambda red: [0, *red]],
+    ids=["sign-flip", "slack-shifted-left", "slack-shifted-right"],
+)
+def test_a_corrupted_dual_read_out_fails_the_post_solve_check(monkeypatch, corrupt):
+    # max -x - y over x + y >= 2, x >= 1/2 and copies: optimum -2 at a point
+    # with x >= 1/2 and y >= 0, read off the dual's reduced costs
+    rows = [[1, 1, 2], [2, 0, 1], [1, 1, 2], [2, 0, 1], [3, 3, 6], [4, 0, 2], [1, 2, 2]]
+    prob = lp.LpProblem(rows, [lp.GE] * len(rows), [-1, -1])
+    assert lp._dual_side(rows, prob.ops, 2)
+    out = lp.solve(prob)
+    assert out.optimal and out.value == -2 and out.point[0] >= Fraction(1, 2)
+    simplex = lp._simplex
+
+    def corrupted(rows, ops, objective):
+        tab, red = simplex(rows, ops, objective)
+        return tab, corrupt(red)
+
+    monkeypatch.setattr(lp, "_simplex", corrupted)
+    with pytest.raises(AssertionError, match="violating row"):
+        lp.solve(prob)
