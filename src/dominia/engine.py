@@ -27,15 +27,15 @@ strategies).  State keys, games, column sets and clone classes depend on the
 root alone, and so do pure answers: pure._masks, where every tag is defined,
 gives once per (player, s, t) every pure tag's fail and need masks, and t
 dominates s in a state under a relation iff the kept profiles meet no fail
-bit and some need bit of one of its tags.  A mixed question is first put to
-the mask rules (:func:`mixed._by_masks`) on the better and worse masks
+bit and some need bit of one of its tags.  A mixed question goes to
+:func:`mixed._settled`: the mask rules on the better and worse masks
 :func:`mixed._row_masks` reads off the integer rows once per (player, s),
-and its certificate or pure witness checked on the Fraction payoffs; what
-the rules leave open,
-and inherent questions, go to the root over the kept columns, the
-:class:`pure._Columns` at that bitset, which carries the root's integer
-payoff rows (:meth:`Game._int_rows`) picked there once.  A mixed union asks
-its tags one at a time, in order, and says yes at the first that does.
+then the LP if they leave it open, every certificate and witness checked on
+the Fraction payoffs.  Mixed and inherent questions ask the root over the
+kept columns, the :class:`pure._Columns` at that bitset, which carries the
+root's integer payoff rows (:meth:`Game._int_rows`) picked there once.  A
+mixed union asks its tags one at a time, in order, and says yes at the first
+that does.
 Answers are kept per (player, s), each labelled by its mixed tag or inherent
 relation, with the column bitset B and the allowed support A it was asked
 over.  By their definitions the tags nest over a non-empty column set, SM ⊆
@@ -48,15 +48,14 @@ question asks "is there a dominator of s with support inside A over these
 columns", so an answer is reused on columns C and allowed A' by monotonicity
 in A and by hereditarity (Apt 2004; for mixes the one-column case of Pearce
 1984, Lemma 3): a strategy stays dominated in a restriction that keeps its
-dominator.  A support inside A' answers yes on C inside B, as it is when its
-witness's tag is pointwise (SM, VWM, PEM: defined column by column) or it is
-an inherent chain's (which covers every subset of B), and for WM and NWM,
-whose witness survives only if a strict column does, after a re-check on C
-with no LP: as :func:`mixed.witness_holds` judges it, by the witness's
-:func:`pure._masks` over B, built once when it is stored.  A "no" for A
-containing A' answers no on C = B and, when the asked or the kept tag is
-pointwise or the relation inherent, on C containing B: a witness over C would
-restrict to one over B, and a failing subset of B lies in C.  A rule's
+dominator.  A support inside A' answers yes, and a "no" for A containing A'
+answers no, on C = B; on other columns one symmetric rule holds, a yes on C
+inside B and a "no" on C containing B, when the asked or the kept tag is
+pointwise (SM, VWM, PEM: defined column by column) or the relation is
+inherent.  A pointwise witness restricts to fewer columns, a WM or NWM
+witness over B is a VWM one on every C inside B, a chain covers every
+subset of B, and a failing subset of B lies in C; WM and NWM are not
+hereditary, so their questions on other columns are decided afresh.  A rule's
 refutation by one column is checked as, and kept under, the strongest tag it
 refutes there (VWM where s beats every t, SM where it ties or beats every t,
 PEM for a payoff outside their range), over that column alone.  A reused
@@ -107,8 +106,8 @@ from typing import Optional, Union
 
 from .game import Game, restrict
 from .inherent import InherentQuery, _chain
-from .mixed import MixedWitness, _by_masks, _checked, _decided, _row_masks, find_dominator
-from .pure import _EVERYWHERE, CheckOutcome, _bits, _check_bound, _checked_columns, _column_bits, _masks, _met
+from .mixed import MixedWitness, _row_masks, _settled, find_dominator
+from .pure import CheckOutcome, _bits, _check_bound, _checked_columns, _column_bits, _masks, _met
 from .equivalence import clone_classes, partition_by_equivalence
 from .relations import PEM, PURE_TAGS, Inherent, Relation, union
 
@@ -118,7 +117,7 @@ ANY, SINGLE = "any", "single"
 StateKey = tuple[tuple[int, ...], ...]
 
 # mixed tags defined column by column: a witness over some columns is one
-# over each subset of them, so its (fail, need) masks there are these
+# over each subset of them
 _POINTWISE = {"SM", "VWM", "PEM"}
 # mixed tag -> the tags it implies over a non-empty column set (module docstring)
 _IMPLIES = {
@@ -192,9 +191,9 @@ class _Dominance:
         # (player, s) -> {t: (better, worse)}, what the mask rules read
         self._row_masks: dict = {}
         # (player, s) -> [(mixed tag or inherent relation, column bitset,
-        # allowed, support or None, masks of the columns where the witness
-        # holds, a mixed yes's witness or None)]: reused across column sets
-        # and tags, the witness only by mixed_witness, for that very question
+        # allowed, support or None, a mixed yes's witness or None)]: reused
+        # across column sets and tags, the witness only by mixed_witness, for
+        # that very question
         self._answers: dict = {}
 
     @functools.cached_property
@@ -229,8 +228,7 @@ class _Dominance:
         columns).  A mixed union asks its tags in
         order and says yes at the first that does.  An earlier answer may
         answer, under a tag it implies or is implied by, on these columns or,
-        by hereditarity, on others (module docstring); a WM or NWM witness
-        from more columns is re-checked."""
+        by hereditarity, on others (module docstring)."""
         if not allowed:
             return None
         others = state & ~(self.full[i] << self.off[i])
@@ -257,11 +255,11 @@ class _Dominance:
         for tag in rel.tags:
             if self._answer(tag, i, s, cols, allowed) is not None:
                 past = self._answers[i, s]
-                for x, b, a, _, _, w in past:
+                for x, b, a, _, w in past:
                     if w is not None and x == tag and b == cols.bits and a == allowed:
                         return w
                 w = find_dominator(self.root, _ONE_TAG[tag], i, s, _bits(allowed), columns=cols)
-                past.append(self._entry(tag, i, s, cols, allowed, w))
+                past.append(self._entry(tag, cols, allowed, w))
                 return w
         return None
 
@@ -282,53 +280,46 @@ class _Dominance:
             masks = self._pairs[i, s, t] = dict(zip(PURE_TAGS, masks))
         return masks
 
-    def _entry(self, tag: str, i: int, s: int, cols, allowed: int, w: Optional[MixedWitness]) -> tuple:
+    @staticmethod
+    def _entry(tag: str, cols, allowed: int, w: Optional[MixedWitness]) -> tuple:
         """The answer kept for a mixed tag's witness ``w`` (or None) over ``cols``."""
-        support = None if w is None else sum(1 << t for t in w.dominator.support)
-        held = _EVERYWHERE  # where a yes holds, as witness_holds judges a witness
-        if support and tag not in _POINTWISE:
-            held = _masks(self.root, (tag,), i, s, w.dominator, cols)
-        return tag, cols.bits, allowed, support, held, w
+        return tag, cols.bits, allowed, None if w is None else sum(1 << t for t in w.dominator.support), w
 
     def _answer(self, label: Union[str, Inherent], i: int, s: int, cols, allowed: int) -> Optional[int]:
         """:meth:`witness` for one mixed tag or one inherent relation."""
         bits = cols.bits
         # an answer for s under tag x over columns b and allowed set a, asked
-        # again: monotone in ``allowed``, hereditary in the columns, and a yes
-        # answers every tag x implies, a "no" every tag implying x
+        # again: monotone in ``allowed``, and a yes answers every tag x
+        # implies, a "no" every tag implying x; on other columns only where
+        # one tag is pointwise or a chain covers every subset: a yes on
+        # fewer, a "no" on more
         past = self._answers.setdefault((i, s), [])
-        for x, b, a, support, held, _ in past:
+        hereditary = label in _POINTWISE or isinstance(label, Inherent)
+        for x, b, a, support, _ in past:
             if x != label and not (b and bits):
                 continue  # SM holds on no columns, where WM and NWM fail
             if support is None:
-                # a pointwise witness or a chain over more columns restricts to b
-                if x in _IMPLIES.get(label, (label,)) and not allowed & ~a:
-                    pointwise = x in _POINTWISE or label in _POINTWISE or isinstance(label, Inherent)
-                    if b == bits or not b & ~bits and pointwise:
-                        return None
-            elif label in _IMPLIES.get(x, (x,)) and not support & ~allowed and not bits & ~b and _met(held, bits):
+                implied, monotone, carried = x in _IMPLIES.get(label, (label,)), not allowed & ~a, not b & ~bits
+            else:
+                implied, monotone, carried = label in _IMPLIES.get(x, (x,)), not support & ~allowed, not bits & ~b
+            if implied and monotone and (b == bits or carried and (hereditary or x in _POINTWISE)):
                 return support
         if isinstance(label, Inherent):
             result = _chain(self.root, InherentQuery(label.base, i, s, _bits(allowed)), cols, self.mixed_witness)
             support = 0 if result.dominated else None
             for _, d in result.chain:
                 support |= sum(1 << t for t in d.dominator.support) if label.base.mixed else 1 << d
-            past.append((label, bits, allowed, support, _EVERYWHERE, None))
+            past.append((label, bits, allowed, support, None))
             return support
         rest = _bits(allowed)
         masks = self._row_masks.get((i, s))
         if masks is None:
             masks = self._row_masks[i, s] = _row_masks(self._profiles[i], i, s, range(len(self.root.strategies[i])))
-        split = lambda t: self._pair(i, s, t)["COMPAT"][0]
-        weights, certificate, refuted = _by_masks(label, i, s, rest, masks, split, cols)
-        if weights is None and certificate is None:
-            w = _decided(self.root, label, i, s, rest, cols)
-        else:  # a refutation is checked as the tag it is kept under
-            w = _checked(self.root, refuted or label, i, s, rest, cols, weights, certificate)
+        w, certificate, refuted = _settled(self.root, label, i, s, rest, cols, masks)
         if refuted:  # one column refutes: kept over it alone, for every C holding it
-            past.append((refuted, 1 << _bits(bits)[certificate[0]], allowed, None, _EVERYWHERE, None))
+            past.append((refuted, 1 << _bits(bits)[certificate[0]], allowed, None, None))
             return None
-        entry = self._entry(label, i, s, cols, allowed, w)
+        entry = self._entry(label, cols, allowed, w)
         past.append(entry)
         return entry[3]
 

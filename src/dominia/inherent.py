@@ -72,9 +72,11 @@ def is_inherently_dominated(game: Game, query: InherentQuery, *, columns=None) -
     ``columns`` is the set of opponents' joint profiles, and so of subsets,
     quantified over (order and repeats are ignored); by default all of them.
     Chain sets and the failing subset list their profiles in ascending order."""
-    from .engine import _layer  # the engine builds on this module
+    if query.base.mixed:  # a pure base needs no layer, nor the import's cost per call
+        from .engine import _layer  # the engine builds on this module
 
-    return _chain(game, query, columns, _layer(game).mixed_witness if query.base.mixed else None)
+        return _chain(game, query, columns, _layer(game).mixed_witness)
+    return _chain(game, query, columns, None)
 
 
 def _chain(game: Game, query: InherentQuery, columns, mixed_witness) -> InherentResult:

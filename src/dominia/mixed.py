@@ -8,12 +8,12 @@ Each query is first put to the mask rules (:func:`_by_masks`); only a query
 they leave open goes to the exact LP.  With A the allowed support and A' = A
 minus the dominated strategy s, the rules read per t in A' the columns where
 u_i(t) > u_i(s), where u_i(t) < u_i(s), and where these tie and another
-player's payoffs do not (:func:`pure._masks`' better, worse and split):
-:func:`find_dominator` builds the first two from the integer rows
-(:meth:`Game._int_rows`) and asks :func:`pure._masks` for the split ones
-only when a rule needs them; the engine's layer builds the first two the
-same way, over every column, once per strategy, and reads the split ones off
-its pure masks.
+player's payoffs do not (:func:`pure._masks`' better, worse and split).
+:func:`_row_masks` reads the first two off the integer rows
+(:meth:`Game._int_rows`), over :func:`find_dominator`'s columns or, for the
+engine's layer, over every column once per strategy; the rules ask
+:func:`pure._masks` for the split ones only where one needs them.  Both
+callers put each tag to :func:`_settled`: the rules, then the LP.
 
 A mix's payoff in one column lies between the payoffs of the strategies it
 mixes (the one-column case of Pearce 1984, Lemma 3), so one column says "no"
@@ -295,14 +295,14 @@ def _row_masks(cols: _Columns, i: int, s: int, allowed) -> dict[int, tuple[int, 
     return masks
 
 
-def _by_masks(tag, i, s, allowed, masks, split, cols):
+def _by_masks(tag, i, s, allowed, masks, cols):
     """The mask rules (module docstring) over the bits of ``cols``, from
-    ``masks[t] = (better, worse)`` and ``split(t)`` (asked only when needed)
-    of each t in ``allowed`` other than s.  Returns ``(weights, None, None)``
-    for a point mass; ``(None, certificate, refuted)`` for a "no" in
-    :func:`_certificate_holds`' form at the lowest refuting column,
-    ``refuted`` the strongest tag that column refutes alone (None: it holds
-    over all of ``cols`` only); else ``(None, None, None)``."""
+    ``masks[t] = (better, worse)`` of each t in ``allowed`` other than s,
+    and t's split bits from :func:`pure._masks` where a rule needs them.
+    Returns ``(weights, None, None)`` for a point mass; ``(None, certificate,
+    refuted)`` for a "no" in :func:`_certificate_holds`' form at the lowest
+    refuting column, ``refuted`` the strongest tag that column refutes alone
+    (None: it holds over all of ``cols`` only); else ``(None, None, None)``."""
     bits = cols.bits
     rest = [t for t in allowed if t != s]
     analog = _analog(tag)
@@ -330,7 +330,7 @@ def _by_masks(tag, i, s, allowed, masks, split, cols):
     for t in rest:
         if not _met((analog(*masks[t], 0),), bits):
             continue
-        tied = split(t) & bits if tag in ("NWM", "PEM") else 0
+        tied = _masks(cols.game, ("COMPAT",), i, s, t, cols)[0][0] if tag in ("NWM", "PEM") else 0
         if not tied:
             return {t: ONE}, None, None
         if len(rest) == 1:
@@ -345,6 +345,18 @@ def _by_masks(tag, i, s, allowed, masks, split, cols):
                 if not min(vals) <= row[s] <= max(vals):
                     return None, (c, j), "PEM"
     return None, None, None
+
+
+def _settled(game: Game, tag: str, i: int, s: int, allowed, cols: _Columns, masks) -> tuple:
+    """One tag's question, ``allowed`` the support its decider sees in
+    ascending order and ``masks`` :func:`_row_masks`' over ``cols``: the mask
+    rules, then the LP decider if they leave it open, then :func:`_checked`,
+    a refutation as the tag it refutes.  Returns the witness or None with
+    the rules' certificate and refuted tag (:func:`_by_masks`)."""
+    weights, certificate, refuted = _by_masks(tag, i, s, allowed, masks, cols)
+    if weights is None and certificate is None:
+        weights = _DECIDERS[tag](_rows(cols), i, s, allowed)
+    return _checked(game, refuted or tag, i, s, allowed, cols, weights, certificate), certificate, refuted
 
 
 def _checked(game, tag, i, s, allowed, cols, weights, certificate) -> Optional[MixedWitness]:
@@ -481,26 +493,12 @@ def find_dominator(
         raise ValueError("find_dominator needs a mixed relation")
     allowed, cols, _ = _query(game, player, strategy, allowed_support, columns)
     masks = _row_masks(cols, player, strategy, allowed)
-    split = lambda t: _masks(game, ("COMPAT",), player, strategy, t, cols)[0][0]  # seldom asked
     for tag in relation.tags:
         member_allowed = _member_support(tag, allowed, strategy)
-        if not member_allowed:
-            continue
-        weights, certificate, _ = _by_masks(tag, player, strategy, member_allowed, masks, split, cols)
-        if weights is None and certificate is None:
-            w = _decided(game, tag, player, strategy, member_allowed, cols)
-        else:
-            w = _checked(game, tag, player, strategy, member_allowed, cols, weights, certificate)
+        w = _settled(game, tag, player, strategy, member_allowed, cols, masks)[0] if member_allowed else None
         if w is not None:
             return w
     return None
-
-
-def _decided(game: Game, tag: str, i: int, s: int, allowed, cols: _Columns) -> Optional[MixedWitness]:
-    """The tag's LP decider's answer to a question the mask rules left open,
-    its witness checked by :func:`_checked`; ``allowed`` is the support the
-    decider sees, in ascending order."""
-    return _checked(game, tag, i, s, allowed, cols, _DECIDERS[tag](_rows(cols), i, s, allowed), None)
 
 
 def _query(game: Game, player: int, strategy: int, allowed_support, columns):

@@ -639,16 +639,17 @@ def test_dominance_layer_reuses_answers_monotone_in_the_allowed_set(monkeypatch)
 
 
 def _count_fresh_decisions(monkeypatch) -> list:
-    """The (tag, allowed) of every mixed question the engine's layers decide
-    afresh from here on: each goes to the mask rules first, and to its LP
-    decider (:func:`mixed._decided`) only if they leave it open."""
+    """The (tag, allowed) of every mixed question decided afresh from here
+    on: each goes to the mask rules first, and to its LP decider only if
+    they leave it open (:func:`mixed._settled`)."""
     calls = []
+    by_masks = mixed._by_masks
 
     def counted(tag, i, s, allowed, *masks):
         calls.append((tag, allowed))
-        return mixed._by_masks(tag, i, s, allowed, *masks)
+        return by_masks(tag, i, s, allowed, *masks)
 
-    monkeypatch.setattr(engine, "_by_masks", counted)
+    monkeypatch.setattr(mixed, "_by_masks", counted)
     return calls
 
 
@@ -666,13 +667,29 @@ def _one_strict_column():
     return _row_game((1, 0), (0, 0))
 
 
-def test_weak_mixed_yes_is_checked_again_on_fewer_columns():
+def test_weak_mixed_yes_is_checked_again_on_fewer_columns(monkeypatch):
     # the WM witness over L and R is strict at L only: dropping L leaves a
-    # tie, so the stored answer must fail its check and not be reused
+    # tie, so WM is not hereditary and the question over R alone is decided
+    # afresh
+    calls = _count_fresh_decisions(monkeypatch)
     layer = engine._Dominance(_one_strict_column())
     no_l = layer.start & ~(1 << layer.off[1])
     assert layer.witness(WM, layer.start, 0, 1, 1) == 1
     assert layer.witness(WM, no_l, 0, 1, 1) is None
+    assert calls == [("WM", (0,))] * 2
+
+
+@pytest.mark.parametrize("weak", [WM, NWM], ids=str)
+def test_weak_mixed_yes_answers_very_weak_on_fewer_columns(monkeypatch, weak):
+    # a WM or NWM witness over L and R is at least X everywhere, so it is a
+    # VWM witness over R alone, with no fresh decision
+    calls = _count_fresh_decisions(monkeypatch)
+    layer = engine._Dominance(_one_strict_column())
+    no_l = layer.start & ~(1 << layer.off[1])
+    assert layer.witness(weak, layer.start, 0, 1, 1) == 1
+    del calls[:]
+    assert layer.witness(VWM, no_l, 0, 1, 1) == 1
+    assert calls == []
 
 
 def test_weak_mixed_no_is_not_reused_on_more_columns():
@@ -750,7 +767,7 @@ def test_one_column_refutations_are_reused_on_more_columns(monkeypatch):
 def test_engine_checks_the_rules_certificates(monkeypatch, relation, certificate):
     # a refutation the rules get wrong fails its check on the Fractions, as
     # the tag it would be kept under, before the layer keeps it
-    monkeypatch.setattr(engine, "_by_masks", lambda *query: (None, certificate, "VWM"))
+    monkeypatch.setattr(mixed, "_by_masks", lambda *query: (None, certificate, "VWM"))
     layer = engine._Dominance(_one_strict_column())
     with pytest.raises(WitnessVerificationError):
         layer.witness(relation, layer.start, 0, 1, 1)
@@ -822,9 +839,9 @@ def test_layers_are_reused_across_calls_on_one_game_object(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return mixed._decided(*args)
+        return mixed._settled(*args)
 
-    monkeypatch.setattr(engine, "_decided", counted)
+    monkeypatch.setattr(engine, "_settled", counted)
     sm = RelationSpec(SM, STRICT, ANY)
 
     def closed(game):

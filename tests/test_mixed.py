@@ -81,8 +81,7 @@ def _rule(g, tag, i, s, allowed, columns=None):
     """:func:`mixed._by_masks` as :func:`find_dominator` puts it, from the
     integer rows over ``columns``; ``allowed`` is the member's support."""
     cols = _checked_columns(g, i, columns)
-    split = lambda t: _masks(g, ("COMPAT",), i, s, t, cols)[0][0]
-    return mixed._by_masks(tag, i, s, tuple(sorted(allowed)), mixed._row_masks(cols, i, s, allowed), split, cols)
+    return mixed._by_masks(tag, i, s, tuple(sorted(allowed)), mixed._row_masks(cols, i, s, allowed), cols)
 
 
 def _nwm_by_enumeration(pay, i, s, allowed):
@@ -652,13 +651,13 @@ def _rule_queries(g, data=None):
 def _check_rule(g, tag, i, s, allowed, cols):
     """The rules' answer to one query, after checking it against the LP
     decider, the certificate and witness checks, and the same rules fed the
-    Fraction masks of :func:`pure._masks`, as the engine's layer feeds them."""
+    better and worse masks of :func:`pure._masks` on the Fractions."""
     out = _rule(g, tag, i, s, allowed, cols)
     weights, certificate, refuted = out
     checked = _checked_columns(g, i, cols)
-    fractions = {t: _masks(g, ("W", "COMPAT"), i, s, t, checked) for t in allowed if t != s}
-    masks = {t: (w[1], w[0]) for t, (w, _) in fractions.items()}
-    assert mixed._by_masks(tag, i, s, allowed, masks, lambda t: fractions[t][1][0], checked) == out
+    fractions = {t: _masks(g, ("W",), i, s, t, checked)[0] for t in allowed if t != s}
+    masks = {t: (need, fail) for t, (fail, need) in fractions.items()}
+    assert mixed._by_masks(tag, i, s, allowed, masks, checked) == out
     if weights is None and certificate is None:
         # every point mass is the rules' to try: an open query needs a proper mix
         reference = lp_dominator(g, tag, i, s, allowed, columns=cols)
